@@ -1,6 +1,8 @@
 """Command line interface.
 
-Exit code is 0 exactly when every requested check reports PASS.
+Exit code is 0 exactly when every requested check reports PASS, 1 when a
+check reports anything else, and 2 when the input is bad or a circuit or
+search budget runs out before a report is made (one line on stderr).
 
 Note on G2: the matroid of a root system forgets root lengths, so the G2
 matroid equals that of I2(6); use the system id "I2_6".
@@ -15,11 +17,12 @@ import json
 import sys
 
 from . import graphauto, linmatroid, permgrp, rootsystems, verify
+from .errors import BudgetExceededError
 
 
-def _add_budget(parser):
-    parser.add_argument("--budget", type=int, default=graphauto.DEFAULT_NODE_BUDGET,
-                        help="search node budget (default %(default)s)")
+def _add_budget(parser, default=graphauto.DEFAULT_NODE_BUDGET):
+    parser.add_argument("--budget", type=int, default=default,
+                        help="node budget (default %(default)s)")
 
 
 def build_parser():
@@ -45,7 +48,7 @@ def build_parser():
     p.add_argument("--system", required=True)
     p.add_argument("--max-order", type=int, default=3)
     p.add_argument("--format", choices=("text", "json"), default="json")
-    _add_budget(p)
+    _add_budget(p, linmatroid.DEFAULT_NODE_BUDGET)
 
     p = sub.add_parser("aut", help="compute the graph automorphism group")
     p.add_argument("--system", required=True)
@@ -70,6 +73,8 @@ def _parse_families(spec):
     ids = []
     for part in spec.split(","):
         part = part.strip()
+        if not part:
+            continue
         if ":" in part:
             fam, rng = part.split(":", 1)
             lo, hi = (int(x) for x in rng.split("..")) if ".." in rng else (int(rng),) * 2
@@ -83,6 +88,8 @@ def _parse_families(spec):
             ids += ["H3", "H4"]
         else:
             ids.append(part)
+    if not ids:
+        raise ValueError(f"--families {spec!r} names no system")
     return ids
 
 
@@ -172,7 +179,11 @@ COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    ok = COMMANDS[args.command](args)
+    try:
+        ok = COMMANDS[args.command](args)
+    except (ValueError, BudgetExceededError) as exc:
+        print(f"rootmat: error: {exc}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 

@@ -169,10 +169,11 @@ def automorphism_group(g: ColoredGraph, node_budget=DEFAULT_NODE_BUDGET):
     search = _Search(g, node_budget)
     gens = search.run()
     if gens:
-        group = bsgs(gens, degree=g.num_vertices, base_hint=search.first_path)
+        path = search.first_path
+        group = bsgs(gens, degree=g.num_vertices, base_hint=path)
         expected = 1
-        for i, b in enumerate(_branch_points(search)):
-            fixing = [p for p in gens if all(p[x] == x for x in _branch_points(search)[:i])]
+        for i, b in enumerate(path):
+            fixing = [p for p in gens if all(p[x] == x for x in path[:i])]
             expected *= len(_orbit(b, fixing))
         if group.order() != expected:
             raise AssertionError(
@@ -180,7 +181,3 @@ def automorphism_group(g: ColoredGraph, node_budget=DEFAULT_NODE_BUDGET):
                 f"vs orbit-stabilizer count {expected}"
             )
     return gens
-
-
-def _branch_points(search):
-    return search.first_path

@@ -60,15 +60,3 @@ def restrict_to_ground(graph_perm, ground_size):
     if any(x >= ground_size for x in restricted):
         raise ValueError("permutation does not preserve the element color class")
     return restricted
-
-
-def to_dimacs(g: ColoredGraph) -> str:
-    """DIMACS-like text export (1-indexed) for differential testing."""
-    lines = [f"p edge {g.num_vertices} {g.num_edges}"]
-    for u in range(g.num_vertices):
-        for v in sorted(g.adjacency[u]):
-            if u < v:
-                lines.append(f"e {u + 1} {v + 1}")
-    for v, c in enumerate(g.colors):
-        lines.append(f"n {v + 1} {c}")
-    return "\n".join(lines) + "\n"

@@ -1,10 +1,14 @@
 """The linear matroid of a root system: rank oracle and circuit enumeration.
 
-Two kinds of matroid back a root system: the generic linear kind, whose
-rank oracle runs exact Gaussian elimination over the scalar field
-(fraction-free Bareiss on integers after clearing denominators in the
-rational case), and the uniform rank-2 kind used for I2(m), where any two
-lines are independent and any three dependent.
+Every matroid is held as integer rows, computed once from the line
+coordinates.  A rational line becomes its primitive integer multiple.  A
+line a + b*sqrt(5) over Q(sqrt 5), with a and b integer vectors after
+clearing denominators, becomes the two rows [a | b] and [5b | a]; their
+rational span is the Q(sqrt 5)-span of the line (restriction of scalars),
+so a rank over Q(sqrt 5) is the integer rank divided by the degree 2.
+I2(m) is realized by the lines (1, k), which represent the uniform matroid
+U_{2,m}.  All elimination is fraction-free on integers (Bareiss, Math.
+Comp. 1968).
 
 Circuits are emitted as sorted index tuples in lexicographic order, so all
 dumps are byte-reproducible.
@@ -15,53 +19,61 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import BudgetExceededError
-from .scalar import QuadExt
+from .scalar import rational_parts
 
 
 @dataclass(frozen=True)
 class LinearMatroid:
     ground_size: int
-    vectors: tuple  # empty for the uniform kind
-    kind: str  # "linear" | "uniform"
-    uniform_rank: int = 2
+    rows: tuple  # rows[i]: the `degree` integer rows of element i
+    degree: int  # 1 over Q, 2 over Q(sqrt 5)
 
     @staticmethod
     def from_vectors(vectors) -> "LinearMatroid":
-        return LinearMatroid(len(vectors), tuple(tuple(v) for v in vectors), "linear")
-
-    @staticmethod
-    def uniform(ground_size) -> "LinearMatroid":
-        return LinearMatroid(ground_size, (), "uniform")
+        parts = [[rational_parts(c) for c in v] for v in vectors]
+        degree = 2 if any(b for v in parts for _, b in v) else 1
+        rows = []
+        for v in parts:
+            scale = lcm(*(q.denominator for ab in v for q in ab))
+            a = [int(x * scale) for x, _ in v]
+            b = [int(y * scale) for _, y in v]
+            if degree == 1:
+                rows.append((_primitive(a),))
+            else:
+                rows.append((_primitive(a + b), _primitive([5 * y for y in b] + a)))
+        return LinearMatroid(len(rows), tuple(rows), degree)
 
 
 def matroid_of(system) -> LinearMatroid:
-    """The matroid M(R) of a root system (uniform U_{2,m} for I2)."""
+    """The matroid M(R) of a root system (I2(m) on the lines (1, k))."""
     if system.family == "I2":
-        return LinearMatroid.uniform(system.rank_param)
+        return LinearMatroid.from_vectors([(1, k) for k in range(system.rank_param)])
     return LinearMatroid.from_vectors(system.lines)
 
 
-# -- exact rank -----------------------------------------------------------
+# -- exact integer elimination --------------------------------------------
 
 
-def _integer_rows(vectors):
-    """Scale rational rows to primitive integer rows (rank-preserving)."""
-    rows = []
-    for v in vectors:
-        denom = 1
-        for c in v:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        row = [int(c * denom) for c in v]
-        rows.append(row)
-    return rows
+def _primitive(vec):
+    """The integer vector divided by the gcd of its entries."""
+    g = gcd(*vec)
+    return tuple(c // g for c in vec) if g > 1 else tuple(vec)
+
+
+def _eliminate(vec, pivot_row, col):
+    """Clear column col of vec with pivot_row (nonzero there), kept primitive."""
+    if not vec[col]:
+        return vec
+    p, f = pivot_row[col], vec[col]
+    return _primitive([p * a - f * b for a, b in zip(vec, pivot_row)])
 
 
 def _rank_bareiss(rows):
     """Rank via fraction-free (Bareiss) elimination on integer rows."""
-    rows = [r[:] for r in rows]
+    rows = [list(r) for r in rows]
     m = len(rows)
     if m == 0:
         return 0
@@ -85,46 +97,12 @@ def _rank_bareiss(rows):
     return rank
 
 
-def _rank_field(rows):
-    """Rank via plain exact elimination; works for any exact scalar."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    rank = 0
-    for col in range(n):
-        pivot_row = next((r for r in range(rank, m) if rows[r][col]), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        piv = rows[rank][col]
-        for r in range(rank + 1, m):
-            if rows[r][col]:
-                factor = rows[r][col] / piv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def _vector_rank(vectors):
-    if not vectors:
-        return 0
-    if isinstance(vectors[0][0], QuadExt):
-        return _rank_field(vectors)
-    return _rank_bareiss(_integer_rows(vectors))
-
-
 def rank(m: LinearMatroid, subset) -> int:
     subset = list(subset)
     for i in subset:
         if not 0 <= i < m.ground_size:
             raise IndexError(f"element {i} out of range")
-    if m.kind == "uniform":
-        return min(len(set(subset)), m.uniform_rank)
-    return _vector_rank([m.vectors[i] for i in subset])
+    return _rank_bareiss([r for i in subset for r in m.rows[i]]) // m.degree
 
 
 def is_independent(m: LinearMatroid, subset) -> bool:
@@ -145,24 +123,26 @@ def is_circuit(m: LinearMatroid, subset) -> bool:
 # -- order-3 circuits -----------------------------------------------------
 
 
-def _plane_key(u, v):
-    """Canonical label (reduced row echelon form) of the plane span{u, v}."""
-    if isinstance(u[0], QuadExt):
-        rows = [list(u), list(v)]
-    else:
-        rows = [[Fraction(c) for c in u], [Fraction(c) for c in v]]
-    # two-row RREF
-    p0 = next(i for i, c in enumerate(rows[0]) if c)
-    rows[0] = [c / rows[0][p0] for c in rows[0]]
-    if rows[1][p0]:
-        rows[1] = [a - rows[1][p0] * b for a, b in zip(rows[1], rows[0])]
-    p1 = next(i for i, c in enumerate(rows[1]) if c)
-    rows[1] = [c / rows[1][p1] for c in rows[1]]
-    if rows[0][p1]:
-        rows[0] = [a - rows[0][p1] * b for a, b in zip(rows[0], rows[1])]
-    if p1 < p0:
-        rows.reverse()
-    return tuple(rows[0]), tuple(rows[1])
+def _span_key(rows):
+    """Canonical label of the rational row space of integer rows.
+
+    Gauss-Jordan elimination clears each pivot column in every other row
+    and leaves each row primitive with a positive pivot: the reduced row
+    echelon form up to a positive scale per row, which depends only on the
+    space.
+    """
+    done, rest = [], list(rows)
+    for col in range(len(rows[0])):
+        k = next((k for k, r in enumerate(rest) if r[col]), None)
+        if k is None:
+            continue
+        piv = rest.pop(k)
+        if piv[col] < 0:
+            piv = tuple(-c for c in piv)
+        done = [_eliminate(r, piv, col) for r in done]
+        rest = [_eliminate(r, piv, col) for r in rest]
+        done.append(piv)
+    return tuple(done)
 
 
 def circuits3(m: LinearMatroid):
@@ -173,11 +153,9 @@ def circuits3(m: LinearMatroid):
     the plane spanned with a partner enumerates these without scanning
     every triple.
     """
-    if m.kind == "uniform":
-        return [tuple(t) for t in itertools.combinations(range(m.ground_size), 3)]
     planes = {}
     for i, j in itertools.combinations(range(m.ground_size), 2):
-        key = _plane_key(m.vectors[i], m.vectors[j])
+        key = _span_key(m.rows[i] + m.rows[j])
         bucket = planes.setdefault(key, set())
         bucket.add(i)
         bucket.add(j)
@@ -202,18 +180,15 @@ DEFAULT_NODE_BUDGET = 5_000_000
 
 
 class _Echelon:
-    """Incremental exact row echelon over the scalar field (for the DFS)."""
+    """Incremental integer row echelon form (for the DFS)."""
 
     def __init__(self):
-        self.rows = []  # reduced pivot rows
+        self.rows = []  # primitive rows, each reduced against the earlier ones
         self.pivots = []
 
     def reduce(self, vec):
-        vec = list(vec)
         for row, p in zip(self.rows, self.pivots):
-            if vec[p]:
-                factor = vec[p] / row[p]
-                vec = [a - factor * b for a, b in zip(vec, row)]
+            vec = _eliminate(vec, row, p)
         return vec
 
     def push(self, reduced_vec):
@@ -234,13 +209,6 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
     prefix plus one dependent element).  Raises BudgetExceededError when
     the search frontier exceeds node_budget nodes.
     """
-    if m.kind == "uniform":
-        if kmax < 3:
-            return []
-        return [tuple(t) for t in itertools.combinations(range(m.ground_size), 3)]
-
-    frac = [[Fraction(c) for c in v] if not isinstance(v[0], QuadExt) else list(v)
-            for v in m.vectors]
     out = []
     ech = _Echelon()
     nodes = 0
@@ -252,12 +220,18 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceededError("all_circuits_upto", node_budget)
-            reduced = ech.reduce(frac[k])
+            # Over Q(sqrt 5) the span of the current rows is closed under
+            # multiplication by sqrt(5), so the first row of k alone
+            # decides whether k depends on the current set.
+            reduced = ech.reduce(m.rows[k][0])
             if any(reduced):
                 if len(current) + 1 < kmax:
                     ech.push(reduced)
+                    for row in m.rows[k][1:]:
+                        ech.push(ech.reduce(row))
                     extend(current + [k])
-                    ech.pop()
+                    for _ in m.rows[k]:
+                        ech.pop()
             else:
                 cand = current + [k]
                 if is_circuit(m, cand):
@@ -294,7 +268,7 @@ def classical_circuits(system, kmax, node_budget=DEFAULT_NODE_BUDGET):
     nverts = n + 1 if fam == "A" else n
     index = _classical_line_index(system, fam, n)
     out = set()
-    budget = [node_budget]
+    budget = [node_budget, node_budget]  # [nodes left, configured budget]
 
     def emit(edges, marks=()):
         lines = [index[e] for e in edges] + [index[("mark", i)] for i in marks]
@@ -360,7 +334,7 @@ def _red_count(edges):
 def _spend(budget):
     budget[0] -= 1
     if budget[0] < 0:
-        raise BudgetExceededError("classical_circuits", budget[0])
+        raise BudgetExceededError("classical_circuits", budget[1])
 
 
 def _cycles(nverts, max_edges, colored, budget):
@@ -452,8 +426,6 @@ def _dumbbells(nverts, max_edges, budget):
                         common = set(vs1) & set(vs2)
                         if len(common) == 1:
                             for cyc2, e2 in _odd_cycles_on(vs2, budget):
-                                if e1 + e2 <= max_edges and vs2 > vs1:
-                                    pass
                                 if e1 + e2 <= max_edges:
                                     yield cyc1 | cyc2
                         elif not common:

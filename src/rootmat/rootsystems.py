@@ -9,8 +9,9 @@ by -Id and by the antipodal subgroup that appear in the classification.
 Root lengths are irrelevant to the matroid, so coordinates are scaled for
 convenience (e.g. the half-integer roots of E8 and D'4 are doubled).
 
-The I2(m) family carries no coordinates at all: its matroid is the uniform
-rank-2 matroid, built directly in ``linmatroid``.
+The I2(m) family carries no coordinates here: its matroid is the uniform
+rank-2 matroid U_{2,m}, which ``linmatroid.matroid_of`` realizes by the
+lines (1, k).
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ anywhere in this package.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,9 +101,6 @@ class QuadExt:
     def __repr__(self):
         return f"QuadExt({self.a!r}, {self.b!r})"
 
-    def __str__(self):
-        return format_scalar(self)
-
 
 def _coerce(x) -> QuadExt:
     if isinstance(x, QuadExt):
@@ -136,26 +132,8 @@ def scalar_sign(x) -> int:
     return _sign(Fraction(x))
 
 
-def format_scalar(x) -> str:
-    """Render "p/q" for rationals, "p/q+r/s*sqrt5" for Q(sqrt5) elements."""
+def rational_parts(x):
+    """The rationals (a, b) with x = a + b*sqrt(5); b is 0 for a rational x."""
     if isinstance(x, QuadExt):
-        a, b = x.a, x.b
-        return f"{a.numerator}/{a.denominator}+{b.numerator}/{b.denominator}*sqrt5"
-    q = Fraction(x)
-    return f"{q.numerator}/{q.denominator}"
-
-
-_RAT_RE = re.compile(r"^(-?\d+)/(\d+)$")
-_QUAD_RE = re.compile(r"^(-?\d+)/(\d+)\+(-?\d+)/(\d+)\*sqrt5$")
-
-
-def parse_scalar(text: str):
-    """Inverse of :func:`format_scalar`; raises ValueError on anything else."""
-    m = _QUAD_RE.match(text)
-    if m:
-        p, q, r, s = (int(g) for g in m.groups())
-        return QuadExt(Fraction(p, q), Fraction(r, s))
-    m = _RAT_RE.match(text)
-    if m:
-        return Fraction(int(m.group(1)), int(m.group(2)))
-    raise ValueError(f"not a scalar literal: {text!r}")
+        return x.a, x.b
+    return Fraction(x), Fraction(0)

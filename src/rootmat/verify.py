@@ -9,7 +9,7 @@ characterization and the classification-table row in one shot.
 
 I2(m) is the one family this squeeze cannot certify (its isometry group
 has order 4m while the matroid group is Sym(m)); there the matroid is
-uniform of rank 2, every triple is a circuit by construction, and the
+uniform of rank 2, the computed C3 is checked to be every triple, and the
 computed graph group is checked against m! directly.
 """
 

@@ -243,9 +243,7 @@ def test_criterion_6_property_suites(pipeline, capsys):
         for k in range(system.num_lines):
             flipped_lines = list(system.lines)
             flipped_lines[k] = tuple(-x for x in flipped_lines[k])
-            flipped = linmatroid.LinearMatroid(
-                ground_size=m.ground_size, vectors=tuple(flipped_lines),
-                kind="linear")
+            flipped = linmatroid.LinearMatroid.from_vectors(flipped_lines)
             for r in range(1, min(system.rank + 2, system.num_lines) + 1):
                 for s in itertools.combinations(range(system.num_lines), r):
                     if linmatroid.rank(m, s) != linmatroid.rank(flipped, s):

@@ -1,6 +1,6 @@
 import pytest
 
-from rootmat.incidencegraph import build_incidence, restrict_to_ground, to_dimacs
+from rootmat.incidencegraph import build_incidence, restrict_to_ground
 from rootmat.linmatroid import circuits3, matroid_of
 from rootmat.rootsystems import build
 
@@ -63,12 +63,3 @@ def test_restriction_preserves_family():
     for p in automorphism_group(g):
         ground = restrict_to_ground(p, s.num_lines)
         assert {frozenset(ground[i] for i in c) for c in fam} == fam
-
-
-def test_dimacs_export():
-    g = build_incidence(2, [{0, 1}])
-    text = to_dimacs(g)
-    lines = text.strip().split("\n")
-    assert lines[0] == "p edge 3 2"
-    assert "e 1 3" in lines and "e 2 3" in lines
-    assert "n 3 1" in lines

@@ -45,6 +45,40 @@ def test_rank_triangle_a3():
     assert is_circuit(m, tri)
 
 
+def _reference_rank(vectors):
+    """Plain Gaussian elimination over the vectors' own field (Fraction or QuadExt)."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+# every subset of size <= rank + 1, and of size <= 5 for H3 (rank 3)
+@pytest.mark.parametrize("sid,max_size", [("H3", 5), ("A4", 5), ("B3", 4), ("D4", 5)])
+def test_rank_matches_reference_elimination(sid, max_size):
+    s = parse_system_id(sid)
+    m = matroid_of(s)
+    for k in range(max_size + 1):
+        for subset in itertools.combinations(range(s.num_lines), k):
+            want = _reference_rank([s.lines[i] for i in subset])
+            assert rank(m, subset) == want, subset
+
+
+def test_rank_i2_7_is_uniform():
+    m = matroid_of(build("I2", 7))
+    for k in range(8):
+        for subset in itertools.combinations(range(7), k):
+            assert rank(m, subset) == min(k, 2), subset
+
+
 def test_rank_out_of_range():
     m = matroid_of(build("A", 2))
     with pytest.raises(IndexError):
@@ -73,7 +107,7 @@ def test_a4_four_cycle_is_a_circuit():
     assert not is_circuit(m, cyc[:3])
 
 
-@pytest.mark.parametrize("sid", ["A3", "A4", "B2", "B3", "D4", "F4", "H3"])
+@pytest.mark.parametrize("sid", ["A3", "A4", "B2", "B3", "D4", "F4", "H3", "H4", "I2_7"])
 def test_circuits3_matches_bruteforce(sid):
     m = matroid_of(parse_system_id(sid))
     assert circuits3(m) == circuits3_bruteforce(m)
@@ -131,6 +165,12 @@ def test_classical_shapes_match_bruteforce(family, n):
     m = matroid_of(s)
     kmax = n + 1
     assert set(classical_circuits(s, kmax)) == set(all_circuits_upto(m, kmax))
+
+
+def test_classical_budget_error_names_the_budget():
+    with pytest.raises(BudgetExceededError, match="node budget of 10 exceeded") as info:
+        classical_circuits(build("B", 4), 5, node_budget=10)
+    assert info.value.budget == 10
 
 
 def test_classical_rejects_other_families():

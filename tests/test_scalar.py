@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rootmat.scalar import PHI, SQRT5, QuadExt, format_scalar, galois, parse_scalar, scalar_sign
+from rootmat.scalar import PHI, SQRT5, QuadExt, galois, scalar_sign
 
 
 def test_rational_addition():
@@ -70,26 +70,3 @@ def test_sign_cases():
 
 def test_ordering():
     assert QuadExt.of(0) < PHI < QuadExt.of(2) < SQRT5
-
-
-@pytest.mark.parametrize("text", ["5/6", "-3/1", "0/1", "1/2+1/2*sqrt5", "-1/2+0/1*sqrt5"])
-def test_parse_format_round_trip(text):
-    assert format_scalar(parse_scalar(text)) == text
-
-
-def test_format_parse_round_trip_values():
-    rng = random.Random(7)
-    for _ in range(100):
-        x = _random_quad(rng)
-        assert parse_scalar(format_scalar(x)) == x
-    assert parse_scalar(format_scalar(Fraction(-7, 3))) == Fraction(-7, 3)
-
-
-def test_parse_rejects_garbage():
-    for bad in ["", "1.5", "sqrt5", "1/2+sqrt5", "1/0"]:
-        if bad == "1/0":
-            with pytest.raises((ValueError, ZeroDivisionError)):
-                parse_scalar(bad)
-        else:
-            with pytest.raises(ValueError):
-                parse_scalar(bad)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from rootmat.cli import main
+from rootmat import linmatroid
+from rootmat.cli import build_parser, main
 from rootmat.verify import (
     PASS,
     VerificationReport,
@@ -125,3 +126,23 @@ def test_cli_aut_generators(capsys):
     assert main(["aut", "--system", "A2", "--emit-generators"]) == 0
     out = capsys.readouterr().out
     assert "|Aut(G(X, C3))| = 6" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--system", "X9"],
+    ["verify", "--system", "D3"],
+    ["table", "--families", ","],
+    ["circuits", "--system", "B4", "--max-order", "5", "--budget", "10"],
+    ["aut", "--system", "E6", "--budget", "3"],
+], ids=["unknown-id", "D3", "empty-families", "circuits-budget", "aut-budget"])
+def test_cli_errors_are_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rootmat: error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_circuits_budget_defaults_to_enumerator_budget():
+    args = build_parser().parse_args(["circuits", "--system", "E6", "--max-order", "6"])
+    assert args.budget == linmatroid.DEFAULT_NODE_BUDGET
