@@ -17,9 +17,6 @@ class ColoredGraph:
     colors: tuple
     adjacency: tuple  # tuple of frozensets, one per vertex
 
-    def has_edge(self, u, v):
-        return v in self.adjacency[u]
-
     @property
     def num_edges(self):
         return sum(len(a) for a in self.adjacency) // 2

@@ -19,10 +19,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import BudgetExceededError
-from .scalar import rational_parts
+from .scalar import integer_parts
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,10 @@ class LinearMatroid:
 
     @staticmethod
     def from_vectors(vectors) -> "LinearMatroid":
-        parts = [[rational_parts(c) for c in v] for v in vectors]
-        degree = 2 if any(b for v in parts for _, b in v) else 1
+        parts = [integer_parts(v) for v in vectors]
+        degree = 2 if any(any(b) for _, b in parts) else 1
         rows = []
-        for v in parts:
-            scale = lcm(*(q.denominator for ab in v for q in ab))
-            a = [int(x * scale) for x, _ in v]
-            b = [int(y * scale) for _, y in v]
+        for a, b in parts:
             if degree == 1:
                 rows.append((_primitive(a),))
             else:

@@ -11,6 +11,7 @@ orbits extended in FIFO order).
 from __future__ import annotations
 
 from math import prod
+from operator import itemgetter
 
 
 def identity(degree):
@@ -19,7 +20,9 @@ def identity(degree):
 
 def compose(p, q):
     """(p . q)(x) = p(q(x))."""
-    return tuple(p[x] for x in q)
+    if len(q) > 1:
+        return itemgetter(*q)(p)
+    return tuple(p[x] for x in q)  # itemgetter of one index returns a scalar
 
 
 def inverse(p):
@@ -30,7 +33,7 @@ def inverse(p):
 
 
 def is_identity(p):
-    return all(p[x] == x for x in range(len(p)))
+    return p == identity(len(p))
 
 
 def perm_from_cycles(degree, cycles):
@@ -66,7 +69,8 @@ class PermGroup:
     levels below, and restart at the level where a residue survives.
     Transversals are extend-only, so coset representatives never change
     once computed and each (orbit point, generator) pair is processed at
-    most once per level.
+    most once per level.  A transversal stores the inverses of the coset
+    representatives, the factors a sift applies.
     """
 
     def __init__(self, degree, generators, base_hint=()):
@@ -79,7 +83,7 @@ class PermGroup:
         self.base = []
         self._gens = []  # _gens[i]: strong generators fixing base[:i]
         self._orbits = []  # insertion-ordered orbit of base[i]
-        self._trans = []  # point -> rep mapping base[i] to point
+        self._trans = []  # point x -> u_x^-1, where u_x maps base[i] to x
         self._done = []  # processed (point, gen index) Schreier pairs
         self._build()
 
@@ -103,14 +107,16 @@ class PermGroup:
 
     def _extend_transversal(self, i):
         orbit, trans, gens = self._orbits[i], self._trans[i], self._gens[i]
+        gens_inv = [inverse(s) for s in gens]
         idx = 0
         while idx < len(orbit):
             x = orbit[idx]
-            tx = trans[x]
-            for s in gens:
+            tx_inv = trans[x]
+            for s, s_inv in zip(gens, gens_inv):
                 y = s[x]
                 if y not in trans:
-                    trans[y] = compose(s, tx)
+                    # u_y = s . u_x, so u_y^-1 = u_x^-1 . s^-1
+                    trans[y] = compose(tx_inv, s_inv)
                     orbit.append(y)
             idx += 1
 
@@ -120,7 +126,7 @@ class PermGroup:
             trans = self._trans[i]
             if x not in trans:
                 return p, i
-            p = compose(inverse(trans[x]), p)
+            p = compose(trans[x], p)
         return p, len(self.base)
 
     def _build(self):
@@ -141,14 +147,15 @@ class PermGroup:
             xi = 0
             while xi < len(orbit) and not jumped:
                 x = orbit[xi]
-                tx = trans[x]
+                tx = None  # u_x, formed when a Schreier generator needs it
                 for si in range(len(lgens)):
                     if (x, si) in done:
                         continue
                     done.add((x, si))
                     s = lgens[si]
-                    rep = trans[s[x]]
-                    schreier = compose(inverse(rep), compose(s, tx))
+                    if tx is None:
+                        tx = inverse(trans[x])
+                    schreier = compose(trans[s[x]], compose(s, tx))
                     if is_identity(schreier):
                         continue
                     h, j = self._strip(schreier, level + 1)

@@ -20,10 +20,10 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
-from .scalar import PHI, QuadExt, galois, scalar_sign
-
-COORDINATE_FAMILIES = ("A", "B", "D", "Dprime4", "E6", "E7", "E8", "F4", "H3", "H4")
+from .scalar import PHI, QuadExt, integer_parts
 
 #: expected line count |R|/2 per family, as a function of the parameter
 LINE_COUNTS = {
@@ -59,6 +59,16 @@ class RootSystem:
             return f"I2_{self.rank_param}"
         return self.family
 
+    @cached_property
+    def integer_lines(self):
+        """Each line as the integer vector (a | b) of the line a + b*sqrt(5)."""
+        return tuple(tuple(a + b) for a, b in map(integer_parts, self.lines))
+
+    @cached_property
+    def line_index(self):
+        """line_key -> line index; built once, it serves every K(R) generator."""
+        return {line_key(x): i for i, x in enumerate(self.integer_lines)}
+
     @property
     def num_lines(self) -> int:
         if self.family == "I2":
@@ -85,8 +95,7 @@ def canonical_line(vec):
     """
     for x in vec:
         if x:
-            if scalar_sign(x) != 0:
-                return tuple(c / x for c in vec)
+            return tuple(c / x for c in vec)
     raise ValueError("zero vector spans no line")
 
 
@@ -291,40 +300,65 @@ def direct_sum(components) -> RootSystem:
 # -- line permutations ----------------------------------------------------
 
 
-def _line_index(system):
-    return {v: i for i, v in enumerate(system.lines)}
+def line_key(x):
+    """Key of the line through x = (a | b), the integer vector of a + b*sqrt(5).
+
+    x is multiplied by the conjugate of its first nonzero coordinate, which
+    makes that coordinate rational, then divided by the gcd with the sign
+    that makes it positive, so every nonzero Q(sqrt 5)-multiple gets one key.
+    """
+    n = len(x) // 2
+    i = next((k for k in range(n) if x[k] or x[n + k]), None)
+    if i is None:
+        raise ValueError("zero vector spans no line")
+    p, q = x[i], x[n + i]
+    if q:
+        x = ([s * p - 5 * t * q for s, t in zip(x[:n], x[n:])]
+             + [t * p - s * q for s, t in zip(x[:n], x[n:])])
+    g = gcd(*x) if x[i] > 0 else -gcd(*x)
+    return tuple(c // g for c in x)
 
 
 def perm_from_linear_map(system, image_of_line):
-    """Permutation induced on lines by a linear map given as v -> image.
+    """Permutation induced on lines by a linear map on integer vectors (a | b).
 
     Raises if some image is not a line of the system (the map does not
-    preserve the line set).
+    preserve the line set) or the induced map is not a bijection.
     """
-    index = _line_index(system)
-    images = []
-    for v in system.lines:
-        w = canonical_line(image_of_line(v))
-        if w not in index:
-            raise ValueError(f"map does not preserve the line set (image of {v})")
-        images.append(index[w])
+    index = system.line_index
+    images = [index.get(line_key(image_of_line(x))) for x in system.integer_lines]
+    if None in images:
+        v = system.lines[images.index(None)]
+        raise ValueError(f"map does not preserve the line set (image of {v})")
     if len(set(images)) != len(images):
         raise ValueError("induced map on lines is not a bijection")
     return tuple(images)
 
 
-def reflect(w, v):
-    """Orthogonal reflection of w in the hyperplane normal to v."""
-    coef = 2 * _dot(w, v) / _dot(v, v)
-    return tuple(a - coef * b for a, b in zip(w, v))
+def reflection(v):
+    """Reflection in the hyperplane normal to v = (a | b), scaled by v.v to stay integral.
+
+    It is the map x -> x (v.v) - 2 (x.v) v on integer vectors (a | b), where
+    (a + b*sqrt5) . (c + d*sqrt5) = a.c + 5 b.d + (a.d + b.c) sqrt5.
+    """
+    n = len(v) // 2
+    va, vb = v[:n], v[n:]
+    p, q = _dot(va, va) + 5 * _dot(vb, vb), 2 * _dot(va, vb)
+
+    def image(x):
+        xa, xb = x[:n], x[n:]
+        r, s = 2 * (_dot(xa, va) + 5 * _dot(xb, vb)), 2 * (_dot(xa, vb) + _dot(xb, va))
+        return ([a * p + 5 * b * q - r * c - 5 * s * d for a, b, c, d in zip(xa, xb, va, vb)]
+                + [a * q + b * p - r * d - s * c for a, b, c, d in zip(xa, xb, va, vb)])
+
+    return image
 
 
 def reflection_perm(system: RootSystem, line_index: int):
     """Line permutation induced by the reflection in the given line."""
     if not system.lines:
         raise ValueError("reflection_perm needs a coordinate-based system")
-    v = system.lines[line_index]
-    return perm_from_linear_map(system, lambda w: reflect(w, v))
+    return perm_from_linear_map(system, reflection(system.integer_lines[line_index]))
 
 
 F4_DUALITY_MATRIX = (
@@ -335,10 +369,6 @@ F4_DUALITY_MATRIX = (
 )
 
 
-def _apply_matrix(mat, v):
-    return tuple(sum(Fraction(mat[r][c]) * v[c] for c in range(len(v))) for r in range(len(mat)))
-
-
 def extra_symmetry_perms(system: RootSystem):
     """Generators of the known symmetries beyond the reflections.
 
@@ -347,29 +377,25 @@ def extra_symmetry_perms(system: RootSystem):
     duality matrix swapping the two D4 copies.  H3/H4: coordinatewise
     Galois conjugation.  Everything else needs no extra generator.
     """
-    fam = system.family
+    fam, n = system.family, system.ambient_dim
     if fam in ("B", "D") and not (fam == "D" and system.rank_param == 4):
-        flip = lambda v: (-v[0],) + tuple(v[1:])
+        flip = lambda x: (-x[0],) + x[1:n] + (-x[n],) + x[n + 1:]
         return [perm_from_linear_map(system, flip)]
-    if fam == "D" and system.rank_param == 4:
-        other = build("Dprime4")
-        return [perm_from_linear_map(system, lambda w, v=v: reflect(w, v)) for v in other.lines]
-    if fam == "Dprime4":
-        other = build("D", 4)
-        return [perm_from_linear_map(system, lambda w, v=v: reflect(w, v)) for v in other.lines]
+    if fam in ("D", "Dprime4"):
+        other = build("Dprime4") if fam == "D" else build("D", 4)
+        return [perm_from_linear_map(system, reflection(v)) for v in other.integer_lines]
     if fam == "F4":
-        return [perm_from_linear_map(system, lambda v: _apply_matrix(F4_DUALITY_MATRIX, v))]
+        duality = lambda x: [sum(m * c for m, c in zip(row, half))
+                             for half in (x[:4], x[4:]) for row in F4_DUALITY_MATRIX]
+        return [perm_from_linear_map(system, duality)]
     if fam in ("H3", "H4"):
-        # Coordinatewise Galois conjugation maps the line set to its mirror
-        # image in these coordinates (conjugation reverses the golden-ratio
-        # pattern, an odd permutation); swapping the last two coordinates
-        # brings it back.  Both steps preserve linear dependence, and
-        # perm_from_linear_map verifies the line set is actually preserved.
-        def conj_swap(v):
-            w = [galois(c) for c in v]
-            w[-1], w[-2] = w[-2], w[-1]
-            return tuple(w)
-
+        # Galois conjugation, b -> -b on (a | b), maps the line set to its
+        # mirror image in these coordinates (conjugation reverses the
+        # golden-ratio pattern, an odd permutation); swapping the last two
+        # coordinates brings it back.  Both steps preserve linear dependence,
+        # and perm_from_linear_map verifies the line set is actually preserved.
+        order = list(range(n - 2)) + [n - 1, n - 2]
+        conj_swap = lambda x: [x[k] for k in order] + [-x[n + k] for k in order]
         return [perm_from_linear_map(system, conj_swap)]
     return []
 

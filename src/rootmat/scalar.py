@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,8 @@ def scalar_sign(x) -> int:
     return _sign(Fraction(x))
 
 
-def rational_parts(x):
-    """The rationals (a, b) with x = a + b*sqrt(5); b is 0 for a rational x."""
-    if isinstance(x, QuadExt):
-        return x.a, x.b
-    return Fraction(x), Fraction(0)
+def integer_parts(vec):
+    """Integer vectors (a, b) with vec = (a + b*sqrt(5)) / d, d the common denominator."""
+    parts = [(x.a, x.b) if isinstance(x, QuadExt) else (Fraction(x), Fraction(0)) for x in vec]
+    scale = lcm(*(q.denominator for ab in parts for q in ab))
+    return [int(x * scale) for x, _ in parts], [int(y * scale) for _, y in parts]

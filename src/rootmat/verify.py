@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from math import factorial
 
 from . import graphauto, linmatroid, permgrp, rootsystems
@@ -116,8 +117,17 @@ def wreath_order(system: rootsystems.RootSystem) -> int:
 
 
 def _preserves_family(perm, family):
-    fam = {frozenset(c) for c in family}
-    return all(frozenset(perm[i] for i in c) in fam for c in fam)
+    """Whether perm maps the set family (a set of frozensets) onto itself."""
+    return all(frozenset(perm[i] for i in c) in family for c in family)
+
+
+def _known_group(system):
+    """K(R), built only from the generators the group so far lacks (the rest are members)."""
+    group = permgrp.bsgs([], degree=system.num_lines)
+    for g in rootsystems.known_group_generators(system):
+        if not group.contains(g):
+            group = permgrp.bsgs(group.generators + [g], degree=system.num_lines)
+    return group
 
 
 def aut_group_from_family(system, family, node_budget):
@@ -128,33 +138,33 @@ def aut_group_from_family(system, family, node_budget):
     return permgrp.bsgs(ground, degree=system.num_lines)
 
 
+def _report(system, c3, expected, start, status, aut_order=0, known_order=0, detail=""):
+    """The report on one system, timed from start."""
+    return VerificationReport(system.system_id, system.num_lines, len(c3), aut_order, expected,
+                              known_order, status, int((time.perf_counter() - start) * 1000), detail)
+
+
 def verify_theorem(system_id: str, node_budget=graphauto.DEFAULT_NODE_BUDGET) -> VerificationReport:
-    """Certify the order-3 squeeze and the table row for one system."""
+    """Certify the order-3 squeeze and the table row for one irreducible system.
+
+    The squeeze covers irreducible systems; a direct sum raises ValueError.
+    """
     start = time.perf_counter()
     system = rootsystems.parse_system_id(system_id)
+    if system.family == "DirectSum":
+        raise ValueError(f"{system.system_id} is a direct sum; "
+                         f"use rootmat wreath --spec {system.system_id}")
     m = linmatroid.matroid_of(system)
     c3 = linmatroid.circuits3(m)
     expected = expected_aut_order(system)
 
-    def report(status, aut_order=0, known_order=0, detail=""):
-        return VerificationReport(
-            system_id=system.system_id,
-            num_lines=system.num_lines,
-            c3_count=len(c3),
-            aut_order=aut_order,
-            expected_order=expected,
-            known_group_order=known_order,
-            status=status,
-            timing_ms=int((time.perf_counter() - start) * 1000),
-            detail=detail,
-        )
-
+    report = partial(_report, system, c3, expected, start)
     try:
         aut = aut_group_from_family(system, c3, node_budget)
     except BudgetExceededError as exc:
         return report(BUDGET_EXCEEDED, detail=str(exc))
 
-    if system.rank == 2 and system.family != "DirectSum":
+    if system.rank == 2:
         # I2(m) and B2: the matroid is uniform of rank 2 (any two lines are
         # a basis), so the matroid group is the full symmetric group and the
         # isometry squeeze cannot certify it; the uniform-matroid argument
@@ -166,18 +176,15 @@ def verify_theorem(system_id: str, node_budget=graphauto.DEFAULT_NODE_BUDGET) ->
         if system.family == "I2":
             known = _i2_dihedral_group(system.rank_param)
         else:
-            known = permgrp.bsgs(
-                rootsystems.known_group_generators(system), degree=system.num_lines
-            )
+            known = _known_group(system)
         ok = (aut.order() == factorial(system.num_lines) == expected
               and permgrp.is_subgroup(known, aut))
         return report(PASS if ok else FAIL, aut.order(), known.order())
 
-    known = permgrp.bsgs(
-        rootsystems.known_group_generators(system), degree=system.num_lines
-    )
+    known = _known_group(system)
+    family = {frozenset(c) for c in c3}
     for gen in known.generators:
-        if not _preserves_family(gen, c3):
+        if not _preserves_family(gen, family):
             return report(FAIL, aut.order(), known.order(),
                           "known generator does not preserve C3")
     if not permgrp.is_subgroup(known, aut):
@@ -227,13 +234,9 @@ def verify_wreath(sum_spec: str, node_budget=graphauto.DEFAULT_NODE_BUDGET) -> V
         circuits = linmatroid.all_circuits_upto(m, system.rank + 1)
         aut = aut_group_from_family(system, circuits, node_budget)
     except BudgetExceededError as exc:
-        return VerificationReport(system.system_id, system.num_lines, len(c3),
-                                  0, expected, 0, BUDGET_EXCEEDED,
-                                  int((time.perf_counter() - start) * 1000), str(exc))
-    status = PASS if aut.order() == expected else FAIL
-    return VerificationReport(system.system_id, system.num_lines, len(c3),
-                              aut.order(), expected, 0, status,
-                              int((time.perf_counter() - start) * 1000))
+        return _report(system, c3, expected, start, BUDGET_EXCEEDED, detail=str(exc))
+    return _report(system, c3, expected, start, PASS if aut.order() == expected else FAIL,
+                   aut.order())
 
 
 def oracle_crosscheck(system_id: str, kmax=None,
@@ -251,15 +254,11 @@ def oracle_crosscheck(system_id: str, kmax=None,
         circuits = linmatroid.all_circuits_upto(m, kmax)
         from_all = aut_group_from_family(system, circuits, node_budget)
     except BudgetExceededError as exc:
-        return VerificationReport(system.system_id, system.num_lines, len(c3),
-                                  0, expected, 0, BUDGET_EXCEEDED,
-                                  int((time.perf_counter() - start) * 1000), str(exc))
+        return _report(system, c3, expected, start, BUDGET_EXCEEDED, detail=str(exc))
     ok = permgrp.equal(from_c3, from_all)
     detail = "" if ok else "C3 group differs from full-circuit group"
-    return VerificationReport(system.system_id, system.num_lines, len(c3),
-                              from_c3.order(), expected, from_all.order(),
-                              PASS if ok else FAIL,
-                              int((time.perf_counter() - start) * 1000), detail)
+    return _report(system, c3, expected, start, PASS if ok else FAIL,
+                   from_c3.order(), from_all.order(), detail)
 
 
 def report_to_json(report: VerificationReport) -> str:

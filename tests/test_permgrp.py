@@ -3,6 +3,9 @@ from math import factorial
 
 import pytest
 
+from rootmat.graphauto import DEFAULT_NODE_BUDGET, _Search
+from rootmat.incidencegraph import build_incidence
+from rootmat.linmatroid import circuits3, matroid_of
 from rootmat.permgrp import (
     bsgs,
     compose,
@@ -14,6 +17,7 @@ from rootmat.permgrp import (
     is_subgroup,
     perm_from_cycles,
 )
+from rootmat.rootsystems import build, known_group_generators
 
 
 def _sym_gens(n):
@@ -109,3 +113,34 @@ def test_deterministic_construction():
     g2 = bsgs(_sym_gens(5))
     assert g1.base == g2.base
     assert g1.basic_orbit_lengths() == g2.basic_orbit_lengths()
+
+
+def test_degree_one_and_zero():
+    # itemgetter with one index returns a scalar; compose must still give a tuple
+    assert compose((0,), (0,)) == (0,)
+    assert compose((), ()) == ()
+    assert inverse((0,)) == (0,)
+    assert is_identity((0,)) and is_identity(())
+    a1 = build("A", 1)
+    g = bsgs(known_group_generators(a1), degree=a1.num_lines)
+    assert g.order() == 1 and g.contains((0,))
+
+
+def test_k_e8_bsgs_is_pinned():
+    # K(E8) from all 120 reflections: base and basic orbits as first recorded
+    e8 = build("E8")
+    g = bsgs(known_group_generators(e8), degree=e8.num_lines)
+    assert g.base == [2, 0, 4, 6, 8, 10, 1]
+    assert g.basic_orbit_lengths() == [120, 56, 27, 16, 10, 6, 2]
+
+
+def test_e8_graph_group_bsgs_is_pinned():
+    # the self-check group of the E8 C3-graph search, with its first path as base hint
+    e8 = build("E8")
+    graph = build_incidence(e8.num_lines, circuits3(matroid_of(e8)))
+    search = _Search(graph, DEFAULT_NODE_BUDGET)
+    gens = search.run()
+    g = bsgs(gens, degree=graph.num_vertices, base_hint=search.first_path)
+    assert g.base == [10, 6, 4, 120, 56, 0, 8]
+    assert g.basic_orbit_lengths() == [120, 56, 27, 80, 6, 2, 2]
+    assert g.order() == 348364800

@@ -6,16 +6,19 @@ import pytest
 from rootmat.permgrp import bsgs, compose, is_identity
 from rootmat.rootsystems import (
     F4_DUALITY_MATRIX,
-    _apply_matrix,
     build,
     canonical_line,
     direct_sum,
     extra_symmetry_perms,
     known_group_generators,
+    line_key,
     parse_system_id,
+    perm_from_linear_map,
+    reflection,
     reflection_perm,
 )
 from rootmat.scalar import galois
+from rootmat.verify import default_table_ids
 
 
 @pytest.mark.parametrize("family,n,lines", [
@@ -124,7 +127,7 @@ def test_f4_duality_matrix_permutes_lines():
     idx = {v: i for i, v in enumerate(s.lines)}
     images = set()
     for v in s.lines:
-        w = canonical_line(_apply_matrix(F4_DUALITY_MATRIX, v))
+        w = canonical_line(_ref_apply_matrix(F4_DUALITY_MATRIX, v))
         assert w in idx  # brute-force check that M maps lines to lines
         images.add(w)
     assert len(images) == 24
@@ -132,8 +135,8 @@ def test_f4_duality_matrix_permutes_lines():
     e2 = canonical_line(tuple(Fraction(c) for c in (0, 1, 0, 0)))
     plus = canonical_line(tuple(Fraction(c) for c in (1, 1, 0, 0)))
     minus = canonical_line(tuple(Fraction(c) for c in (1, -1, 0, 0)))
-    assert canonical_line(_apply_matrix(F4_DUALITY_MATRIX, plus)) == e1
-    assert canonical_line(_apply_matrix(F4_DUALITY_MATRIX, minus)) == e2
+    assert canonical_line(_ref_apply_matrix(F4_DUALITY_MATRIX, plus)) == e1
+    assert canonical_line(_ref_apply_matrix(F4_DUALITY_MATRIX, minus)) == e2
 
 
 def test_h_galois_symmetry_closes_on_lines():
@@ -205,16 +208,88 @@ def test_parse_system_id_round_trip():
 def test_representative_flip_does_not_change_known_group():
     # group orders are representative-independent: negate some lines and
     # rebuild the reflection permutations from scratch
-    import rootmat.rootsystems as rs
-
     s = build("A", 3)
     rng = random.Random(3)
     flipped = tuple(
-        tuple(-c for c in v) if rng.random() < 0.5 else v for v in s.lines
+        tuple(-c for c in x) if rng.random() < 0.5 else x for x in s.integer_lines
     )
     # reflections computed from non-canonical representatives still induce
-    # the same line permutations after canonicalization
+    # the same line permutations
     for i in range(s.num_lines):
-        p = reflection_perm(s, i)
-        q = rs.perm_from_linear_map(s, lambda w, v=flipped[i]: rs.reflect(w, v))
-        assert p == q
+        assert reflection_perm(s, i) == perm_from_linear_map(s, reflection(flipped[i]))
+
+
+# -- reference: plain Fraction/QuadExt reflections and canonical_line lookup --
+
+COORDINATE_TABLE_IDS = [sid for sid in default_table_ids() if not sid.startswith("I2")]
+
+
+def _ref_dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _ref_reflect(w, v):
+    coef = 2 * _ref_dot(w, v) / _ref_dot(v, v)
+    return tuple(a - coef * b for a, b in zip(w, v))
+
+
+def _ref_apply_matrix(mat, v):
+    return tuple(sum(Fraction(row[c]) * v[c] for c in range(len(v))) for row in mat)
+
+
+def _ref_perm(system, image):
+    index = {v: i for i, v in enumerate(system.lines)}
+    return tuple(index[canonical_line(image(v))] for v in system.lines)
+
+
+def _ref_extra_symmetries(system):
+    fam, n = system.family, system.rank_param
+    if fam in ("B", "D") and (fam, n) != ("D", 4):
+        return [_ref_perm(system, lambda v: (-v[0],) + tuple(v[1:]))]
+    if fam in ("D", "Dprime4"):
+        other = build("Dprime4") if fam == "D" else build("D", 4)
+        return [_ref_perm(system, lambda w, v=v: _ref_reflect(w, v)) for v in other.lines]
+    if fam == "F4":
+        return [_ref_perm(system, lambda v: _ref_apply_matrix(F4_DUALITY_MATRIX, v))]
+    if fam in ("H3", "H4"):
+        def conj_swap(v):
+            w = [galois(c) for c in v]
+            w[-1], w[-2] = w[-2], w[-1]
+            return tuple(w)
+        return [_ref_perm(system, conj_swap)]
+    return []
+
+
+@pytest.mark.parametrize("sid", COORDINATE_TABLE_IDS)
+def test_reflections_match_reference(sid):
+    s = parse_system_id(sid)
+    for i, v in enumerate(s.lines):
+        assert reflection_perm(s, i) == _ref_perm(s, lambda w: _ref_reflect(w, v))
+
+
+@pytest.mark.parametrize("sid", ["D4", "Dprime4", "B5", "D5", "F4", "H3", "H4"])
+def test_extra_symmetries_match_reference(sid):
+    s = parse_system_id(sid)
+    assert extra_symmetry_perms(s) == _ref_extra_symmetries(s)
+
+
+def test_line_key_is_invariant_under_field_scaling():
+    # x * (p + q*sqrt5) on (a | b) is (a p + 5 b q | a q + b p)
+    h4 = build("H4")
+    for x in h4.integer_lines:
+        a, b = x[:4], x[4:]
+        for p, q in [(-7, 0), (2, 3), (0, -1), (1, -1)]:
+            y = [u * p + 5 * w * q for u, w in zip(a, b)] + [u * q + w * p for u, w in zip(a, b)]
+            assert line_key(y) == line_key(x)
+    assert len({line_key(x) for x in h4.integer_lines}) == h4.num_lines
+    with pytest.raises(ValueError):
+        line_key((0, 0, 0, 0))
+
+
+def test_perm_from_linear_map_rejects_non_symmetries():
+    s = build("A", 3)
+    stretch = lambda x: (2 * x[0],) + x[1:]
+    with pytest.raises(ValueError, match="does not preserve the line set"):
+        perm_from_linear_map(s, stretch)
+    with pytest.raises(ValueError, match="not a bijection"):
+        perm_from_linear_map(s, lambda x: s.integer_lines[0])

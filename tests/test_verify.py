@@ -4,9 +4,11 @@ import pytest
 
 from rootmat import linmatroid
 from rootmat.cli import build_parser, main
+from rootmat.permgrp import bsgs
 from rootmat.verify import (
     PASS,
     VerificationReport,
+    _known_group,
     expected_aut_order,
     oracle_crosscheck,
     report_from_json,
@@ -16,7 +18,7 @@ from rootmat.verify import (
     verify_wreath,
     wreath_order,
 )
-from rootmat.rootsystems import build, parse_system_id
+from rootmat.rootsystems import build, known_group_generators, parse_system_id
 
 
 @pytest.mark.parametrize("sid,order", [
@@ -146,3 +148,25 @@ def test_cli_errors_are_one_line(argv, capsys):
 def test_cli_circuits_budget_defaults_to_enumerator_budget():
     args = build_parser().parse_args(["circuits", "--system", "E6", "--max-order", "6"])
     assert args.budget == linmatroid.DEFAULT_NODE_BUDGET
+
+
+@pytest.mark.parametrize("sid", ["E8", "H4", "D10"])
+def test_sifted_known_group_is_the_full_group(sid):
+    system = parse_system_id(sid)
+    gens = known_group_generators(system)
+    sifted = _known_group(system)
+    assert len(sifted.generators) < len(gens)
+    assert sifted.order() == bsgs(gens, degree=system.num_lines).order()
+    assert all(sifted.contains(g) for g in gens)
+
+
+@pytest.mark.parametrize("spec", ["A2+A2", "H3+A1"])
+def test_verify_theorem_rejects_direct_sums(spec):
+    with pytest.raises(ValueError, match="rootmat wreath --spec"):
+        verify_theorem(spec)
+
+
+def test_cli_verify_direct_sum_is_a_usage_error(capsys):
+    assert main(["verify", "--system", "A2+A2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "rootmat: error: A2+A2 is a direct sum; use rootmat wreath --spec A2+A2\n"
