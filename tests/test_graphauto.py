@@ -1,13 +1,23 @@
 import random
+from collections import Counter
+from itertools import permutations
 
 import pytest
 
+from rootmat import graphauto, permgrp
 from rootmat.errors import BudgetExceededError
-from rootmat.graphauto import automorphism_group, initial_partition, refine
+from rootmat.graphauto import (
+    _individualize,
+    _target_cell_index,
+    automorphism_group,
+    initial_partition,
+    refine,
+)
 from rootmat.incidencegraph import build_incidence, graph_from_edges, restrict_to_ground
 from rootmat.linmatroid import circuits3, matroid_of
 from rootmat.permgrp import bsgs
-from rootmat.rootsystems import build
+from rootmat.rootsystems import build, parse_system_id
+from rootmat.verify import default_table_ids
 
 
 def _cycle(n):
@@ -39,12 +49,15 @@ def test_square_group():
     assert bsgs(automorphism_group(_cycle(4)), degree=4).order() == 8
 
 
-def test_petersen_group():
+def _petersen():
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
-    g = graph_from_edges(10, [0] * 10, edges)
-    assert bsgs(automorphism_group(g), degree=10).order() == 120
+    return graph_from_edges(10, [0] * 10, edges)
+
+
+def test_petersen_group():
+    assert bsgs(automorphism_group(_petersen()), degree=10).order() == 120
 
 
 def test_colors_restrict_group():
@@ -108,3 +121,124 @@ def test_asymmetric_graph_has_trivial_group():
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5)]
     g = graph_from_edges(6, [0] * 6, edges)
     assert automorphism_group(g) == []
+
+
+def _reference_refine(g, partition):
+    """Full-round Weisfeiler-Leman refinement, the reference for `refine`.
+
+    Each round gives every vertex the sorted tuple of its neighbors' cell
+    indices and splits each cell by that signature, until nothing splits.
+    """
+    cells = [list(c) for c in partition]
+    while True:
+        cell_of = {}
+        for idx, cell in enumerate(cells):
+            for v in cell:
+                cell_of[v] = idx
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                sig = tuple(sorted(cell_of[w] for w in g.adjacency[v]))
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for sig in sorted(groups):
+                    new_cells.append(groups[sig])
+        cells = new_cells
+        if not changed:
+            return cells
+
+
+def _is_equitable(g, cells):
+    """Every vertex of a cell has the same number of neighbors in each cell."""
+    cell_of = {v: idx for idx, cell in enumerate(cells) for v in cell}
+    for cell in cells:
+        counts = {frozenset(Counter(cell_of[w] for w in g.adjacency[v]).items()) for v in cell}
+        if len(counts) > 1:
+            return False
+    return True
+
+
+def _assert_refines_like_reference(g, partition, cells):
+    assert sorted(v for c in cells for v in c) == list(range(g.num_vertices))
+    assert {frozenset(c) for c in cells} == {
+        frozenset(c) for c in _reference_refine(g, partition)}
+    assert _is_equitable(g, cells)
+
+
+@pytest.mark.parametrize("sid", default_table_ids())
+def test_refine_matches_reference_on_c3_graphs(sid):
+    s = parse_system_id(sid)
+    g = build_incidence(s.num_lines, circuits3(matroid_of(s)))
+    start = initial_partition(g)
+    cells = refine(g, start)
+    _assert_refines_like_reference(g, start, cells)
+    target = _target_cell_index(cells)
+    if target is None:
+        return
+    for v in cells[target]:
+        child = _individualize(cells, target, v)
+        _assert_refines_like_reference(g, child, refine(g, child, [target]))
+
+
+def _random_graph(rng, max_vertices):
+    n = rng.randint(1, max_vertices)
+    colors = [rng.randrange(rng.randint(1, 3)) for _ in range(n)]
+    density = rng.choice((0.2, 0.5, 0.8))
+    edges = [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < density]
+    return graph_from_edges(n, colors, edges)
+
+
+def test_refine_matches_reference_on_random_graphs():
+    rng = random.Random(2007)
+    for _ in range(300):
+        g = _random_graph(rng, 12)
+        start = initial_partition(g)
+        cells = refine(g, start)
+        _assert_refines_like_reference(g, start, cells)
+        target = _target_cell_index(cells)
+        for v in cells[target] if target is not None else ():
+            child = _individualize(cells, target, v)
+            _assert_refines_like_reference(g, child, refine(g, child, [target]))
+
+
+def _brute_force_order(g):
+    """The number of color-preserving automorphisms, over every permutation."""
+    n = g.num_vertices
+    edges = {frozenset((u, w)) for u in range(n) for w in g.adjacency[u]}
+    pairs = [tuple(e) for e in edges]
+    return sum(
+        all(g.colors[p[v]] == g.colors[v] for v in range(n))
+        and all(frozenset((p[u], p[w])) in edges for u, w in pairs)
+        for p in permutations(range(n))
+    )
+
+
+def test_automorphism_group_matches_brute_force_on_random_graphs():
+    rng = random.Random(2014)
+    for _ in range(40):
+        g = _random_graph(rng, 8)
+        assert bsgs(automorphism_group(g), degree=g.num_vertices).order() == _brute_force_order(g)
+
+
+def test_self_check_falls_back_to_all_vertices():
+    # vertices 1 and 2 have the same color and the same neighbors in the
+    # lowest color class {0}, so the group does not act faithfully on it
+    g = graph_from_edges(3, [0, 1, 1], [(0, 1), (0, 2)])
+    assert bsgs(automorphism_group(g), degree=3).order() == 2
+
+
+def test_self_check_raises_on_inconsistent_order(monkeypatch):
+    def first_generator_only(gens, degree=None, base_hint=()):
+        return permgrp.bsgs(gens[:1], degree=degree, base_hint=base_hint)
+
+    monkeypatch.setattr(graphauto, "bsgs", first_generator_only)
+    with pytest.raises(AssertionError, match="inconsistent"):
+        automorphism_group(_petersen())

@@ -141,6 +141,7 @@ def test_e8_graph_group_bsgs_is_pinned():
     search = _Search(graph, DEFAULT_NODE_BUDGET)
     gens = search.run()
     g = bsgs(gens, degree=graph.num_vertices, base_hint=search.first_path)
-    assert g.base == [10, 6, 4, 120, 56, 0, 8]
-    assert g.basic_orbit_lengths() == [120, 56, 27, 80, 6, 2, 2]
+    assert search.first_path == [0, 120, 2, 1, 26, 36, 108, 51, 52]
+    assert g.base == [52, 26, 2, 36, 0, 108, 51, 1]
+    assert g.basic_orbit_lengths() == [120, 63, 32, 15, 8, 3, 2, 2]
     assert g.order() == 348364800

@@ -124,6 +124,13 @@ def test_cli_wreath_and_crosscheck():
     assert main(["crosscheck", "--system", "A3"]) == 0
 
 
+def test_cli_crosscheck_labels_the_all_circuits_order(capsys):
+    assert main(["crosscheck", "--system", "A3"]) == 0
+    out = capsys.readouterr().out
+    assert "all-circuits=24" in out
+    assert "known=" not in out
+
+
 def test_cli_aut_generators(capsys):
     assert main(["aut", "--system", "A2", "--emit-generators"]) == 0
     out = capsys.readouterr().out
