@@ -127,7 +127,7 @@ def cmd_table(args):
 def cmd_circuits(args):
     system = rootsystems.parse_system_id(args.system)
     m = linmatroid.matroid_of(system)
-    if args.max_order <= 3:
+    if args.max_order == 3:
         circuits = linmatroid.circuits3(m)
     else:
         circuits = linmatroid.all_circuits_upto(m, args.max_order, node_budget=args.budget)

@@ -10,6 +10,11 @@ I2(m) is realized by the lines (1, k), which represent the uniform matroid
 U_{2,m}.  All elimination is fraction-free on integers (Bareiss, Math.
 Comp. 1968).
 
+The circuit enumeration needs no rank oracle: each row it reduces carries
+integer coefficient columns that record which members' rows it combines,
+so a dependent candidate's reduced row holds its dependency, and the
+candidate is a circuit exactly when no member's coefficient is zero.
+
 Circuits are emitted as sorted index tuples in lexicographic order, so all
 dumps are byte-reproducible.
 """
@@ -57,7 +62,9 @@ def matroid_of(system) -> LinearMatroid:
 def _primitive(vec):
     """The integer vector divided by the gcd of its entries."""
     g = gcd(*vec)
-    return tuple(c // g for c in vec) if g > 1 else tuple(vec)
+    # tuple() of a list, not of a generator: a generator's tuple is grown by
+    # reallocation, and each one freed would park in its size's free list
+    return tuple([c // g for c in vec]) if g > 1 else tuple(vec)
 
 
 def _eliminate(vec, pivot_row, col):
@@ -100,21 +107,6 @@ def rank(m: LinearMatroid, subset) -> int:
         if not 0 <= i < m.ground_size:
             raise IndexError(f"element {i} out of range")
     return _rank_bareiss([r for i in subset for r in m.rows[i]]) // m.degree
-
-
-def is_independent(m: LinearMatroid, subset) -> bool:
-    subset = list(subset)
-    return rank(m, subset) == len(subset)
-
-
-def is_circuit(m: LinearMatroid, subset) -> bool:
-    subset = sorted(subset)
-    k = len(subset)
-    if k == 0 or rank(m, subset) != k - 1:
-        return False
-    return all(
-        rank(m, subset[:i] + subset[i + 1:]) == k - 1 for i in range(k)
-    )
 
 
 # -- order-3 circuits -----------------------------------------------------
@@ -163,14 +155,6 @@ def circuits3(m: LinearMatroid):
     return sorted(out)
 
 
-def circuits3_bruteforce(m: LinearMatroid):
-    """Independent oracle for circuits3: plain scan over all triples."""
-    return [
-        t for t in itertools.combinations(range(m.ground_size), 3)
-        if is_circuit(m, t)
-    ]
-
-
 # -- bounded circuit enumeration ------------------------------------------
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -205,13 +189,37 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
     only extended while independent (every circuit is some independent
     prefix plus one dependent element).  Raises BudgetExceededError when
     the search frontier exceeds node_budget nodes.
+
+    Each row in the echelon carries kmax * degree coefficient columns (at
+    most (dim + 1) * degree) after its n vector columns; a pushed row is
+    nonzero in the vector columns, so every pivot is one of them.  Row r of
+    the element at depth d starts with a unit in column n + d * degree + r;
+    elimination is linear, so every reduced row is its vector part next to
+    the integer combination of the members' rows that produced it.  When
+    the first row of a candidate reduces to zero in the vector columns, its
+    coefficient columns hold the dependency of the candidate set, scaled.
+    The current set is independent, so that dependency is unique up to a
+    scalar of the field, and the set is a circuit exactly when every
+    member's coefficient is nonzero (the candidate's own is, by
+    construction).  Over Q(sqrt 5) a member's two columns (alpha, beta)
+    give the coefficient alpha + beta*sqrt(5) (row 1 is sqrt(5) times
+    row 0), which is zero only when both are.
     """
+    if kmax < 1 or not m.ground_size:
+        return []
     out = []
     ech = _Echelon()
     nodes = 0
+    deg = m.degree
+    n = len(m.rows[0][0])
+    # A circuit has at most dim + 1 = n // deg + 1 elements, so no deeper
+    # candidate exists and a huge kmax needs no more columns.
+    width = min(kmax, n // deg + 1) * deg
+    units = [tuple(int(c == j) for c in range(width)) for j in range(width)]
 
     def extend(current):
         nonlocal nodes
+        d = len(current)
         start = current[-1] + 1 if current else 0
         for k in range(start, m.ground_size):
             nodes += 1
@@ -220,19 +228,18 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
             # Over Q(sqrt 5) the span of the current rows is closed under
             # multiplication by sqrt(5), so the first row of k alone
             # decides whether k depends on the current set.
-            reduced = ech.reduce(m.rows[k][0])
-            if any(reduced):
-                if len(current) + 1 < kmax:
+            rows = m.rows[k]
+            reduced = ech.reduce(rows[0] + units[d * deg])
+            if any(reduced[:n]):
+                if d + 1 < kmax:
                     ech.push(reduced)
-                    for row in m.rows[k][1:]:
-                        ech.push(ech.reduce(row))
+                    for r in range(1, deg):
+                        ech.push(ech.reduce(rows[r] + units[d * deg + r]))
                     extend(current + [k])
-                    for _ in m.rows[k]:
+                    for _ in rows:
                         ech.pop()
-            else:
-                cand = current + [k]
-                if is_circuit(m, cand):
-                    out.append(tuple(cand))
+            elif all(any(reduced[n + j * deg:n + (j + 1) * deg]) for j in range(d)):
+                out.append(tuple(current + [k]))
 
     extend([])
     return sorted(out)

@@ -241,13 +241,19 @@ def verify_wreath(sum_spec: str, node_budget=graphauto.DEFAULT_NODE_BUDGET) -> V
 
 def oracle_crosscheck(system_id: str, kmax=None,
                       node_budget=graphauto.DEFAULT_NODE_BUDGET) -> VerificationReport:
-    """Direct check: the C3 graph group equals the all-circuits graph group."""
+    """Direct check: the C3 graph group equals the all-circuits graph group.
+
+    The circuits of order <= kmax include C3 only for kmax >= 3 (else
+    ValueError); the default is rank + 1, raised to 3 for rank 1 (no circuits).
+    """
     start = time.perf_counter()
     system = rootsystems.parse_system_id(system_id)
+    if kmax is None:
+        kmax = max(system.rank + 1, 3)
+    if kmax < 3:
+        raise ValueError(f"crosscheck needs a maximum circuit order of at least 3, got {kmax}")
     m = linmatroid.matroid_of(system)
     c3 = linmatroid.circuits3(m)
-    if kmax is None:
-        kmax = system.rank + 1
     expected = expected_aut_order(system)
     try:
         from_c3 = aut_group_from_family(system, c3, node_budget)

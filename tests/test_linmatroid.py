@@ -10,14 +10,36 @@ from rootmat.linmatroid import (
     LinearMatroid,
     all_circuits_upto,
     circuits3,
-    circuits3_bruteforce,
     classical_circuits,
-    is_circuit,
-    is_independent,
     matroid_of,
     rank,
 )
+from rootmat.scalar import PHI, SQRT5
 from rootmat.rootsystems import build, canonical_line, known_group_generators, parse_system_id
+
+
+def is_independent(m, subset):
+    subset = list(subset)
+    return rank(m, subset) == len(subset)
+
+
+def is_circuit(m, subset):
+    """Reference circuit test: rank k - 1, and every k - 1 of the k elements independent."""
+    subset = sorted(subset)
+    k = len(subset)
+    if k == 0 or rank(m, subset) != k - 1:
+        return False
+    return all(
+        rank(m, subset[:i] + subset[i + 1:]) == k - 1 for i in range(k)
+    )
+
+
+def circuits3_bruteforce(m):
+    """Reference for circuits3: plain scan over all triples."""
+    return [
+        t for t in itertools.combinations(range(m.ground_size), 3)
+        if is_circuit(m, t)
+    ]
 
 
 def _line_index(system, coords):
@@ -155,6 +177,71 @@ def test_every_enumerated_set_is_a_circuit():
     m = matroid_of(build("D", 4))
     for c in all_circuits_upto(m, 5):
         assert is_circuit(m, c)
+
+
+# every subset of size <= rank + 1 through the reference is_circuit, in
+# lexicographic order; H3 exercises the Q(sqrt 5) coefficient pairs
+@pytest.mark.parametrize("sid", ["A4", "B3", "D4", "H3", "I2_6", "A1+A2+B3"])
+def test_all_circuits_match_bruteforce(sid):
+    s = parse_system_id(sid)
+    m = matroid_of(s)
+    want = [
+        c
+        for k in range(1, s.rank + 2)
+        for c in itertools.combinations(range(m.ground_size), k)
+        if is_circuit(m, c)
+    ]
+    assert all_circuits_upto(m, s.rank + 1) == sorted(want)
+
+
+def test_all_circuits_sqrt5_coefficient():
+    # e1 + sqrt(5) e2 - (e1 + sqrt(5) e2) = 0: the coefficient of e2 is
+    # sqrt(5), whose rational part is 0
+    m = LinearMatroid.from_vectors([(1, 0), (0, 1), (1, SQRT5)])
+    assert all_circuits_upto(m, 3) == [(0, 1, 2)]
+
+
+def test_all_circuits_match_bruteforce_random_sqrt5():
+    # includes parallel pairs and circuits of every order up to 4
+    rng = random.Random(5)
+    entries = [0, 0, 1, -1, SQRT5, -SQRT5, PHI, 2 * PHI - 3]
+    for _ in range(20):
+        vectors = [tuple(rng.choice(entries) for _ in range(3)) for _ in range(8)]
+        vectors = [v for v in vectors if any(v)]
+        m = LinearMatroid.from_vectors(vectors)
+        want = [
+            c
+            for k in range(1, 5)
+            for c in itertools.combinations(range(m.ground_size), k)
+            if is_circuit(m, c)
+        ]
+        assert all_circuits_upto(m, 4) == sorted(want), vectors
+
+
+@pytest.mark.parametrize("sid,kmax,count", [("B5", 6, 9302), ("F4", 5, 10400)])
+def test_all_circuits_counts_are_pinned(sid, kmax, count):
+    assert len(all_circuits_upto(matroid_of(parse_system_id(sid)), kmax)) == count
+
+
+def test_all_circuits_budget_boundary_is_pinned():
+    m = matroid_of(build("B", 4))
+    assert len(all_circuits_upto(m, 5, node_budget=4904)) > 0
+    with pytest.raises(BudgetExceededError):
+        all_circuits_upto(m, 5, node_budget=4903)
+
+
+@pytest.mark.parametrize("sid", ["A3", "H3"])
+def test_all_circuits_order_beyond_rank_plus_one(sid):
+    s = parse_system_id(sid)
+    m = matroid_of(s)
+    assert all_circuits_upto(m, 10_000) == all_circuits_upto(m, s.rank + 1)
+
+
+@pytest.mark.parametrize("sid", ["A3", "B3", "H3", "I2_5"])
+def test_all_circuits_below_order_three_is_empty(sid):
+    m = matroid_of(parse_system_id(sid))
+    for kmax in (-2, 0, 1, 2):
+        assert all_circuits_upto(m, kmax) == []
 
 
 @pytest.mark.parametrize("family,n", [("A", 2), ("A", 3), ("A", 4),

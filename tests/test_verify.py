@@ -143,13 +143,30 @@ def test_cli_aut_generators(capsys):
     ["table", "--families", ","],
     ["circuits", "--system", "B4", "--max-order", "5", "--budget", "10"],
     ["aut", "--system", "E6", "--budget", "3"],
-], ids=["unknown-id", "D3", "empty-families", "circuits-budget", "aut-budget"])
+    ["crosscheck", "--system", "A3", "--max-order", "2"],
+    ["crosscheck", "--system", "A3", "--max-order", "0"],
+    ["crosscheck", "--system", "A3", "--max-order", "-2"],
+], ids=["unknown-id", "D3", "empty-families", "circuits-budget", "aut-budget",
+        "crosscheck-order-2", "crosscheck-order-0", "crosscheck-order-minus-2"])
 def test_cli_errors_are_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("rootmat: error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_crosscheck_default_order_covers_a1():
+    assert oracle_crosscheck("A1").status == PASS
+
+
+@pytest.mark.parametrize("order", ["2", "1", "0", "-2"])
+def test_cli_circuits_below_order_three_are_empty(order, capsys):
+    assert main(["circuits", "--system", "A3", "--max-order", order, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["circuits"] == []
+    assert main(["circuits", "--system", "A3", "--max-order", order, "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert out == f"# A3: 0 circuits of order <= {order}\n"
 
 
 def test_cli_circuits_budget_defaults_to_enumerator_budget():
