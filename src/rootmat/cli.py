@@ -2,7 +2,9 @@
 
 Exit code is 0 exactly when every requested check reports PASS, 1 when a
 check reports anything else, and 2 when the input is bad or a circuit or
-search budget runs out before a report is made (one line on stderr).
+search budget runs out before a report is made (one line on stderr).  A
+closed standard output (say, `rootmat circuits ... | head -1`) ends the
+command quietly with exit code 141, as a shell reports a SIGPIPE death.
 
 Note on G2: the matroid of a root system forgets root lengths, so the G2
 matroid equals that of I2(6); use the system id "I2_6".
@@ -14,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import graphauto, linmatroid, permgrp, rootsystems, verify
@@ -94,10 +97,11 @@ def _parse_families(spec):
 
 
 def _print_report(r, label="known"):
-    """One report line; `label` names what the known_group_order field holds."""
+    """One report line; `label` names the known_group_order field, left out if 0 (not built)."""
+    known = f"{label}={r.known_group_order:<12} " if r.known_group_order else ""
     print(f"{r.system_id:>10}  lines={r.num_lines:<4} |C3|={r.c3_count:<5} "
           f"aut={r.aut_order:<12} expected={r.expected_order:<12} "
-          f"{label}={r.known_group_order:<12} {r.status}  ({r.timing_ms} ms)")
+          f"{known}{r.status}  ({r.timing_ms} ms)")
 
 
 def cmd_verify(args):
@@ -183,9 +187,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         ok = COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
     except (ValueError, BudgetExceededError) as exc:
         print(f"rootmat: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # nobody reads the rest; send it to devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0 if ok else 1
 
 

@@ -6,9 +6,8 @@ line a + b*sqrt(5) over Q(sqrt 5), with a and b integer vectors after
 clearing denominators, becomes the two rows [a | b] and [5b | a]; their
 rational span is the Q(sqrt 5)-span of the line (restriction of scalars),
 so a rank over Q(sqrt 5) is the integer rank divided by the degree 2.
-I2(m) is realized by the lines (1, k), which represent the uniform matroid
-U_{2,m}.  All elimination is fraction-free on integers (Bareiss, Math.
-Comp. 1968).
+All elimination is on integer rows kept primitive (each divided by the
+gcd of its entries), through one incremental echelon form.
 
 The circuit enumeration needs no rank oracle: each row it reduces carries
 integer coefficient columns that record which members' rows it combines,
@@ -50,9 +49,7 @@ class LinearMatroid:
 
 
 def matroid_of(system) -> LinearMatroid:
-    """The matroid M(R) of a root system (I2(m) on the lines (1, k))."""
-    if system.family == "I2":
-        return LinearMatroid.from_vectors([(1, k) for k in range(system.rank_param)])
+    """The matroid M(R) of a root system."""
     return LinearMatroid.from_vectors(system.lines)
 
 
@@ -75,38 +72,41 @@ def _eliminate(vec, pivot_row, col):
     return _primitive([p * a - f * b for a, b in zip(vec, pivot_row)])
 
 
-def _rank_bareiss(rows):
-    """Rank via fraction-free (Bareiss) elimination on integer rows."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    rank = 0
-    prev = 1
-    for col in range(n):
-        pivot_row = next((r for r in range(rank, m) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        piv = rows[rank][col]
-        for r in range(rank + 1, m):
-            factor = rows[r][col]
-            for c in range(col, n):
-                rows[r][c] = (piv * rows[r][c] - factor * rows[rank][c]) // prev
-        prev = piv
-        rank += 1
-        if rank == m:
-            break
-    return rank
+class _Echelon:
+    """Incremental integer row echelon form (for rank and the circuit DFS)."""
+
+    def __init__(self):
+        self.rows = []  # primitive rows, each reduced against the earlier ones
+        self.pivots = []
+
+    def reduce(self, vec):
+        for row, p in zip(self.rows, self.pivots):
+            vec = _eliminate(vec, row, p)
+        return vec
+
+    def push(self, reduced_vec):
+        p = next(i for i, c in enumerate(reduced_vec) if c)
+        self.rows.append(reduced_vec)
+        self.pivots.append(p)
+
+    def pop(self):
+        self.rows.pop()
+        self.pivots.pop()
 
 
 def rank(m: LinearMatroid, subset) -> int:
-    subset = list(subset)
+    ech = _Echelon()
     for i in subset:
         if not 0 <= i < m.ground_size:
             raise IndexError(f"element {i} out of range")
-    return _rank_bareiss([r for i in subset for r in m.rows[i]]) // m.degree
+        # the span so far is closed under sqrt(5): the first row of i decides
+        first, *rest = m.rows[i]
+        reduced = ech.reduce(first)
+        if any(reduced):
+            ech.push(reduced)
+            for row in rest:
+                ech.push(ech.reduce(row))
+    return len(ech.rows) // m.degree
 
 
 # -- order-3 circuits -----------------------------------------------------
@@ -158,28 +158,6 @@ def circuits3(m: LinearMatroid):
 # -- bounded circuit enumeration ------------------------------------------
 
 DEFAULT_NODE_BUDGET = 5_000_000
-
-
-class _Echelon:
-    """Incremental integer row echelon form (for the DFS)."""
-
-    def __init__(self):
-        self.rows = []  # primitive rows, each reduced against the earlier ones
-        self.pivots = []
-
-    def reduce(self, vec):
-        for row, p in zip(self.rows, self.pivots):
-            vec = _eliminate(vec, row, p)
-        return vec
-
-    def push(self, reduced_vec):
-        p = next(i for i, c in enumerate(reduced_vec) if c)
-        self.rows.append(reduced_vec)
-        self.pivots.append(p)
-
-    def pop(self):
-        self.rows.pop()
-        self.pivots.pop()
 
 
 def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):

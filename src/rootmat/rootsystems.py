@@ -9,9 +9,8 @@ by -Id and by the antipodal subgroup that appear in the classification.
 Root lengths are irrelevant to the matroid, so coordinates are scaled for
 convenience (e.g. the half-integer roots of E8 and D'4 are doubled).
 
-The I2(m) family carries no coordinates here: its matroid is the uniform
-rank-2 matroid U_{2,m}, which ``linmatroid.matroid_of`` realizes by the
-lines (1, k).
+I2(m) is stored as the lines (1, k), k < m, which realize its matroid
+U_{2,m} but are not its roots; its K(R) is the dihedral group on indices.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ class RootSystem:
     family: str
     rank_param: int
     ambient_dim: int
-    lines: tuple  # tuple of coordinate vectors (tuples of scalars); empty for I2
+    lines: tuple  # tuple of coordinate vectors (tuples of scalars)
     components: tuple = ()  # direct sums only
 
     @property
@@ -71,17 +70,13 @@ class RootSystem:
 
     @property
     def num_lines(self) -> int:
-        if self.family == "I2":
-            return self.rank_param
         return len(self.lines)
 
     @property
     def rank(self) -> int:
-        """Dimension of the span of the roots (2 for I2)."""
+        """Dimension of the span of the roots."""
         if self.family == "A":
             return self.rank_param
-        if self.family == "I2":
-            return 2
         if self.family == "DirectSum":
             return sum(c.rank for c in self.components)
         return self.ambient_dim
@@ -248,7 +243,8 @@ def build(family: str, n_or_m: int | None = None) -> RootSystem:
         return RootSystem("H4", 4, 4, _check_lines("H4", 4, _lines_from_roots(_h4_roots())))
     if family == "I2":
         m = _require_param(family, n_or_m, 5)
-        return RootSystem("I2", m, 2, ())
+        lines = tuple((Fraction(1), Fraction(k)) for k in range(m))
+        return RootSystem("I2", m, 2, _check_lines("I2", m, lines))
     raise ValueError(f"unknown root system family: {family!r}")
 
 
@@ -272,13 +268,11 @@ def _check_lines(family, n, lines):
 
 
 def direct_sum(components) -> RootSystem:
-    """Block-diagonal direct sum of coordinate-based root systems."""
+    """Block-diagonal direct sum of root systems."""
     components = tuple(components)
     if len(components) < 2:
         raise ValueError("direct_sum needs at least 2 components")
     for c in components:
-        if c.family == "I2":
-            raise ValueError("I2 components are not supported in direct sums")
         if c.family == "DirectSum":
             raise ValueError("nest direct sums by flattening the component list")
     dims = [c.ambient_dim for c in components]
@@ -356,8 +350,6 @@ def reflection(v):
 
 def reflection_perm(system: RootSystem, line_index: int):
     """Line permutation induced by the reflection in the given line."""
-    if not system.lines:
-        raise ValueError("reflection_perm needs a coordinate-based system")
     return perm_from_linear_map(system, reflection(system.integer_lines[line_index]))
 
 
@@ -401,9 +393,10 @@ def extra_symmetry_perms(system: RootSystem):
 
 
 def known_group_generators(system: RootSystem):
-    """Generators of the known symmetry group K(R) acting on lines."""
-    if not system.lines:
-        raise ValueError("known_group_generators needs a coordinate-based system")
+    """Generators of the known symmetry group K(R) acting on lines (I2: k -> k + 1, k -> -k)."""
+    if system.family == "I2":
+        m = system.num_lines
+        return [tuple((k + 1) % m for k in range(m)), tuple(-k % m for k in range(m))]
     gens = [reflection_perm(system, i) for i in range(len(system.lines))]
     gens.extend(extra_symmetry_perms(system))
     return gens

@@ -7,10 +7,10 @@ incidence graph of the order-3 circuits.  Computing both ends exactly and
 finding the same order collapses the chain, certifying both the order-3
 characterization and the classification-table row in one shot.
 
-I2(m) is the one family this squeeze cannot certify (its isometry group
-has order 4m while the matroid group is Sym(m)); there the matroid is
-uniform of rank 2, the computed C3 is checked to be every triple, and the
-computed graph group is checked against m! directly.
+A rank-2 matroid (I2(m), B2, A2) is uniform, with group Sym(X) beyond K(R)
+in general: there C3 must be every triple and the graph group order |X|!.
+verify_theorem, verify_wreath and oracle_crosscheck run one pipeline,
+`_verdict`, each with its own input check, set families and decision.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from functools import partial
+from itertools import combinations
 from math import factorial
 
 from . import graphauto, linmatroid, permgrp, rootsystems
@@ -55,9 +55,9 @@ class VerificationReport:
             "detail": self.detail,
         }
 
-    @staticmethod
-    def from_json_dict(d) -> "VerificationReport":
-        return VerificationReport(
+    @classmethod
+    def from_json_dict(cls, d) -> "VerificationReport":
+        return cls(
             system_id=d["system_id"],
             num_lines=d["num_lines"],
             c3_count=d["c3_count"],
@@ -105,10 +105,11 @@ def expected_aut_order(system: rootsystems.RootSystem) -> int:
 
 
 def wreath_order(system: rootsystems.RootSystem) -> int:
-    """prod_i p_i! * |Aut(M(R_i))|^{p_i} over isomorphism classes."""
+    """prod_i p_i! * |Aut(M(R_i))|^{p_i} over matroid classes (D'4 is in that of D4)."""
     counts = {}
     for c in system.components:
-        counts[(c.family, c.rank_param)] = counts.get((c.family, c.rank_param), 0) + 1
+        key = ("D", 4) if c.family == "Dprime4" else (c.family, c.rank_param)
+        counts[key] = counts.get(key, 0) + 1
     total = 1
     for (fam, n), p in counts.items():
         base = expected_aut_order(rootsystems.build(fam, n))
@@ -138,10 +139,33 @@ def aut_group_from_family(system, family, node_budget):
     return permgrp.bsgs(ground, degree=system.num_lines)
 
 
-def _report(system, c3, expected, start, status, aut_order=0, known_order=0, detail=""):
-    """The report on one system, timed from start."""
+def _verdict(system_id, node_budget, plan, decide) -> VerificationReport:
+    """One timed report: parse, plan, matroid, C3, the graph group of each family, decide.
+
+    plan(system) checks the system (ValueError) and returns its set families,
+    each a function of (matroid, C3) called after the group of the one before.
+    decide(system, c3, expected, groups) -> (status, aut, known, detail).
+    """
+    start = time.perf_counter()
+    system = rootsystems.parse_system_id(system_id)
+    families = plan(system)
+    m = linmatroid.matroid_of(system)
+    c3 = linmatroid.circuits3(m)
+    expected = expected_aut_order(system)
+    try:
+        groups = [aut_group_from_family(system, family(m, c3), node_budget)
+                  for family in families]
+    except BudgetExceededError as exc:
+        status, aut_order, known_order, detail = BUDGET_EXCEEDED, 0, 0, str(exc)
+    else:
+        status, aut_order, known_order, detail = decide(system, c3, expected, groups)
     return VerificationReport(system.system_id, system.num_lines, len(c3), aut_order, expected,
-                              known_order, status, int((time.perf_counter() - start) * 1000), detail)
+                              known_order, status, int((time.perf_counter() - start) * 1000),
+                              detail)
+
+
+def _c3_family(m, c3):
+    return c3
 
 
 def verify_theorem(system_id: str, node_budget=graphauto.DEFAULT_NODE_BUDGET) -> VerificationReport:
@@ -149,55 +173,30 @@ def verify_theorem(system_id: str, node_budget=graphauto.DEFAULT_NODE_BUDGET) ->
 
     The squeeze covers irreducible systems; a direct sum raises ValueError.
     """
-    start = time.perf_counter()
-    system = rootsystems.parse_system_id(system_id)
-    if system.family == "DirectSum":
-        raise ValueError(f"{system.system_id} is a direct sum; "
-                         f"use rootmat wreath --spec {system.system_id}")
-    m = linmatroid.matroid_of(system)
-    c3 = linmatroid.circuits3(m)
-    expected = expected_aut_order(system)
+    def plan(system):
+        if system.family == "DirectSum":
+            raise ValueError(f"{system.system_id} is a direct sum; "
+                             f"use rootmat wreath --spec {system.system_id}")
+        return [_c3_family]
 
-    report = partial(_report, system, c3, expected, start)
-    try:
-        aut = aut_group_from_family(system, c3, node_budget)
-    except BudgetExceededError as exc:
-        return report(BUDGET_EXCEEDED, detail=str(exc))
+    return _verdict(system_id, node_budget, plan, _squeeze)
 
-    if system.rank == 2:
-        # I2(m) and B2: the matroid is uniform of rank 2 (any two lines are
-        # a basis), so the matroid group is the full symmetric group and the
-        # isometry squeeze cannot certify it; the uniform-matroid argument
-        # replaces it.  C3 being the full triple set is exactly uniformity.
-        from itertools import combinations
 
-        if set(c3) != set(combinations(range(system.num_lines), 3)):
-            return report(FAIL, aut.order(), 0, "C3 is not the full triple set")
-        if system.family == "I2":
-            known = _i2_dihedral_group(system.rank_param)
-        else:
-            known = _known_group(system)
-        ok = (aut.order() == factorial(system.num_lines) == expected
-              and permgrp.is_subgroup(known, aut))
-        return report(PASS if ok else FAIL, aut.order(), known.order())
-
+def _squeeze(system, c3, expected, groups):
+    """K(R) <= Aut(M(R)) <= Aut(G(X, C3)), closed by equal orders."""
+    (aut,) = groups
+    if system.rank == 2 and set(c3) != set(combinations(range(system.num_lines), 3)):
+        return FAIL, aut.order(), 0, "C3 is not the full triple set"
     known = _known_group(system)
     family = {frozenset(c) for c in c3}
-    for gen in known.generators:
-        if not _preserves_family(gen, family):
-            return report(FAIL, aut.order(), known.order(),
-                          "known generator does not preserve C3")
+    if not all(_preserves_family(gen, family) for gen in known.generators):
+        return FAIL, aut.order(), known.order(), "known generator does not preserve C3"
     if not permgrp.is_subgroup(known, aut):
-        return report(FAIL, aut.order(), known.order(), "K(R) not inside Aut(G(X,C3))")
-    ok = known.order() == aut.order() == expected
-    detail = "" if ok else "order mismatch"
-    return report(PASS if ok else FAIL, aut.order(), known.order(), detail)
-
-
-def _i2_dihedral_group(m):
-    rotation = tuple((i + 1) % m for i in range(m))
-    reflection = tuple((-i) % m for i in range(m))
-    return permgrp.bsgs([rotation, reflection], degree=m)
+        return FAIL, aut.order(), known.order(), "K(R) not inside Aut(G(X,C3))"
+    # rank 2: C3 is every triple, so the matroid group is Sym(X), not K(R)
+    lower = factorial(system.num_lines) if system.rank == 2 else known.order()
+    ok = lower == aut.order() == expected
+    return PASS if ok else FAIL, aut.order(), known.order(), "" if ok else "order mismatch"
 
 
 def default_table_ids():
@@ -223,20 +222,16 @@ def verify_wreath(sum_spec: str, node_budget=graphauto.DEFAULT_NODE_BUDGET) -> V
     so reducible systems go through the full circuit set (all orders up
     to rank + 1).
     """
-    start = time.perf_counter()
-    system = rootsystems.parse_system_id(sum_spec)
-    if system.family != "DirectSum":
-        raise ValueError(f"{sum_spec!r} is not a direct sum")
-    m = linmatroid.matroid_of(system)
-    c3 = linmatroid.circuits3(m)
-    expected = wreath_order(system)
-    try:
-        circuits = linmatroid.all_circuits_upto(m, system.rank + 1)
-        aut = aut_group_from_family(system, circuits, node_budget)
-    except BudgetExceededError as exc:
-        return _report(system, c3, expected, start, BUDGET_EXCEEDED, detail=str(exc))
-    return _report(system, c3, expected, start, PASS if aut.order() == expected else FAIL,
-                   aut.order())
+    def plan(system):
+        if system.family != "DirectSum":
+            raise ValueError(f"{sum_spec!r} is not a direct sum")
+        return [lambda m, c3: linmatroid.all_circuits_upto(m, system.rank + 1)]
+
+    def decide(system, c3, expected, groups):
+        (aut,) = groups
+        return PASS if aut.order() == expected else FAIL, aut.order(), 0, ""
+
+    return _verdict(sum_spec, node_budget, plan, decide)
 
 
 def oracle_crosscheck(system_id: str, kmax=None,
@@ -246,25 +241,19 @@ def oracle_crosscheck(system_id: str, kmax=None,
     The circuits of order <= kmax include C3 only for kmax >= 3 (else
     ValueError); the default is rank + 1, raised to 3 for rank 1 (no circuits).
     """
-    start = time.perf_counter()
-    system = rootsystems.parse_system_id(system_id)
-    if kmax is None:
-        kmax = max(system.rank + 1, 3)
-    if kmax < 3:
-        raise ValueError(f"crosscheck needs a maximum circuit order of at least 3, got {kmax}")
-    m = linmatroid.matroid_of(system)
-    c3 = linmatroid.circuits3(m)
-    expected = expected_aut_order(system)
-    try:
-        from_c3 = aut_group_from_family(system, c3, node_budget)
-        circuits = linmatroid.all_circuits_upto(m, kmax)
-        from_all = aut_group_from_family(system, circuits, node_budget)
-    except BudgetExceededError as exc:
-        return _report(system, c3, expected, start, BUDGET_EXCEEDED, detail=str(exc))
-    ok = permgrp.equal(from_c3, from_all)
-    detail = "" if ok else "C3 group differs from full-circuit group"
-    return _report(system, c3, expected, start, PASS if ok else FAIL,
-                   from_c3.order(), from_all.order(), detail)
+    def plan(system):
+        k = max(system.rank + 1, 3) if kmax is None else kmax
+        if k < 3:
+            raise ValueError(f"crosscheck needs a maximum circuit order of at least 3, got {k}")
+        return [_c3_family, lambda m, c3: linmatroid.all_circuits_upto(m, k)]
+
+    def decide(system, c3, expected, groups):
+        from_c3, from_all = groups
+        ok = permgrp.equal(from_c3, from_all)
+        return (PASS if ok else FAIL, from_c3.order(), from_all.order(),
+                "" if ok else "C3 group differs from full-circuit group")
+
+    return _verdict(system_id, node_budget, plan, decide)
 
 
 def report_to_json(report: VerificationReport) -> str:

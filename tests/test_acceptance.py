@@ -69,13 +69,7 @@ def pipeline():
         c3 = circuits3(matroid_of(system))
         aut = aut_group_from_family(system, c3, node_budget=BIG_BUDGET)
         elapsed = time.perf_counter() - start
-        if system.family == "I2":
-            # no coordinates: the known group is the dihedral action on lines
-            m = system.rank_param
-            known = bsgs([tuple((i + 1) % m for i in range(m)),
-                          tuple((-i) % m for i in range(m))], degree=m)
-        else:
-            known = bsgs(known_group_generators(system), degree=system.num_lines)
+        known = bsgs(known_group_generators(system), degree=system.num_lines)
         data[sid] = {"system": system, "c3": c3, "aut": aut,
                      "known": known, "seconds": elapsed}
     return data

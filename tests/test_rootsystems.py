@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rootmat.permgrp import bsgs, compose, is_identity
+from rootmat.permgrp import bsgs, compose, equal, is_identity
 from rootmat.rootsystems import (
     F4_DUALITY_MATRIX,
     build,
@@ -172,9 +172,10 @@ def test_direct_sums(spec, count, dim):
     assert s.ambient_dim == dim
 
 
-def test_direct_sum_rejects_i2_and_singletons():
-    with pytest.raises(ValueError):
-        parse_system_id("A2+I2_5")
+def test_direct_sum_admits_i2_and_rejects_singletons():
+    s = parse_system_id("A2+I2_5")
+    assert s.num_lines == 8
+    assert s.rank == 4
     with pytest.raises(ValueError):
         direct_sum([build("A", 2)])
 
@@ -189,6 +190,15 @@ def test_direct_sum_rejects_i2_and_singletons():
 def test_known_group_orders(sid, order):
     s = parse_system_id(sid)
     assert bsgs(known_group_generators(s)).order() == order
+
+
+@pytest.mark.parametrize("m", range(5, 13))
+def test_i2_known_group_is_dihedral(m):
+    group = bsgs(known_group_generators(build("I2", m)), degree=m)
+    rotation = tuple((k + 1) % m for k in range(m))
+    reflection = tuple(-k % m for k in range(m))
+    assert group.order() == 2 * m
+    assert equal(group, bsgs([rotation, reflection], degree=m))
 
 
 def test_known_generators_are_bijections():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rootmat
 from rootmat import linmatroid
 from rootmat.cli import build_parser, main
 from rootmat.permgrp import bsgs
@@ -53,6 +58,7 @@ def test_expected_orders():
     ("A1+A2", 6),
     ("A2+A2", 72),
     ("A1+A1+A1", 6),
+    ("A1+I2_5", 120),
 ])
 def test_verify_wreath(spec, order):
     r = verify_wreath(spec)
@@ -63,6 +69,8 @@ def test_verify_wreath(spec, order):
 def test_wreath_order_formula():
     # 2! * 6^2 for the repeated A2 pair, times 1! * 24 for B3
     assert wreath_order(parse_system_id("A2+A2+B3")) == 2 * 36 * 24
+    # D'4 has the matroid of D4, so the two form one class: 2! * 576^2
+    assert wreath_order(parse_system_id("D4+Dprime4")) == 2 * 576 ** 2
 
 
 def test_verify_wreath_rejects_irreducible():
@@ -92,9 +100,10 @@ def test_report_json_round_trip():
 
 
 def test_budget_exceeded_status():
-    r = verify_theorem("E6", node_budget=3)
-    assert r.status == "BUDGET_EXCEEDED"
-    assert r.detail
+    for r in (verify_theorem("E6", node_budget=3), verify_wreath("A3+A3", 3),
+              oracle_crosscheck("A4", node_budget=3)):
+        assert r.status == "BUDGET_EXCEEDED"
+        assert r.detail
 
 
 def test_cli_verify_exit_codes():
@@ -129,6 +138,29 @@ def test_cli_crosscheck_labels_the_all_circuits_order(capsys):
     out = capsys.readouterr().out
     assert "all-circuits=24" in out
     assert "known=" not in out
+
+
+def test_cli_wreath_prints_no_known_order(capsys):
+    # a wreath report builds no K(R), so it has no known order to print
+    assert main(["wreath", "--spec", "A3+A3"]) == 0
+    out = capsys.readouterr().out
+    assert "expected=1152" in out
+    assert "known=" not in out
+
+
+def test_cli_closed_stdout_ends_quietly():
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(rootmat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rootmat.cli", "circuits", "--system", "A3"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_cli_aut_generators(capsys):
