@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 
 from . import graphauto, linmatroid, permgrp, rootsystems, verify
@@ -80,7 +81,11 @@ def _parse_families(spec):
             continue
         if ":" in part:
             fam, rng = part.split(":", 1)
-            lo, hi = (int(x) for x in rng.split("..")) if ".." in rng else (int(rng),) * 2
+            bounds = re.fullmatch(r"\s*(\d+)\s*(?:\.\.\s*(\d+)\s*)?", rng)
+            if not bounds:
+                raise ValueError(f"--families: bad range {part!r} "
+                                 "(expected FAMILY:N or FAMILY:LO..HI)")
+            lo, hi = int(bounds[1]), int(bounds[2] or bounds[1])
             for n in range(lo, hi + 1):
                 ids.append(f"{fam}_{n}" if fam == "I2" else f"{fam}{n}")
         elif part == "E":

@@ -1,13 +1,16 @@
 """Root systems as lists of antipodal-line representatives.
 
-Every construction works over exact scalars (Fraction, or QuadExt for the
-golden-ratio families H3/H4).  Only one representative per pair {v, -v} is
-kept, normalized so that the first nonzero coordinate equals 1; this makes
-the representative of a line unique, which silently realizes the quotients
-by -Id and by the antipodal subgroup that appear in the classification.
+Every coordinate is an element a + b*sqrt(5) of Z[sqrt 5], and a vector is
+stored as the integer vector (a | b) of its 2 * dim parts; the rational
+families have b = 0.  Only one representative per pair {v, -v} is kept:
+the line_key of the line, which makes the representative of a line unique
+and so silently realizes the quotients by -Id and by the antipodal
+subgroup that appear in the classification.
 
-Root lengths are irrelevant to the matroid, so coordinates are scaled for
-convenience (e.g. the half-integer roots of E8 and D'4 are doubled).
+Root lengths are irrelevant to the matroid, so each root is scaled for
+convenience: the half-integer roots of E8 and D'4 are doubled, and the
+golden-ratio coordinates of H3/H4 are doubled into Z[sqrt 5], e.g.
+2*phi = 1 + sqrt(5) is the pair (1, 1).
 
 I2(m) is stored as the lines (1, k), k < m, which realize its matroid
 U_{2,m} but are not its roots; its K(R) is the dihedral group on indices.
@@ -18,11 +21,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
-
-from .scalar import PHI, QuadExt, integer_parts
 
 #: expected line count |R|/2 per family, as a function of the parameter
 LINE_COUNTS = {
@@ -45,7 +45,7 @@ class RootSystem:
     family: str
     rank_param: int
     ambient_dim: int
-    lines: tuple  # tuple of coordinate vectors (tuples of scalars)
+    lines: tuple  # integer vectors (a | b), each the line_key of its line
     components: tuple = ()  # direct sums only
 
     @property
@@ -59,14 +59,9 @@ class RootSystem:
         return self.family
 
     @cached_property
-    def integer_lines(self):
-        """Each line as the integer vector (a | b) of the line a + b*sqrt(5)."""
-        return tuple(tuple(a + b) for a, b in map(integer_parts, self.lines))
-
-    @cached_property
     def line_index(self):
         """line_key -> line index; built once, it serves every K(R) generator."""
-        return {line_key(x): i for i, x in enumerate(self.integer_lines)}
+        return {x: i for i, x in enumerate(self.lines)}
 
     @property
     def num_lines(self) -> int:
@@ -82,35 +77,25 @@ class RootSystem:
         return self.ambient_dim
 
 
-def canonical_line(vec):
-    """Scale a nonzero vector so its first nonzero coordinate is 1.
-
-    Parallel vectors map to the same representative, so this picks the
-    canonical representative of the line through vec.
-    """
-    for x in vec:
-        if x:
-            return tuple(c / x for c in vec)
-    raise ValueError("zero vector spans no line")
-
-
-def _e(i, dim, one=Fraction(1)):
-    v = [one * 0] * dim
-    v[i] = one
+def _e(i, dim):
+    v = [0] * dim
+    v[i] = 1
     return v
 
 
-def _lines_from_roots(roots):
-    seen = {}
-    for r in roots:
-        seen.setdefault(canonical_line(r), None)
-    return tuple(seen)
+def _lines(roots, dim):
+    """The line_key of each root's line, in order of first occurrence.
+
+    A root is an integer vector (a | b), or just a when it is rational.
+    """
+    return tuple(dict.fromkeys(
+        line_key(r if len(r) == 2 * dim else tuple(r) + (0,) * dim) for r in roots))
 
 
 def _a_roots(n):
     dim = n + 1
     return [
-        tuple(Fraction(1 if k == i else (-1 if k == j else 0)) for k in range(dim))
+        tuple(1 if k == i else (-1 if k == j else 0) for k in range(dim))
         for i in range(dim)
         for j in range(i + 1, dim)
     ]
@@ -121,9 +106,9 @@ def _d_roots(n):
     for i in range(n):
         for j in range(i + 1, n):
             for sj in (1, -1):
-                v = [Fraction(0)] * n
-                v[i] = Fraction(1)
-                v[j] = Fraction(sj)
+                v = [0] * n
+                v[i] = 1
+                v[j] = sj
                 roots.append(tuple(v))
     return roots
 
@@ -135,8 +120,7 @@ def _b_roots(n):
 def _dprime4_roots():
     # Doubled coordinates: 2*e_i and all (+-1, +-1, +-1, +-1).
     roots = [tuple(2 * c for c in _e(i, 4)) for i in range(4)]
-    for signs in itertools.product((1, -1), repeat=4):
-        roots.append(tuple(Fraction(s) for s in signs))
+    roots.extend(itertools.product((1, -1), repeat=4))
     return roots
 
 
@@ -145,7 +129,7 @@ def _e8_roots():
     # half-integer roots, doubled to (+-1)^8 with an even number of -1s
     for signs in itertools.product((1, -1), repeat=8):
         if signs.count(-1) % 2 == 0:
-            roots.append(tuple(Fraction(s) for s in signs))
+            roots.append(signs)
     return roots
 
 
@@ -157,95 +141,66 @@ def _e8_sub_roots(orthogonal_to):
     return [r for r in _e8_roots() if all(_dot(r, w) == 0 for w in orthogonal_to)]
 
 
+def _golden(a, b, signs, order):
+    """(a | b) of the vector whose coordinate k is signs[k] * (a + b*sqrt5)[order[k]]."""
+    return (tuple(s * a[i] for s, i in zip(signs, order))
+            + tuple(s * b[i] for s, i in zip(signs, order)))
+
+
 def _h3_roots():
-    # Scaled icosidodecahedron directions: cyclic shifts of (0, 0, 2*phi)
-    # and of (+-1, +-phi, +-phi^2).
-    one = QuadExt.of(1)
-    phi2 = PHI * PHI
-    base = [one, PHI, phi2]
+    # Icosidodecahedron directions: cyclic shifts of (0, 0, 2*phi) and of
+    # (+-1, +-phi, +-phi^2), the latter doubled to (+-2, +-2*phi, +-2*phi^2),
+    # where 2*phi = 1 + sqrt(5) and 2*phi^2 = 3 + sqrt(5).
+    a, b = (2, 1, 3), (0, 1, 1)
     roots = []
     for shift in range(3):
-        v = [one * 0] * 3
-        v[shift] = 2 * PHI
-        roots.append(tuple(v))
-        for signs in itertools.product((1, -1), repeat=3):
-            roots.append(tuple(signs[k] * base[(k + shift) % 3] for k in range(3)))
+        axis = tuple(_e(shift, 3))
+        roots.append(axis + axis)
+        order = [(k + shift) % 3 for k in range(3)]
+        roots.extend(_golden(a, b, s, order) for s in itertools.product((1, -1), repeat=3))
     return roots
 
 
 def _h4_roots():
-    one = QuadExt.of(1)
-    roots = []
     # doubled unit quaternions: permutations of (+-2, 0, 0, 0)
-    for i in range(4):
-        v = [one * 0] * 4
-        v[i] = one * 2
-        roots.append(tuple(v))
-        roots.append(tuple(-c for c in v))
+    roots = [[2 * s * c for c in _e(i, 4)] for i in range(4) for s in (1, -1)]
     # (+-1, +-1, +-1, +-1)
-    for signs in itertools.product((1, -1), repeat=4):
-        roots.append(tuple(one * s for s in signs))
-    # even permutations of (0, +-1, +-1/phi, +-phi), doubled from halves
-    inv_phi = PHI - 1
-    pattern = [one * 0, one, inv_phi, PHI]
-    for perm in itertools.permutations(range(4)):
-        if _perm_parity(perm) != 1:
-            continue
-        for signs in itertools.product((1, -1), repeat=4):
-            roots.append(tuple(signs[k] * pattern[perm[k]] for k in range(4)))
+    roots.extend(itertools.product((1, -1), repeat=4))
+    # even permutations of (0, +-1, +-1/phi, +-phi), doubled from halves and
+    # doubled again into Z[sqrt 5]: 2/phi = -1 + sqrt(5), 2*phi = 1 + sqrt(5)
+    a, b = (0, 2, -1, 1), (0, 0, 1, 1)
+    for order in itertools.permutations(range(4)):
+        if sum(x > y for x, y in itertools.combinations(order, 2)) % 2 == 0:
+            roots.extend(_golden(a, b, s, order) for s in itertools.product((1, -1), repeat=4))
     return roots
 
 
-def _perm_parity(perm):
-    parity = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
+_MIN_PARAM = {"A": 1, "B": 2, "D": 4, "I2": 5}
 
 
 def build(family: str, n_or_m: int | None = None) -> RootSystem:
     """Construct a root system by family name and parameter."""
+    if family in _MIN_PARAM:
+        n = _require_param(family, n_or_m, _MIN_PARAM[family])
     if family == "A":
-        n = _require_param(family, n_or_m, 1)
-        return RootSystem("A", n, n + 1, _check_lines("A", n, _lines_from_roots(_a_roots(n))))
-    if family == "B":
-        n = _require_param(family, n_or_m, 2)
-        return RootSystem("B", n, n, _check_lines("B", n, _lines_from_roots(_b_roots(n))))
-    if family == "D":
-        n = _require_param(family, n_or_m, 4)
-        return RootSystem("D", n, n, _check_lines("D", n, _lines_from_roots(_d_roots(n))))
-    if family == "Dprime4":
-        return RootSystem("Dprime4", 4, 4, _check_lines("Dprime4", 4, _lines_from_roots(_dprime4_roots())))
-    if family == "F4":
-        lines = _lines_from_roots(_d_roots(4) + _dprime4_roots())
-        return RootSystem("F4", 4, 4, _check_lines("F4", 4, lines))
-    if family == "E8":
-        return RootSystem("E8", 8, 8, _check_lines("E8", 8, _lines_from_roots(_e8_roots())))
-    if family == "E7":
-        plane = [tuple(_e(6, 8, Fraction(1))[k] + _e(7, 8, Fraction(1))[k] for k in range(8))]
-        return RootSystem("E7", 7, 8, _check_lines("E7", 7, _lines_from_roots(_e8_sub_roots(plane))))
-    if family == "E6":
-        w1 = tuple(Fraction(1 if k in (6, 7) else 0) for k in range(8))
-        w2 = tuple(Fraction(1 if k in (5, 7) else 0) for k in range(8))
-        return RootSystem("E6", 6, 8, _check_lines("E6", 6, _lines_from_roots(_e8_sub_roots([w1, w2]))))
-    if family == "H3":
-        return RootSystem("H3", 3, 3, _check_lines("H3", 3, _lines_from_roots(_h3_roots())))
-    if family == "H4":
-        return RootSystem("H4", 4, 4, _check_lines("H4", 4, _lines_from_roots(_h4_roots())))
-    if family == "I2":
-        m = _require_param(family, n_or_m, 5)
-        lines = tuple((Fraction(1), Fraction(k)) for k in range(m))
-        return RootSystem("I2", m, 2, _check_lines("I2", m, lines))
-    raise ValueError(f"unknown root system family: {family!r}")
+        dim, roots = n + 1, _a_roots(n)
+    elif family in ("B", "D"):
+        dim, roots = n, (_b_roots if family == "B" else _d_roots)(n)
+    elif family == "I2":
+        dim, roots = 2, [(1, k) for k in range(n)]
+    elif family in ("Dprime4", "F4"):
+        n = dim = 4
+        roots = _dprime4_roots() if family == "Dprime4" else _d_roots(4) + _dprime4_roots()
+    elif family in ("E6", "E7", "E8"):
+        # E7: the roots of E8 orthogonal to e7 + e8; E6: to e6 + e8 as well
+        normals = [(0,) * 6 + (1, 1), (0,) * 5 + (1, 0, 1)][:8 - int(family[1])]
+        n, dim, roots = int(family[1]), 8, _e8_sub_roots(normals)
+    elif family in ("H3", "H4"):
+        n = dim = int(family[1])
+        roots = _h3_roots() if family == "H3" else _h4_roots()
+    else:
+        raise ValueError(f"unknown root system family: {family!r}")
+    return RootSystem(family, n, dim, _check_lines(family, n, _lines(roots, dim)))
 
 
 def _require_param(family, n, minimum):
@@ -262,13 +217,17 @@ def _check_lines(family, n, lines):
     if len(lines) != expected:
         raise AssertionError(f"{family}{n}: built {len(lines)} lines, expected {expected}")
     for v in lines:
-        if canonical_line(v) != v:
-            raise AssertionError(f"{family}{n}: non-canonical representative {v}")
+        if line_key(v) != v:
+            raise AssertionError(f"{family}{n}: representative {v} is not its line_key")
     return lines
 
 
 def direct_sum(components) -> RootSystem:
-    """Block-diagonal direct sum of root systems."""
+    """Block-diagonal direct sum of root systems.
+
+    Each line is padded with zeros in both its a- and b-block; a padded
+    line_key is still the line_key of its line.
+    """
     components = tuple(components)
     if len(components) < 2:
         raise ValueError("direct_sum needs at least 2 components")
@@ -277,16 +236,11 @@ def direct_sum(components) -> RootSystem:
             raise ValueError("nest direct sums by flattening the component list")
     dims = [c.ambient_dim for c in components]
     total = sum(dims)
-    # mixing Q and Q(sqrt5) components: promote everything to Q(sqrt5)
-    quad = any(c.family in ("H3", "H4") for c in components)
-    zero = QuadExt.of(0) if quad else Fraction(0)
     lines = []
     offset = 0
     for c, d in zip(components, dims):
-        for v in c.lines:
-            padded = [zero] * total
-            padded[offset:offset + d] = [zero + x for x in v]
-            lines.append(canonical_line(padded))
+        pad = (0,) * offset, (0,) * (total - offset - d)
+        lines.extend(pad[0] + v[:d] + pad[1] + pad[0] + v[d:] + pad[1] for v in c.lines)
         offset += d
     return RootSystem("DirectSum", 0, total, tuple(lines), components=components)
 
@@ -320,7 +274,7 @@ def perm_from_linear_map(system, image_of_line):
     preserve the line set) or the induced map is not a bijection.
     """
     index = system.line_index
-    images = [index.get(line_key(image_of_line(x))) for x in system.integer_lines]
+    images = [index.get(line_key(image_of_line(x))) for x in system.lines]
     if None in images:
         v = system.lines[images.index(None)]
         raise ValueError(f"map does not preserve the line set (image of {v})")
@@ -350,7 +304,7 @@ def reflection(v):
 
 def reflection_perm(system: RootSystem, line_index: int):
     """Line permutation induced by the reflection in the given line."""
-    return perm_from_linear_map(system, reflection(system.integer_lines[line_index]))
+    return perm_from_linear_map(system, reflection(system.lines[line_index]))
 
 
 F4_DUALITY_MATRIX = (
@@ -375,7 +329,7 @@ def extra_symmetry_perms(system: RootSystem):
         return [perm_from_linear_map(system, flip)]
     if fam in ("D", "Dprime4"):
         other = build("Dprime4") if fam == "D" else build("D", 4)
-        return [perm_from_linear_map(system, reflection(v)) for v in other.integer_lines]
+        return [perm_from_linear_map(system, reflection(v)) for v in other.lines]
     if fam == "F4":
         duality = lambda x: [sum(m * c for m, c in zip(row, half))
                              for half in (x[:4], x[4:]) for row in F4_DUALITY_MATRIX]

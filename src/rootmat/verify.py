@@ -143,7 +143,9 @@ def _verdict(system_id, node_budget, plan, decide) -> VerificationReport:
     """One timed report: parse, plan, matroid, C3, the graph group of each family, decide.
 
     plan(system) checks the system (ValueError) and returns its set families,
-    each a function of (matroid, C3) called after the group of the one before.
+    each a function of (matroid, C3) called after the group of the one before;
+    a family equal to an earlier one (all circuits of rank 2, say, are C3)
+    reuses its group instead of searching again.
     decide(system, c3, expected, groups) -> (status, aut, known, detail).
     """
     start = time.perf_counter()
@@ -153,8 +155,13 @@ def _verdict(system_id, node_budget, plan, decide) -> VerificationReport:
     c3 = linmatroid.circuits3(m)
     expected = expected_aut_order(system)
     try:
-        groups = [aut_group_from_family(system, family(m, c3), node_budget)
-                  for family in families]
+        groups, searched = [], {}
+        for family in families:
+            sets = family(m, c3)
+            key = tuple(sets)
+            if key not in searched:
+                searched[key] = aut_group_from_family(system, sets, node_budget)
+            groups.append(searched[key])
     except BudgetExceededError as exc:
         status, aut_order, known_order, detail = BUDGET_EXCEEDED, 0, 0, str(exc)
     else:

@@ -22,9 +22,10 @@ from math import factorial
 
 import pytest
 
+from classical_shapes import classical_circuits
 from rootmat import graphauto, linmatroid, permgrp, rootsystems
 from rootmat.incidencegraph import build_incidence, restrict_to_ground
-from rootmat.linmatroid import all_circuits_upto, circuits3, classical_circuits, matroid_of
+from rootmat.linmatroid import all_circuits_upto, circuits3, matroid_of
 from rootmat.permgrp import bsgs, is_subgroup, perm_from_cycles
 from rootmat.rootsystems import known_group_generators, parse_system_id
 from rootmat.verify import aut_group_from_family, default_table_ids, verify_wreath

@@ -1,21 +1,20 @@
 import itertools
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
 
+from classical_shapes import classical_circuits
+from reference_field import field_vectors
 from rootmat.errors import BudgetExceededError
 from rootmat.linmatroid import (
     LinearMatroid,
     all_circuits_upto,
     circuits3,
-    classical_circuits,
     matroid_of,
     rank,
 )
-from rootmat.scalar import PHI, SQRT5
-from rootmat.rootsystems import build, canonical_line, known_group_generators, parse_system_id
+from rootmat.rootsystems import build, known_group_generators, line_key, parse_system_id
 
 
 def is_independent(m, subset):
@@ -43,8 +42,7 @@ def circuits3_bruteforce(m):
 
 
 def _line_index(system, coords):
-    vec = canonical_line(tuple(Fraction(c) for c in coords))
-    return system.lines.index(vec)
+    return system.line_index[line_key(tuple(coords) + (0,) * len(coords))]
 
 
 def test_rank_empty():
@@ -88,9 +86,10 @@ def _reference_rank(vectors):
 def test_rank_matches_reference_elimination(sid, max_size):
     s = parse_system_id(sid)
     m = matroid_of(s)
+    vectors = field_vectors(s.lines)
     for k in range(max_size + 1):
         for subset in itertools.combinations(range(s.num_lines), k):
-            want = _reference_rank([s.lines[i] for i in subset])
+            want = _reference_rank([vectors[i] for i in subset])
             assert rank(m, subset) == want, subset
 
 
@@ -196,17 +195,20 @@ def test_all_circuits_match_bruteforce(sid):
 
 def test_all_circuits_sqrt5_coefficient():
     # e1 + sqrt(5) e2 - (e1 + sqrt(5) e2) = 0: the coefficient of e2 is
-    # sqrt(5), whose rational part is 0
-    m = LinearMatroid.from_vectors([(1, 0), (0, 1), (1, SQRT5)])
+    # sqrt(5), whose rational part is 0; as (a | b), e1 + sqrt(5) e2 is (1, 0 | 0, 1)
+    m = LinearMatroid.from_vectors([(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 1)])
     assert all_circuits_upto(m, 3) == [(0, 1, 2)]
 
 
 def test_all_circuits_match_bruteforce_random_sqrt5():
-    # includes parallel pairs and circuits of every order up to 4
+    # includes parallel pairs and circuits of every order up to 4; the
+    # entries 0, 0, 1, -1, sqrt5, -sqrt5, phi, 2 phi - 3, all doubled (one
+    # scale for every vector keeps the matroid), as (a, b) pairs of a + b*sqrt(5)
     rng = random.Random(5)
-    entries = [0, 0, 1, -1, SQRT5, -SQRT5, PHI, 2 * PHI - 3]
+    entries = [(0, 0), (0, 0), (2, 0), (-2, 0), (0, 2), (0, -2), (1, 1), (-4, 2)]
     for _ in range(20):
-        vectors = [tuple(rng.choice(entries) for _ in range(3)) for _ in range(8)]
+        vectors = [[rng.choice(entries) for _ in range(3)] for _ in range(8)]
+        vectors = [tuple(a for a, _ in v) + tuple(b for _, b in v) for v in vectors]
         vectors = [v for v in vectors if any(v)]
         m = LinearMatroid.from_vectors(vectors)
         want = [

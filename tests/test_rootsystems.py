@@ -1,13 +1,16 @@
+import hashlib
+import itertools
+import json
 import random
-from fractions import Fraction
 
 import pytest
 
+from reference_field import ONE, PHI, canonical_line, field_vectors
+from rootmat.linmatroid import circuits3, matroid_of
 from rootmat.permgrp import bsgs, compose, equal, is_identity
 from rootmat.rootsystems import (
     F4_DUALITY_MATRIX,
     build,
-    canonical_line,
     direct_sum,
     extra_symmetry_perms,
     known_group_generators,
@@ -17,8 +20,17 @@ from rootmat.rootsystems import (
     reflection,
     reflection_perm,
 )
-from rootmat.scalar import galois
 from rootmat.verify import default_table_ids
+
+
+def _key(*coords):
+    """The stored line through the rational vector coords."""
+    return line_key(coords + (0,) * len(coords))
+
+
+def _field(*coords):
+    """The reference representative of the line through the rational vector coords."""
+    return canonical_line(field_vectors([coords + (0,) * len(coords)])[0])
 
 
 @pytest.mark.parametrize("family,n,lines", [
@@ -60,31 +72,32 @@ def test_unknown_family():
 def test_no_parallel_lines():
     for sid in ["A4", "B3", "D4", "F4", "E6", "H3"]:
         s = parse_system_id(sid)
-        assert len(set(s.lines)) == s.num_lines
-        # canonical form is idempotent and already applied
+        assert len({canonical_line(v) for v in field_vectors(s.lines)}) == s.num_lines
+        # each stored line is already its own key
         for v in s.lines:
-            assert canonical_line(v) == v
-            assert canonical_line(canonical_line(v)) == canonical_line(v)
+            assert line_key(v) == v
 
 
 def test_canonical_first_nonzero_positive():
-    from rootmat.scalar import scalar_sign
+    # the first nonzero coordinate of a stored line is a positive integer
     for sid in ["B5", "E7", "H4"]:
-        for v in parse_system_id(sid).lines:
-            first = next(c for c in v if c)
-            assert scalar_sign(first) > 0
+        s = parse_system_id(sid)
+        n = s.ambient_dim
+        for v in s.lines:
+            i = next(k for k in range(n) if v[k] or v[n + k])
+            assert v[i] > 0 and v[n + i] == 0
 
 
 def test_canonical_rejects_zero():
     with pytest.raises(ValueError):
-        canonical_line((Fraction(0), Fraction(0)))
+        line_key((0, 0, 0, 0))
 
 
 def test_a2_reflection_swaps_other_lines():
     s = build("A", 2)
     # lines: e1-e2, e1-e3, e2-e3 in index order
-    idx = {v: i for i, v in enumerate(s.lines)}
-    e12 = canonical_line((Fraction(1), Fraction(-1), Fraction(0)))
+    idx = s.line_index
+    e12 = _key(1, -1, 0)
     p = reflection_perm(s, idx[e12])
     assert p[idx[e12]] == idx[e12]
     others = [i for i in range(3) if i != idx[e12]]
@@ -93,11 +106,8 @@ def test_a2_reflection_swaps_other_lines():
 
 def test_b2_reflection_in_e1():
     s = build("B", 2)
-    idx = {v: i for i, v in enumerate(s.lines)}
-    e1 = canonical_line((Fraction(1), Fraction(0)))
-    e2 = canonical_line((Fraction(0), Fraction(1)))
-    plus = canonical_line((Fraction(1), Fraction(1)))
-    minus = canonical_line((Fraction(1), Fraction(-1)))
+    idx = s.line_index
+    e1, e2, plus, minus = _key(1, 0), _key(0, 1), _key(1, 1), _key(1, -1)
     p = reflection_perm(s, idx[e1])
     assert p[idx[e1]] == idx[e1] and p[idx[e2]] == idx[e2]
     assert p[idx[plus]] == idx[minus] and p[idx[minus]] == idx[plus]
@@ -113,10 +123,8 @@ def test_reflections_are_involutions():
 
 def test_b3_sign_flip_example():
     s = build("B", 3)
-    idx = {v: i for i, v in enumerate(s.lines)}
-    e1 = canonical_line((Fraction(1), Fraction(0), Fraction(0)))
-    plus = canonical_line((Fraction(1), Fraction(1), Fraction(0)))
-    minus = canonical_line((Fraction(1), Fraction(-1), Fraction(0)))
+    idx = s.line_index
+    e1, plus, minus = _key(1, 0, 0), _key(1, 1, 0), _key(1, -1, 0)
     (p,) = extra_symmetry_perms(s)
     assert p[idx[e1]] == idx[e1]
     assert p[idx[plus]] == idx[minus]
@@ -124,17 +132,15 @@ def test_b3_sign_flip_example():
 
 def test_f4_duality_matrix_permutes_lines():
     s = build("F4")
-    idx = {v: i for i, v in enumerate(s.lines)}
+    lines = {canonical_line(v) for v in field_vectors(s.lines)}
     images = set()
-    for v in s.lines:
+    for v in field_vectors(s.lines):
         w = canonical_line(_ref_apply_matrix(F4_DUALITY_MATRIX, v))
-        assert w in idx  # brute-force check that M maps lines to lines
+        assert w in lines  # brute-force check that M maps lines to lines
         images.add(w)
     assert len(images) == 24
-    e1 = canonical_line(tuple(Fraction(c) for c in (1, 0, 0, 0)))
-    e2 = canonical_line(tuple(Fraction(c) for c in (0, 1, 0, 0)))
-    plus = canonical_line(tuple(Fraction(c) for c in (1, 1, 0, 0)))
-    minus = canonical_line(tuple(Fraction(c) for c in (1, -1, 0, 0)))
+    e1, e2 = _field(1, 0, 0, 0), _field(0, 1, 0, 0)
+    plus, minus = _field(1, 1, 0, 0), _field(1, -1, 0, 0)
     assert canonical_line(_ref_apply_matrix(F4_DUALITY_MATRIX, plus)) == e1
     assert canonical_line(_ref_apply_matrix(F4_DUALITY_MATRIX, minus)) == e2
 
@@ -153,11 +159,41 @@ def test_h3_raw_galois_mirrors_the_line_set():
     # Coordinatewise conjugation alone does NOT fix this coordinate choice
     # of the 15 lines; it lands on the mirror image (swap of two axes).
     s = build("H3")
-    lines = set(s.lines)
-    raw = {canonical_line(tuple(galois(c) for c in v)) for v in s.lines}
+    lines = {canonical_line(v) for v in field_vectors(s.lines)}
+    raw = {canonical_line(tuple(c.conj() for c in v)) for v in field_vectors(s.lines)}
     mirrored = {canonical_line((v[0], v[2], v[1])) for v in raw}
     assert raw != lines
     assert mirrored == lines
+
+
+def _ref_h_roots(family):
+    """The H3 or H4 roots over the reference field, in the order the builder takes them."""
+    zero, signs = ONE - ONE, list(itertools.product((1, -1), repeat=int(family[1])))
+    if family == "H3":
+        # cyclic shifts of (0, 0, 2 phi) and of (+-1, +-phi, +-phi^2)
+        base = (ONE, PHI, PHI * PHI)
+        roots = []
+        for shift in range(3):
+            roots.append(tuple(2 * PHI if k == shift else zero for k in range(3)))
+            roots += [tuple(s[k] * base[(k + shift) % 3] for k in range(3)) for s in signs]
+        return roots
+    # +-2 e_i, (+-1, +-1, +-1, +-1) and the even permutations of (0, +-1, +-1/phi, +-phi)
+    roots = [tuple(2 * s * ONE if k == i else zero for k in range(4))
+             for i in range(4) for s in (1, -1)]
+    roots += [tuple(c * ONE for c in s) for s in signs]
+    pattern = (zero, ONE, 1 / PHI, PHI)
+    for perm in itertools.permutations(range(4)):
+        if sum(x > y for x, y in itertools.combinations(perm, 2)) % 2 == 0:
+            roots += [tuple(s[k] * pattern[perm[k]] for k in range(4)) for s in signs]
+    return roots
+
+
+@pytest.mark.parametrize("family", ["H3", "H4"])
+def test_h_lines_match_the_reference_field_roots(family):
+    # the integer (a | b) build finds the same lines, in the same order, as
+    # the textbook golden-ratio roots over Q(sqrt 5)
+    want = list(dict.fromkeys(canonical_line(r) for r in _ref_h_roots(family)))
+    assert [canonical_line(v) for v in field_vectors(build(family).lines)] == want
 
 
 @pytest.mark.parametrize("spec,count,dim", [
@@ -221,7 +257,7 @@ def test_representative_flip_does_not_change_known_group():
     s = build("A", 3)
     rng = random.Random(3)
     flipped = tuple(
-        tuple(-c for c in x) if rng.random() < 0.5 else x for x in s.integer_lines
+        tuple(-c for c in x) if rng.random() < 0.5 else x for x in s.lines
     )
     # reflections computed from non-canonical representatives still induce
     # the same line permutations
@@ -229,7 +265,7 @@ def test_representative_flip_does_not_change_known_group():
         assert reflection_perm(s, i) == perm_from_linear_map(s, reflection(flipped[i]))
 
 
-# -- reference: plain Fraction/QuadExt reflections and canonical_line lookup --
+# -- reference: field reflections and canonical_line lookup (tests/reference_field.py) --
 
 COORDINATE_TABLE_IDS = [sid for sid in default_table_ids() if not sid.startswith("I2")]
 
@@ -244,12 +280,13 @@ def _ref_reflect(w, v):
 
 
 def _ref_apply_matrix(mat, v):
-    return tuple(sum(Fraction(row[c]) * v[c] for c in range(len(v))) for row in mat)
+    return tuple(sum(row[c] * v[c] for c in range(len(v))) for row in mat)
 
 
 def _ref_perm(system, image):
-    index = {v: i for i, v in enumerate(system.lines)}
-    return tuple(index[canonical_line(image(v))] for v in system.lines)
+    lines = field_vectors(system.lines)
+    index = {canonical_line(v): i for i, v in enumerate(lines)}
+    return tuple(index[canonical_line(image(v))] for v in lines)
 
 
 def _ref_extra_symmetries(system):
@@ -258,12 +295,13 @@ def _ref_extra_symmetries(system):
         return [_ref_perm(system, lambda v: (-v[0],) + tuple(v[1:]))]
     if fam in ("D", "Dprime4"):
         other = build("Dprime4") if fam == "D" else build("D", 4)
-        return [_ref_perm(system, lambda w, v=v: _ref_reflect(w, v)) for v in other.lines]
+        return [_ref_perm(system, lambda w, v=v: _ref_reflect(w, v))
+                for v in field_vectors(other.lines)]
     if fam == "F4":
         return [_ref_perm(system, lambda v: _ref_apply_matrix(F4_DUALITY_MATRIX, v))]
     if fam in ("H3", "H4"):
         def conj_swap(v):
-            w = [galois(c) for c in v]
+            w = [c.conj() for c in v]
             w[-1], w[-2] = w[-2], w[-1]
             return tuple(w)
         return [_ref_perm(system, conj_swap)]
@@ -273,7 +311,7 @@ def _ref_extra_symmetries(system):
 @pytest.mark.parametrize("sid", COORDINATE_TABLE_IDS)
 def test_reflections_match_reference(sid):
     s = parse_system_id(sid)
-    for i, v in enumerate(s.lines):
+    for i, v in enumerate(field_vectors(s.lines)):
         assert reflection_perm(s, i) == _ref_perm(s, lambda w: _ref_reflect(w, v))
 
 
@@ -286,14 +324,12 @@ def test_extra_symmetries_match_reference(sid):
 def test_line_key_is_invariant_under_field_scaling():
     # x * (p + q*sqrt5) on (a | b) is (a p + 5 b q | a q + b p)
     h4 = build("H4")
-    for x in h4.integer_lines:
+    for x in h4.lines:
         a, b = x[:4], x[4:]
         for p, q in [(-7, 0), (2, 3), (0, -1), (1, -1)]:
             y = [u * p + 5 * w * q for u, w in zip(a, b)] + [u * q + w * p for u, w in zip(a, b)]
             assert line_key(y) == line_key(x)
-    assert len({line_key(x) for x in h4.integer_lines}) == h4.num_lines
-    with pytest.raises(ValueError):
-        line_key((0, 0, 0, 0))
+    assert len({line_key(x) for x in h4.lines}) == h4.num_lines
 
 
 def test_perm_from_linear_map_rejects_non_symmetries():
@@ -302,4 +338,65 @@ def test_perm_from_linear_map_rejects_non_symmetries():
     with pytest.raises(ValueError, match="does not preserve the line set"):
         perm_from_linear_map(s, stretch)
     with pytest.raises(ValueError, match="not a bijection"):
-        perm_from_linear_map(s, lambda x: s.integer_lines[0])
+        perm_from_linear_map(s, lambda x: s.lines[0])
+
+
+# -- parent-pinned build: one SHA-256 per system over the old Fraction/QuadExt path's output --
+
+# sha256 of json.dumps([degree, rows, C3, K(R) generators], separators=(",", ":")),
+# recorded with the Fraction/QuadExt construction that the integer (a | b)
+# build replaced; a direct sum has no K(R) generators here ([]).
+PINNED_BUILD_SHA256 = {
+    "A1": "796c2c2b007b70b51615ee8a7f19f72d0e705ac86d7075e4a9dfc8adaf7ed1d5",
+    "A2": "4439303b0e7654cb49356434724bce3c4962029f271d86426e7411a00aeecd5a",
+    "A3": "ba182e346096651dfe2eeba6f84e7e02f9d54b5a0507e96e28c3df8674a77fd0",
+    "A4": "b1142441994e42d9488af16903832929ea461bd892847ec84ee4ba5e15dffc64",
+    "A5": "d98c4c6419e3eb536a80759dd5af80f93724026efbed0153f0acb18d1f1ed2f0",
+    "A6": "fc855d30a71e638f14df07bb703d43584b7c27878ef0a1a4e8d290d6f516b14b",
+    "A7": "4db660c32e588b71dc09f125603b09eb7e848d854bdd87e4932a71657ddbecfa",
+    "B2": "baf2c60ee24eb4ca96aed717c4153be155310034e3f879c727f933f29d3efbd1",
+    "B3": "bf479162f1eb966e75560919a07305cd14bf6d037fc081c861ed19f7fccbf9b3",
+    "B4": "d7532b1c30af95082eef604e05a4426607dbe97e3d2e38f5c4c2ab8c05ef55f6",
+    "B5": "913bff82aa6ae40c08229578b673eae9a211db5526d249b911cfa109092b8e0c",
+    "B6": "86be77147293333f626c53676fb67fb1cd806bbcba6c447128cd6b3f4a6348d2",
+    "B7": "a19e22a3b7dfdbfcd4cb3984319528c213c0444185f9b48c4229ccf296b1acf9",
+    "D4": "ad9e2b0bacbd55cbe28dc8792a15900597b129a38980d9581b853dc26fe1c5e4",
+    "D5": "6f5275bee7738048caafdc409c2cb3837c06d858b33e5b13763edeb3274d522b",
+    "D6": "bed9bc5b7396dcf08441741d495af5d601ff8c0fa5d35560b41abf91c9177a3e",
+    "D7": "943f84e363dbcbce6a827bff7d845e9998b700823e670fdf17f2d6f821a522a1",
+    "E6": "c355f86a9b44fdd639c8403748677e88988ae334383a0ed9cb38a19d18bd6868",
+    "E7": "bfe650310f2575ce5bb9d8d190bcfa8eb6098adbdea3b78816e4d92d96b3e4d6",
+    "E8": "c580cd5021516b1885c9004315ca86d3fb8ac4f938480ea53fb6ee68f28e40ab",
+    "F4": "a85c9d2801a46e5aa0beed21339bbc40cd7b602c3e0de2efbcbd282de30ce646",
+    "H3": "bd785d59497ac1253135f003b8da86e209dcc840d0b1479c1ed21f3c193871fd",
+    "H4": "ef5f3e10b47f1f5c09d5a9f4bbd5995462513f934dad27dedfea354c0059b962",
+    "I2_5": "cc362f92262b4959615425bc481ad267ce5ecff79b7fb275bda56d7ec9db2488",
+    "I2_6": "db599f1b1b5a6dd0d9791d7b256489a6b270d203df013d1a977aa4309ccd4486",
+    "I2_7": "914280a995bfd02388ba2343b46b82ed192fb7cca613df9136ba03d6d2861e8d",
+    "I2_8": "5a2e6058ecf618300eee9818b1c3e3d230daab03e26292ea933105726db9c66b",
+    "I2_9": "b3352d11df50d859024448d736ce563ea2c422ee17f8bbcf2651931449414b1b",
+    "I2_10": "08a16762ab7c250215e653cee48f195fcea6675a3cd1f5ee53485d7bf4559376",
+    "I2_11": "080541b21f7d10eda797e26ab5e1a79cde3c08e1f87efd196d795b5ff3849637",
+    "I2_12": "710d75f3ef20c5a7a3b6960be8cd56f49c5b63219ed4ffec13e7096d4fccdd2d",
+    "I2_16": "3ef1e9beae7724554ee16cee46e535ae419f65067ce5b89c480731a80f5c6114",
+    "I2_20": "74884960260e9f450f043eb24879f75761491b92fd3afd2d1b9e25745c16ba11",
+    "B9": "f56415db52cbca9e81583d650af48012afaa7bec4eb419e378f170d9b08dc8bb",
+    "D10": "f32eebd6f4883a3ab8bf88cbe09fc9ef521ec2bfa47ff3e16e6736dc3a25dbc2",
+    "Dprime4": "78edaba34f6fd5eef8406bee2a3bf4c2d61a2b9555ece342bbc4d0896cbbac8a",
+    "A1+A2+B3": "0c941fad8c20286b9f50322eb596c93962f8633b4695a7cdb82f22988052e91d",
+    "A3+A3": "a1a5569523f79ff020299dc8b790b447becdd705642e58e0653b8d2119051414",
+    "H3+A1": "02dd0e9e346ee9e6efdea36aa6cf20ee308e7197527a5e3085d49302c44e9894",
+    "A2+I2_5": "6909b743bad4799bb0f817cd00e524fe94f3fa2c0f4fdcdd0cc46b86775810d3",
+    "H3+B2": "15fc648fbf009de450617db3189f4ca322b0766b3dc1d194dea2afa1255d7dcb",
+    "D4+Dprime4": "e41d2ef743b5e862559bd3a05d0e64144ffcbb3a02221d431539f1d97821ca8f",
+    "E6+A1": "4b85f8b668cf608f2a1f633e4eb918357c2124e3a4c252bbe91d7c101fb10402",
+}
+
+
+@pytest.mark.parametrize("sid", PINNED_BUILD_SHA256)
+def test_build_matches_the_pinned_fraction_build(sid):
+    s = parse_system_id(sid)
+    m = matroid_of(s)
+    gens = known_group_generators(s) if s.family != "DirectSum" else []
+    blob = json.dumps([m.degree, m.rows, circuits3(m), gens], separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_BUILD_SHA256[sid]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import rootmat
-from rootmat import linmatroid
+from rootmat import graphauto, linmatroid
 from rootmat.cli import build_parser, main
 from rootmat.permgrp import bsgs
 from rootmat.verify import (
@@ -226,3 +226,37 @@ def test_cli_verify_direct_sum_is_a_usage_error(capsys):
     assert main(["verify", "--system", "A2+A2"]) == 2
     err = capsys.readouterr().err
     assert err == "rootmat: error: A2+A2 is a direct sum; use rootmat wreath --spec A2+A2\n"
+
+
+@pytest.mark.parametrize("sid,kmax,searches", [("I2_7", None, 1), ("A3", 3, 1), ("A3", None, 2)])
+def test_crosscheck_searches_each_distinct_family_once(sid, kmax, searches, monkeypatch):
+    # rank 2 (all circuits have order 3) and kmax = 3 make the all-circuits family C3
+    calls = []
+    search = graphauto.automorphism_group
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(graphauto, "automorphism_group", counted)
+    assert oracle_crosscheck(sid, kmax=kmax).status == PASS
+    assert len(calls) == searches
+
+
+@pytest.mark.parametrize("families", ["A:1..2..3", "A:x", "A:"])
+def test_cli_bad_families_range_names_the_flag(families, capsys):
+    assert main(["table", "--families", families]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"rootmat: error: --families: bad range {families!r}")
+    assert captured.err.count("\n") == 1
+
+
+def test_import_loads_no_fractions_module():
+    src = str(Path(rootmat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, rootmat.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
