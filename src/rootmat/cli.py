@@ -82,10 +82,10 @@ def _parse_families(spec):
         if ":" in part:
             fam, rng = part.split(":", 1)
             bounds = re.fullmatch(r"\s*(\d+)\s*(?:\.\.\s*(\d+)\s*)?", rng)
-            if not bounds:
+            lo, hi = (int(bounds[1]), int(bounds[2] or bounds[1])) if bounds else (1, 0)
+            if lo > hi:
                 raise ValueError(f"--families: bad range {part!r} "
-                                 "(expected FAMILY:N or FAMILY:LO..HI)")
-            lo, hi = int(bounds[1]), int(bounds[2] or bounds[1])
+                                 "(expected FAMILY:N or FAMILY:LO..HI with LO <= HI)")
             for n in range(lo, hi + 1):
                 ids.append(f"{fam}_{n}" if fam == "I2" else f"{fam}{n}")
         elif part == "E":

@@ -12,8 +12,10 @@ convenience: the half-integer roots of E8 and D'4 are doubled, and the
 golden-ratio coordinates of H3/H4 are doubled into Z[sqrt 5], e.g.
 2*phi = 1 + sqrt(5) is the pair (1, 1).
 
-I2(m) is stored as the lines (1, k), k < m, which realize its matroid
-U_{2,m} but are not its roots; its K(R) is the dihedral group on indices.
+K(R) is generated by the reflections in the simple roots of the positive
+system the stored lines form, plus the extra symmetries.  I2(m) is stored
+as the lines (1, k), k < m, which realize its matroid U_{2,m} but are not
+its roots; its K(R) is the dihedral group on indices.
 """
 
 from __future__ import annotations
@@ -70,11 +72,9 @@ class RootSystem:
     @property
     def rank(self) -> int:
         """Dimension of the span of the roots."""
-        if self.family == "A":
-            return self.rank_param
         if self.family == "DirectSum":
             return sum(c.rank for c in self.components)
-        return self.ambient_dim
+        return 2 if self.family == "I2" else self.rank_param
 
 
 def _e(i, dim):
@@ -346,12 +346,37 @@ def extra_symmetry_perms(system: RootSystem):
     return []
 
 
+def _positive(x):
+    """Whether the first nonzero coordinate a + b*sqrt5 of x = (a | b) is positive."""
+    n = len(x) // 2
+    a, b = next((a, b) for a, b in zip(x[:n], x[n:]) if a or b)
+    return a > 0 if a * a > 5 * b * b else b > 0
+
+
+def simple_lines(system: RootSystem):
+    """Indices of the simple roots of the positive system the stored lines form.
+
+    Every line_key is lexicographically positive, so the lines are the
+    positive roots up to positive scalars.  The reflection in a simple root
+    permutes the other positive roots; the reflection in any other positive
+    root makes some other one negative.  Positive scalars change no sign,
+    so the test runs on the stored lines as they are.
+    """
+    lines = system.lines
+    return [i for i, image in enumerate(map(reflection, lines))
+            if all(_positive(image(x)) for j, x in enumerate(lines) if j != i)]
+
+
 def known_group_generators(system: RootSystem):
-    """Generators of the known symmetry group K(R) acting on lines (I2: k -> k + 1, k -> -k)."""
+    """Generators of K(R) on lines: the simple reflections, then the extra symmetries.
+
+    The simple reflections generate the reflection group (I2: the dihedral
+    pair k -> k + 1, k -> -k, since its lines are not roots).
+    """
     if system.family == "I2":
         m = system.num_lines
         return [tuple((k + 1) % m for k in range(m)), tuple(-k % m for k in range(m))]
-    gens = [reflection_perm(system, i) for i in range(len(system.lines))]
+    gens = [reflection_perm(system, i) for i in simple_lines(system)]
     gens.extend(extra_symmetry_perms(system))
     return gens
 

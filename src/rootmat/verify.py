@@ -1,11 +1,12 @@
 """Pipeline orchestration: squeeze certification and table reproduction.
 
 For an irreducible system R the certificate is a squeeze: the known
-symmetry group K(R) (reflections plus the extra symmetries) is contained
-in Aut(M(R)), which in turn is contained in the automorphism group of the
-incidence graph of the order-3 circuits.  Computing both ends exactly and
-finding the same order collapses the chain, certifying both the order-3
-characterization and the classification-table row in one shot.
+symmetry group K(R) (one BSGS of the simple reflections and the extra
+symmetries) is contained in Aut(M(R)), which in turn is contained in the
+automorphism group of the incidence graph of the order-3 circuits.
+Computing both ends exactly and finding the same order collapses the
+chain, certifying both the order-3 characterization and the
+classification-table row in one shot.
 
 A rank-2 matroid (I2(m), B2, A2) is uniform, with group Sym(X) beyond K(R)
 in general: there C3 must be every triple and the graph group order |X|!.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import combinations
 from math import factorial
 
@@ -28,6 +29,7 @@ from .incidencegraph import build_incidence, restrict_to_ground
 PASS = "PASS"
 FAIL = "FAIL"
 BUDGET_EXCEEDED = "BUDGET_EXCEEDED"
+_ORDER_FIELDS = ("aut_order", "expected_order", "known_group_order")
 
 
 @dataclass
@@ -43,31 +45,17 @@ class VerificationReport:
     detail: str = ""
 
     def to_json_dict(self):
-        return {
-            "system_id": self.system_id,
-            "num_lines": self.num_lines,
-            "c3_count": self.c3_count,
-            "aut_order": str(self.aut_order),
-            "expected_order": str(self.expected_order),
-            "known_group_order": str(self.known_group_order),
-            "status": self.status,
-            "timing_ms": self.timing_ms,
-            "detail": self.detail,
-        }
+        """The fields in order, each group order as a decimal string."""
+        return {k: str(v) if k in _ORDER_FIELDS else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_json_dict(cls, d) -> "VerificationReport":
-        return cls(
-            system_id=d["system_id"],
-            num_lines=d["num_lines"],
-            c3_count=d["c3_count"],
-            aut_order=int(d["aut_order"]),
-            expected_order=int(d["expected_order"]),
-            known_group_order=int(d["known_group_order"]),
-            status=d["status"],
-            timing_ms=d["timing_ms"],
-            detail=d.get("detail", ""),
-        )
+        return cls(**{f.name: int(d[f.name]) if f.name in _ORDER_FIELDS else d[f.name]
+                      for f in fields(cls) if f.name in d})
+
+
+_EXCEPTIONAL_ORDERS = {"E6": 51840, "E7": 1451520, "E8": 348364800, "F4": 1152,
+                       "Dprime4": 576, "H3": 120, "H4": 14400}  # D'4 is isomorphic to D4
 
 
 def expected_aut_order(system: rootsystems.RootSystem) -> int:
@@ -83,20 +71,8 @@ def expected_aut_order(system: rootsystems.RootSystem) -> int:
         return 2 ** (n - 1) * factorial(n) if n >= 3 else 24
     if fam == "D":
         return 576 if n == 4 else 2 ** (n - 1) * factorial(n)
-    if fam == "E6":
-        return 51840
-    if fam == "E7":
-        return 1451520
-    if fam == "E8":
-        return 348364800
-    if fam == "F4":
-        return 1152
-    if fam == "Dprime4":  # isomorphic to D4
-        return 576
-    if fam == "H3":
-        return 120
-    if fam == "H4":
-        return 14400
+    if fam in _EXCEPTIONAL_ORDERS:
+        return _EXCEPTIONAL_ORDERS[fam]
     if fam == "I2":
         return factorial(n)
     if fam == "DirectSum":
@@ -120,15 +96,6 @@ def wreath_order(system: rootsystems.RootSystem) -> int:
 def _preserves_family(perm, family):
     """Whether perm maps the set family (a set of frozensets) onto itself."""
     return all(frozenset(perm[i] for i in c) in family for c in family)
-
-
-def _known_group(system):
-    """K(R), built only from the generators the group so far lacks (the rest are members)."""
-    group = permgrp.bsgs([], degree=system.num_lines)
-    for g in rootsystems.known_group_generators(system):
-        if not group.contains(g):
-            group = permgrp.bsgs(group.generators + [g], degree=system.num_lines)
-    return group
 
 
 def aut_group_from_family(system, family, node_budget):
@@ -194,7 +161,7 @@ def _squeeze(system, c3, expected, groups):
     (aut,) = groups
     if system.rank == 2 and set(c3) != set(combinations(range(system.num_lines), 3)):
         return FAIL, aut.order(), 0, "C3 is not the full triple set"
-    known = _known_group(system)
+    known = permgrp.bsgs(rootsystems.known_group_generators(system), degree=system.num_lines)
     family = {frozenset(c) for c in c3}
     if not all(_preserves_family(gen, family) for gen in known.generators):
         return FAIL, aut.order(), known.order(), "known generator does not preserve C3"

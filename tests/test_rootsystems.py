@@ -6,7 +6,7 @@ import random
 import pytest
 
 from reference_field import ONE, PHI, canonical_line, field_vectors
-from rootmat.linmatroid import circuits3, matroid_of
+from rootmat.linmatroid import circuits3, matroid_of, rank
 from rootmat.permgrp import bsgs, compose, equal, is_identity
 from rootmat.rootsystems import (
     F4_DUALITY_MATRIX,
@@ -216,6 +216,12 @@ def test_direct_sum_admits_i2_and_rejects_singletons():
         direct_sum([build("A", 2)])
 
 
+@pytest.mark.parametrize("sid", default_table_ids() + ["Dprime4", "E6+A1", "A2+I2_5", "H3+B2"])
+def test_rank_is_the_matroid_rank(sid):
+    s = parse_system_id(sid)
+    assert s.rank == rank(matroid_of(s), range(s.num_lines))
+
+
 @pytest.mark.parametrize("sid,order", [
     ("A3", 24),
     ("B3", 24),
@@ -397,6 +403,12 @@ PINNED_BUILD_SHA256 = {
 def test_build_matches_the_pinned_fraction_build(sid):
     s = parse_system_id(sid)
     m = matroid_of(s)
-    gens = known_group_generators(s) if s.family != "DirectSum" else []
+    # the generator list the hashes were pinned with: every reflection, then the extras
+    if s.family == "DirectSum":
+        gens = []
+    elif s.family == "I2":
+        gens = known_group_generators(s)
+    else:
+        gens = [reflection_perm(s, i) for i in range(s.num_lines)] + extra_symmetry_perms(s)
     blob = json.dumps([m.degree, m.rows, circuits3(m), gens], separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_BUILD_SHA256[sid]

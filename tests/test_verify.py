@@ -7,13 +7,14 @@ from pathlib import Path
 import pytest
 
 import rootmat
-from rootmat import graphauto, linmatroid
+from rootmat import graphauto, linmatroid, rootsystems
 from rootmat.cli import build_parser, main
-from rootmat.permgrp import bsgs
+from rootmat.permgrp import bsgs, equal
 from rootmat.verify import (
+    FAIL,
     PASS,
     VerificationReport,
-    _known_group,
+    default_table_ids,
     expected_aut_order,
     oracle_crosscheck,
     report_from_json,
@@ -23,7 +24,14 @@ from rootmat.verify import (
     verify_wreath,
     wreath_order,
 )
-from rootmat.rootsystems import build, known_group_generators, parse_system_id
+from rootmat.rootsystems import (
+    build,
+    extra_symmetry_perms,
+    known_group_generators,
+    parse_system_id,
+    reflection_perm,
+    simple_lines,
+)
 
 
 @pytest.mark.parametrize("sid,order", [
@@ -206,14 +214,42 @@ def test_cli_circuits_budget_defaults_to_enumerator_budget():
     assert args.budget == linmatroid.DEFAULT_NODE_BUDGET
 
 
-@pytest.mark.parametrize("sid", ["E8", "H4", "D10"])
-def test_sifted_known_group_is_the_full_group(sid):
+KNOWN_GROUP_IDS = [sid for sid in default_table_ids() if not sid.startswith("I2")]
+KNOWN_GROUP_IDS += ["B9", "D10", "Dprime4"]
+
+
+@pytest.mark.parametrize("sid", KNOWN_GROUP_IDS)
+def test_simple_reflections_generate_the_known_group(sid):
+    # K(R) from the simple reflections is K(R) from every reflection
     system = parse_system_id(sid)
-    gens = known_group_generators(system)
-    sifted = _known_group(system)
-    assert len(sifted.generators) < len(gens)
-    assert sifted.order() == bsgs(gens, degree=system.num_lines).order()
-    assert all(sifted.contains(g) for g in gens)
+    every = [reflection_perm(system, i) for i in range(system.num_lines)]
+    every += extra_symmetry_perms(system)
+    assert equal(bsgs(known_group_generators(system), degree=system.num_lines),
+                 bsgs(every, degree=system.num_lines))
+
+
+@pytest.mark.parametrize("sid", KNOWN_GROUP_IDS)
+def test_known_group_has_rank_reflection_generators(sid):
+    system = parse_system_id(sid)
+    simple = simple_lines(system)
+    assert len(simple) == system.rank
+    assert known_group_generators(system) == (
+        [reflection_perm(system, i) for i in simple] + extra_symmetry_perms(system))
+
+
+@pytest.mark.parametrize("dropped", range(6))
+def test_known_group_missing_a_simple_reflection_fails(dropped, monkeypatch):
+    # a generator too few shrinks K(R): the squeeze must fail, never pass
+    full = rootsystems.known_group_generators
+
+    def short(system):
+        gens = full(system)
+        return gens[:dropped] + gens[dropped + 1:]
+
+    monkeypatch.setattr(rootsystems, "known_group_generators", short)
+    r = verify_theorem("E6")
+    assert (r.status, r.detail) == (FAIL, "order mismatch")
+    assert r.known_group_order < r.aut_order == 51840
 
 
 @pytest.mark.parametrize("spec", ["A2+A2", "H3+A1"])
@@ -243,12 +279,13 @@ def test_crosscheck_searches_each_distinct_family_once(sid, kmax, searches, monk
     assert len(calls) == searches
 
 
-@pytest.mark.parametrize("families", ["A:1..2..3", "A:x", "A:"])
+@pytest.mark.parametrize("families", ["A:1..2..3", "A:x", "A:", "A:3..1", "A:3..1,B:2"])
 def test_cli_bad_families_range_names_the_flag(families, capsys):
     assert main(["table", "--families", families]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"rootmat: error: --families: bad range {families!r}")
+    bad = families.split(",")[0]
+    assert captured.err.startswith(f"rootmat: error: --families: bad range {bad!r}")
     assert captured.err.count("\n") == 1
 
 
