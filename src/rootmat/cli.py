@@ -191,6 +191,8 @@ COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.budget < 1:
+            raise ValueError(f"--budget must be at least 1, got {args.budget}")
         ok = COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
     except (ValueError, BudgetExceededError) as exc:

@@ -125,7 +125,7 @@ def _dprime4_roots():
 
 
 def _e8_roots():
-    roots = _d_roots(8) + [tuple(-c for c in r) for r in _d_roots(8)]
+    roots = _d_roots(8)
     # half-integer roots, doubled to (+-1)^8 with an even number of -1s
     for signs in itertools.product((1, -1), repeat=8):
         if signs.count(-1) % 2 == 0:
@@ -371,8 +371,17 @@ def known_group_generators(system: RootSystem):
     """Generators of K(R) on lines: the simple reflections, then the extra symmetries.
 
     The simple reflections generate the reflection group (I2: the dihedral
-    pair k -> k + 1, k -> -k, since its lines are not roots).
+    pair k -> k + 1, k -> -k, since its lines are not roots).  A direct sum
+    gets each component's generators, acting on that component's lines.
     """
+    if system.family == "DirectSum":
+        gens, start, n = [], 0, system.num_lines
+        for c in system.components:
+            stop = start + c.num_lines
+            gens += [tuple(range(start)) + tuple(start + i for i in g) + tuple(range(stop, n))
+                     for g in known_group_generators(c)]
+            start = stop
+        return gens
     if system.family == "I2":
         m = system.num_lines
         return [tuple((k + 1) % m for k in range(m)), tuple(-k % m for k in range(m))]

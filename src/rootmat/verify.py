@@ -8,19 +8,17 @@ Computing both ends exactly and finding the same order collapses the
 chain, certifying both the order-3 characterization and the
 classification-table row in one shot.
 
-A rank-2 matroid (I2(m), B2, A2) is uniform, with group Sym(X) beyond K(R)
-in general: there C3 must be every triple and the graph group order |X|!.
+A matroid of rank <= 2 is uniform once C3 is every triple, so there both
+ends are Sym(X), certified without a search.
 verify_theorem, verify_wreath and oracle_crosscheck run one pipeline,
 `_verdict`, each with its own input check, set families and decision.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass, fields
-from itertools import combinations
-from math import factorial
+from dataclasses import asdict, dataclass
+from math import comb, factorial
 
 from . import graphauto, linmatroid, permgrp, rootsystems
 from .errors import BudgetExceededError
@@ -48,35 +46,25 @@ class VerificationReport:
         """The fields in order, each group order as a decimal string."""
         return {k: str(v) if k in _ORDER_FIELDS else v for k, v in asdict(self).items()}
 
-    @classmethod
-    def from_json_dict(cls, d) -> "VerificationReport":
-        return cls(**{f.name: int(d[f.name]) if f.name in _ORDER_FIELDS else d[f.name]
-                      for f in fields(cls) if f.name in d})
 
-
-_EXCEPTIONAL_ORDERS = {"E6": 51840, "E7": 1451520, "E8": 348364800, "F4": 1152,
-                       "Dprime4": 576, "H3": 120, "H4": 14400}  # D'4 is isomorphic to D4
+_EXCEPTIONAL_ORDERS = {"D4": 576, "Dprime4": 576, "E6": 51840, "E7": 1451520,
+                       "E8": 348364800, "F4": 1152, "H3": 120, "H4": 14400}  # D'4 is isomorphic to D4
 
 
 def expected_aut_order(system: rootsystems.RootSystem) -> int:
     """Closed-form classification-table order of Aut(M(R)) on lines."""
     fam, n = system.family, system.rank_param
-    if fam == "A":
-        # W(A1) swaps the two roots of the single line, so the line action
-        # of A1 is trivial
-        return factorial(n + 1) if n >= 2 else 1
-    if fam == "B":
-        # B2 is I2(4): its matroid is uniform U_{2,4}, so the full Sym(4)
-        # acts, not just the line image of W(B2)
-        return 2 ** (n - 1) * factorial(n) if n >= 3 else 24
-    if fam == "D":
-        return 576 if n == 4 else 2 ** (n - 1) * factorial(n)
-    if fam in _EXCEPTIONAL_ORDERS:
-        return _EXCEPTIONAL_ORDERS[fam]
-    if fam == "I2":
-        return factorial(n)
     if fam == "DirectSum":
         return wreath_order(system)
+    if system.rank <= 2:
+        # the matroid is uniform, so all of Sym(X) acts
+        return factorial(system.num_lines)
+    if system.system_id in _EXCEPTIONAL_ORDERS:
+        return _EXCEPTIONAL_ORDERS[system.system_id]
+    if fam == "A":
+        return factorial(n + 1)
+    if fam in ("B", "D"):
+        return 2 ** (n - 1) * factorial(n)
     raise ValueError(f"no closed-form order for {fam}")
 
 
@@ -146,31 +134,35 @@ def verify_theorem(system_id: str, node_budget=graphauto.DEFAULT_NODE_BUDGET) ->
     """Certify the order-3 squeeze and the table row for one irreducible system.
 
     The squeeze covers irreducible systems; a direct sum raises ValueError.
+    Rank <= 2 searches no graph: uniformity certifies it.
     """
     def plan(system):
         if system.family == "DirectSum":
             raise ValueError(f"{system.system_id} is a direct sum; "
                              f"use rootmat wreath --spec {system.system_id}")
-        return [_c3_family]
+        return [] if system.rank <= 2 else [_c3_family]
 
     return _verdict(system_id, node_budget, plan, _squeeze)
 
 
 def _squeeze(system, c3, expected, groups):
-    """K(R) <= Aut(M(R)) <= Aut(G(X, C3)), closed by equal orders."""
-    (aut,) = groups
-    if system.rank == 2 and set(c3) != set(combinations(range(system.num_lines), 3)):
-        return FAIL, aut.order(), 0, "C3 is not the full triple set"
-    known = permgrp.bsgs(rootsystems.known_group_generators(system), degree=system.num_lines)
+    """K(R) <= Aut(M(R)) <= Aut(G(X, C3)), closed by equal orders.
+
+    With no searched group (rank <= 2) C3 must be every triple; the matroid
+    is then uniform and both ends are Sym(X).
+    """
+    n = system.num_lines
+    if not groups and len(c3) != comb(n, 3):
+        return FAIL, 0, 0, "C3 is not the full triple set"
+    aut_order = groups[0].order() if groups else factorial(n)
+    known = permgrp.bsgs(rootsystems.known_group_generators(system), degree=n)
     family = {frozenset(c) for c in c3}
     if not all(_preserves_family(gen, family) for gen in known.generators):
-        return FAIL, aut.order(), known.order(), "known generator does not preserve C3"
-    if not permgrp.is_subgroup(known, aut):
-        return FAIL, aut.order(), known.order(), "K(R) not inside Aut(G(X,C3))"
-    # rank 2: C3 is every triple, so the matroid group is Sym(X), not K(R)
-    lower = factorial(system.num_lines) if system.rank == 2 else known.order()
-    ok = lower == aut.order() == expected
-    return PASS if ok else FAIL, aut.order(), known.order(), "" if ok else "order mismatch"
+        return FAIL, aut_order, known.order(), "known generator does not preserve C3"
+    if groups and not permgrp.is_subgroup(known, groups[0]):
+        return FAIL, aut_order, known.order(), "K(R) not inside Aut(G(X,C3))"
+    ok = (known.order() if groups else aut_order) == aut_order == expected
+    return PASS if ok else FAIL, aut_order, known.order(), "" if ok else "order mismatch"
 
 
 def default_table_ids():
@@ -228,11 +220,3 @@ def oracle_crosscheck(system_id: str, kmax=None,
                 "" if ok else "C3 group differs from full-circuit group")
 
     return _verdict(system_id, node_budget, plan, decide)
-
-
-def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2)
-
-
-def report_from_json(text: str) -> VerificationReport:
-    return VerificationReport.from_json_dict(json.loads(text))

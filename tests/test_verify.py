@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,6 @@ from rootmat.verify import (
     default_table_ids,
     expected_aut_order,
     oracle_crosscheck,
-    report_from_json,
-    report_to_json,
     verify_table,
     verify_theorem,
     verify_wreath,
@@ -99,14 +98,6 @@ def test_verify_table_subset():
     assert [r.aut_order for r in reports] == [6, 24, 120]
 
 
-def test_report_json_round_trip():
-    r = verify_theorem("A2")
-    again = report_from_json(report_to_json(r))
-    assert again == r
-    # big integers travel as decimal strings
-    assert json.loads(report_to_json(r))["aut_order"] == str(r.aut_order)
-
-
 def test_budget_exceeded_status():
     for r in (verify_theorem("E6", node_budget=3), verify_wreath("A3+A3", 3),
               oracle_crosscheck("A4", node_budget=3)):
@@ -123,6 +114,9 @@ def test_cli_table_formats(capsys):
     assert main(["table", "--families", "A:2..3", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert [d["system_id"] for d in data] == ["A2", "A3"]
+    # big integers travel as decimal strings
+    assert [(d["aut_order"], d["expected_order"], d["known_group_order"]) for d in data] == [
+        ("6", "6", "6"), ("24", "24", "24")]
     assert main(["table", "--families", "A:2..2,I2:5..6", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("system_id,")
@@ -186,8 +180,12 @@ def test_cli_aut_generators(capsys):
     ["crosscheck", "--system", "A3", "--max-order", "2"],
     ["crosscheck", "--system", "A3", "--max-order", "0"],
     ["crosscheck", "--system", "A3", "--max-order", "-2"],
+    ["verify", "--system", "A3", "--budget", "-5"],
+    ["wreath", "--spec", "A1+A2", "--budget", "0"],
+    ["circuits", "--system", "A3", "--budget", "-1"],
 ], ids=["unknown-id", "D3", "empty-families", "circuits-budget", "aut-budget",
-        "crosscheck-order-2", "crosscheck-order-0", "crosscheck-order-minus-2"])
+        "crosscheck-order-2", "crosscheck-order-0", "crosscheck-order-minus-2",
+        "verify-budget-minus-5", "wreath-budget-0", "circuits-budget-minus-1"])
 def test_cli_errors_are_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -297,3 +295,41 @@ def test_import_loads_no_fractions_module():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("sid", ["A1", "A2", "B2", "I2_5", "I2_12", "I2_20"])
+def test_rank_two_verdict_makes_no_search(sid, monkeypatch):
+    # the matroid of rank <= 2 is uniform: both ends are Sym(X) without a search
+    calls = []
+    monkeypatch.setattr(graphauto, "automorphism_group", lambda *a, **k: calls.append(a))
+    r = verify_theorem(sid)
+    assert calls == []
+    assert r.status == PASS
+    assert r.aut_order == r.expected_order == factorial(r.num_lines)
+
+
+def test_rank_two_missing_triple_fails(monkeypatch):
+    full = linmatroid.circuits3
+    monkeypatch.setattr(linmatroid, "circuits3", lambda m: full(m)[1:])
+    r = verify_theorem("I2_7")
+    assert (r.status, r.detail) == (FAIL, "C3 is not the full triple set")
+
+
+@pytest.mark.parametrize("spec", ["A2+I2_5", "H3+A1", "D4+Dprime4", "I2_5+I2_7",
+                                  "A1+A2+B3", "A3+A3"])
+def test_known_group_of_a_sum_is_the_product(spec):
+    def order(system):
+        return bsgs(known_group_generators(system), degree=system.num_lines).order()
+
+    system = parse_system_id(spec)
+    assert order(system) == prod(order(c) for c in system.components)
+
+
+def test_cli_table_json_matches_the_golden_rows(capsys):
+    # every row of the default table, apart from its timing
+    golden = json.loads((Path(__file__).parent / "golden_table.json").read_text())
+    assert main(["table", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    for row in rows:
+        del row["timing_ms"]
+    assert rows == golden
