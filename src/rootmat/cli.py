@@ -135,11 +135,11 @@ def cmd_table(args):
 
 def cmd_circuits(args):
     system = rootsystems.parse_system_id(args.system)
-    m = linmatroid.matroid_of(system)
     if args.max_order == 3:
-        circuits = linmatroid.circuits3(m)
+        circuits = linmatroid.circuits3(system.lines)
     else:
-        circuits = linmatroid.all_circuits_upto(m, args.max_order, node_budget=args.budget)
+        circuits = linmatroid.all_circuits_upto(linmatroid.matroid_of(system), args.max_order,
+                                                node_budget=args.budget)
     if args.format == "json":
         print(json.dumps({
             "system": system.system_id,
@@ -155,8 +155,7 @@ def cmd_circuits(args):
 
 def cmd_aut(args):
     system = rootsystems.parse_system_id(args.system)
-    m = linmatroid.matroid_of(system)
-    c3 = linmatroid.circuits3(m)
+    c3 = linmatroid.circuits3(system.lines)
     group = verify.aut_group_from_family(system, c3, args.budget)
     print(f"{system.system_id}: |Aut(G(X, C3))| = {group.order()}")
     if args.emit_generators:

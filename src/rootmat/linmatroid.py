@@ -1,14 +1,17 @@
-"""The linear matroid of a root system: rank oracle and circuit enumeration.
+"""The linear matroid of a root system: C3, rank oracle and circuit enumeration.
 
-Every matroid is held as integer rows, computed once from the integer
-line vectors (a | b) of the root system, coordinate k being
-a_k + b_k*sqrt(5).  When every b is zero the matroid is over Q and a line
-becomes the one row a, made primitive.  Otherwise it is over Q(sqrt 5) and
-a line becomes the two rows [a | b] and [5b | a]; their rational span is
-the Q(sqrt 5)-span of the line (restriction of scalars), so a rank over
-Q(sqrt 5) is the integer rank divided by the degree 2.
-All elimination is on integer rows kept primitive (each divided by the
-gcd of its entries), through one incremental echelon form.
+C3 comes straight from the integer line vectors (a | b), coordinate k
+being a_k + b_k*sqrt(5): a plane through a line v is keyed by the line_key
+of any other of its lines reduced modulo v, one Z[sqrt 5] elimination step.
+
+The rank oracle and the circuit enumeration hold the matroid as integer
+rows, built once from the same vectors.  When every b is zero the matroid
+is over Q and a line becomes the one row a.  Otherwise it is over
+Q(sqrt 5) and a line becomes the two rows [a | b] and [5b | a]; their
+rational span is the Q(sqrt 5)-span of the line (restriction of scalars),
+so a rank over Q(sqrt 5) is the integer rank divided by the degree 2.
+All rows are kept primitive (divided by the gcd of their entries) through
+one incremental echelon form.
 
 The circuit enumeration needs no rank oracle: each row it reduces carries
 integer coefficient columns that record which members' rows it combines,
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import BudgetExceededError
+from .rootsystems import combine, line_key
 
 
 @dataclass(frozen=True)
@@ -112,46 +116,25 @@ def rank(m: LinearMatroid, subset) -> int:
 # -- order-3 circuits -----------------------------------------------------
 
 
-def _span_key(rows):
-    """Canonical label of the rational row space of integer rows.
+def circuits3(lines):
+    """All 3-element circuits of integer lines (a | b), sorted lexicographically.
 
-    Gauss-Jordan elimination clears each pivot column in every other row
-    and leaves each row primitive with a positive pivot: the reduced row
-    echelon form up to a positive scale per row, which depends only on the
-    space.
+    With no parallel pair, a triple i < j < k is a circuit exactly when it
+    is coplanar.  Let p be the first nonzero coordinate of v = lines[i].
+    The map x -> v[p] x - x[p] v is Q(sqrt 5)-linear with kernel the line
+    of v, so lines j and k map to one line_key exactly when {i, j, k} is
+    coplanar: each bucket of line i gives its pairs (j, k).  A zero vector,
+    or a later line parallel to v (mapped to zero), raises ValueError.
     """
-    done, rest = [], list(rows)
-    for col in range(len(rows[0])):
-        k = next((k for k, r in enumerate(rest) if r[col]), None)
-        if k is None:
-            continue
-        piv = rest.pop(k)
-        if piv[col] < 0:
-            piv = tuple(-c for c in piv)
-        done = [_eliminate(r, piv, col) for r in done]
-        rest = [_eliminate(r, piv, col) for r in rest]
-        done.append(piv)
-    return tuple(done)
-
-
-def circuits3(m: LinearMatroid):
-    """All 3-element circuits, sorted lexicographically.
-
-    No two ground elements are parallel in a root-system matroid, so a
-    triple is a circuit exactly when it is coplanar; grouping elements by
-    the plane spanned with a partner enumerates these without scanning
-    every triple.
-    """
-    planes = {}
-    for i, j in itertools.combinations(range(m.ground_size), 2):
-        key = _span_key(m.rows[i] + m.rows[j])
-        bucket = planes.setdefault(key, set())
-        bucket.add(i)
-        bucket.add(j)
-    out = set()
-    for bucket in planes.values():
-        if len(bucket) >= 3:
-            out.update(itertools.combinations(sorted(bucket), 3))
+    out = []
+    for i, v in enumerate(lines):
+        # line_key raises ValueError on a zero v, and keeps its first nonzero coordinate
+        p, n = next(k for k, c in enumerate(line_key(v)) if c), len(v) // 2
+        vp, buckets = (v[p], v[n + p]), {}
+        for j, x in enumerate(lines[i + 1:], i + 1):
+            buckets.setdefault(line_key(combine(vp, x, (x[p], x[n + p]), v)), []).append(j)
+        for bucket in buckets.values():
+            out.extend((i, j, k) for j, k in itertools.combinations(bucket, 2))
     return sorted(out)
 
 

@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import mul
 
 #: expected line count |R|/2 per family, as a function of the parameter
 LINE_COUNTS = {
@@ -134,7 +135,7 @@ def _e8_roots():
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _e8_sub_roots(orthogonal_to):
@@ -283,23 +284,28 @@ def perm_from_linear_map(system, image_of_line):
     return tuple(images)
 
 
+def dot(u, v):
+    """u.v of integer vectors (a | b) over Z[sqrt 5], as the pair (a, b) of a + b*sqrt5."""
+    n = len(u) // 2
+    ua, ub, va, vb = u[:n], u[n:], v[:n], v[n:]
+    return _dot(ua, va) + 5 * _dot(ub, vb), _dot(ua, vb) + _dot(ub, va)
+
+
+def combine(s, x, t, v):
+    """s*x - t*v for scalars s, t = (a, b) of Z[sqrt 5] and vectors x, v = (a | b)."""
+    n = len(x) // 2
+    (p, q), (r, w), cols = s, t, list(zip(x[:n], x[n:], v[:n], v[n:]))
+    return ([p * a + 5 * q * b - r * c - 5 * w * d for a, b, c, d in cols]
+            + [q * a + p * b - w * c - r * d for a, b, c, d in cols])
+
+
 def reflection(v):
     """Reflection in the hyperplane normal to v = (a | b), scaled by v.v to stay integral.
 
-    It is the map x -> x (v.v) - 2 (x.v) v on integer vectors (a | b), where
-    (a + b*sqrt5) . (c + d*sqrt5) = a.c + 5 b.d + (a.d + b.c) sqrt5.
+    It is the map x -> (v.v) x - 2 (x.v) v on integer vectors (a | b).
     """
-    n = len(v) // 2
-    va, vb = v[:n], v[n:]
-    p, q = _dot(va, va) + 5 * _dot(vb, vb), 2 * _dot(va, vb)
-
-    def image(x):
-        xa, xb = x[:n], x[n:]
-        r, s = 2 * (_dot(xa, va) + 5 * _dot(xb, vb)), 2 * (_dot(xa, vb) + _dot(xb, va))
-        return ([a * p + 5 * b * q - r * c - 5 * s * d for a, b, c, d in zip(xa, xb, va, vb)]
-                + [a * q + b * p - r * d - s * c for a, b, c, d in zip(xa, xb, va, vb)])
-
-    return image
+    vv, v2 = dot(v, v), [2 * c for c in v]
+    return lambda x: combine(vv, x, dot(x, v2), v)
 
 
 def reflection_perm(system: RootSystem, line_index: int):
@@ -347,9 +353,9 @@ def extra_symmetry_perms(system: RootSystem):
 
 
 def _positive(x):
-    """Whether the first nonzero coordinate a + b*sqrt5 of x = (a | b) is positive."""
+    """Whether x = (a | b) is lexicographically positive; a scalar a + b*sqrt5 is x = (a, b)."""
     n = len(x) // 2
-    a, b = next((a, b) for a, b in zip(x[:n], x[n:]) if a or b)
+    a, b = next(((a, b) for a, b in zip(x[:n], x[n:]) if a or b), (0, 0))
     return a > 0 if a * a > 5 * b * b else b > 0
 
 
@@ -360,11 +366,17 @@ def simple_lines(system: RootSystem):
     positive roots up to positive scalars.  The reflection in a simple root
     permutes the other positive roots; the reflection in any other positive
     root makes some other one negative.  Positive scalars change no sign,
-    so the test runs on the stored lines as they are.
+    so the test runs on the stored lines as they are.  It reflects only the
+    x with x.v > 0: else (v.v) x - 2 (x.v) v is a non-negative sum of positives.
     """
     lines = system.lines
-    return [i for i, image in enumerate(map(reflection, lines))
-            if all(_positive(image(x)) for j, x in enumerate(lines) if j != i)]
+
+    def simple(i, v):
+        vv, dots = dot(v, v), ((x, dot(x, v)) for j, x in enumerate(lines) if j != i)
+        return all(_positive(combine(vv, x, (2 * a, 2 * b), v))
+                   for x, (a, b) in dots if _positive((a, b)))
+
+    return [i for i, v in enumerate(lines) if simple(i, v)]
 
 
 def known_group_generators(system: RootSystem):

@@ -95,10 +95,10 @@ def aut_group_from_family(system, family, node_budget):
 
 
 def _verdict(system_id, node_budget, plan, decide) -> VerificationReport:
-    """One timed report: parse, plan, matroid, C3, the graph group of each family, decide.
+    """One timed report: parse, plan, C3, the graph group of each family, decide.
 
     plan(system) checks the system (ValueError) and returns its set families,
-    each a function of (matroid, C3) called after the group of the one before;
+    each a function of (system, C3) called after the group of the one before;
     a family equal to an earlier one (all circuits of rank 2, say, are C3)
     reuses its group instead of searching again.
     decide(system, c3, expected, groups) -> (status, aut, known, detail).
@@ -106,13 +106,12 @@ def _verdict(system_id, node_budget, plan, decide) -> VerificationReport:
     start = time.perf_counter()
     system = rootsystems.parse_system_id(system_id)
     families = plan(system)
-    m = linmatroid.matroid_of(system)
-    c3 = linmatroid.circuits3(m)
+    c3 = linmatroid.circuits3(system.lines)
     expected = expected_aut_order(system)
     try:
         groups, searched = [], {}
         for family in families:
-            sets = family(m, c3)
+            sets = family(system, c3)
             key = tuple(sets)
             if key not in searched:
                 searched[key] = aut_group_from_family(system, sets, node_budget)
@@ -126,7 +125,7 @@ def _verdict(system_id, node_budget, plan, decide) -> VerificationReport:
                               detail)
 
 
-def _c3_family(m, c3):
+def _c3_family(system, c3):
     return c3
 
 
@@ -191,7 +190,7 @@ def verify_wreath(sum_spec: str, node_budget=graphauto.DEFAULT_NODE_BUDGET) -> V
     def plan(system):
         if system.family != "DirectSum":
             raise ValueError(f"{sum_spec!r} is not a direct sum")
-        return [lambda m, c3: linmatroid.all_circuits_upto(m, system.rank + 1)]
+        return [lambda s, c3: linmatroid.all_circuits_upto(linmatroid.matroid_of(s), s.rank + 1)]
 
     def decide(system, c3, expected, groups):
         (aut,) = groups
@@ -211,7 +210,7 @@ def oracle_crosscheck(system_id: str, kmax=None,
         k = max(system.rank + 1, 3) if kmax is None else kmax
         if k < 3:
             raise ValueError(f"crosscheck needs a maximum circuit order of at least 3, got {k}")
-        return [_c3_family, lambda m, c3: linmatroid.all_circuits_upto(m, k)]
+        return [_c3_family, lambda s, c3: linmatroid.all_circuits_upto(linmatroid.matroid_of(s), k)]
 
     def decide(system, c3, expected, groups):
         from_c3, from_all = groups

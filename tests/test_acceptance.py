@@ -67,7 +67,7 @@ def pipeline():
     for sid in default_table_ids():
         start = time.perf_counter()
         system = parse_system_id(sid)
-        c3 = circuits3(matroid_of(system))
+        c3 = circuits3(system.lines)
         aut = aut_group_from_family(system, c3, node_budget=BIG_BUDGET)
         elapsed = time.perf_counter() - start
         known = bsgs(known_group_generators(system), degree=system.num_lines)
@@ -137,7 +137,7 @@ def test_criterion_3_oracle_equivalence(pipeline, classical_ground_truth, capsys
             circuits = all_circuits_upto(m, system.rank + 1, node_budget=BIG_BUDGET)
         from_all = aut_group_from_family(system, circuits, node_budget=BIG_BUDGET)
         from_c3 = (pipeline[sid]["aut"] if sid in pipeline
-                   else aut_group_from_family(system, circuits3(m),
+                   else aut_group_from_family(system, circuits3(system.lines),
                                               node_budget=BIG_BUDGET))
         if not permgrp.equal(from_c3, from_all):
             failures.append(f"{sid}: C3 group differs from all-circuits group")

@@ -14,7 +14,7 @@ from rootmat.graphauto import (
     refine,
 )
 from rootmat.incidencegraph import build_incidence, graph_from_edges, restrict_to_ground
-from rootmat.linmatroid import circuits3, matroid_of
+from rootmat.linmatroid import circuits3
 from rootmat.permgrp import bsgs
 from rootmat.rootsystems import build, parse_system_id
 from rootmat.verify import default_table_ids
@@ -75,7 +75,7 @@ def test_generators_are_verified_automorphisms():
 
 def test_a3_incidence_ground_group():
     s = build("A", 3)
-    g = build_incidence(s.num_lines, circuits3(matroid_of(s)))
+    g = build_incidence(s.num_lines, circuits3(s.lines))
     gens = automorphism_group(g)
     ground = bsgs([restrict_to_ground(p, 6) for p in gens], degree=6)
     assert ground.order() == 24
@@ -84,7 +84,7 @@ def test_a3_incidence_ground_group():
 def test_relabeling_equivariance():
     rng = random.Random(5)
     s = build("B", 3)
-    c3 = circuits3(matroid_of(s))
+    c3 = circuits3(s.lines)
     g = build_incidence(s.num_lines, c3)
     order = bsgs(automorphism_group(g), degree=g.num_vertices).order()
     for _ in range(3):
@@ -111,7 +111,7 @@ def test_relabeling_equivariance():
 
 def test_budget_error():
     s = build("E6")
-    g = build_incidence(s.num_lines, circuits3(matroid_of(s)))
+    g = build_incidence(s.num_lines, circuits3(s.lines))
     with pytest.raises(BudgetExceededError):
         automorphism_group(g, node_budget=3)
 
@@ -176,7 +176,7 @@ def _assert_refines_like_reference(g, partition, cells):
 @pytest.mark.parametrize("sid", default_table_ids())
 def test_refine_matches_reference_on_c3_graphs(sid):
     s = parse_system_id(sid)
-    g = build_incidence(s.num_lines, circuits3(matroid_of(s)))
+    g = build_incidence(s.num_lines, circuits3(s.lines))
     start = initial_partition(g)
     cells = refine(g, start)
     _assert_refines_like_reference(g, start, cells)

@@ -1,7 +1,7 @@
 import pytest
 
 from rootmat.incidencegraph import build_incidence, restrict_to_ground
-from rootmat.linmatroid import circuits3, matroid_of
+from rootmat.linmatroid import circuits3
 from rootmat.rootsystems import build
 
 
@@ -15,7 +15,7 @@ def test_star():
 
 def test_a3_incidence_counts():
     s = build("A", 3)
-    c3 = circuits3(matroid_of(s))
+    c3 = circuits3(s.lines)
     g = build_incidence(s.num_lines, c3)
     assert g.num_vertices == 10
     assert g.num_edges == 12
@@ -26,7 +26,7 @@ def test_a3_incidence_counts():
 
 def test_i2_5_incidence_counts():
     s = build("I2", 5)
-    c3 = circuits3(matroid_of(s))
+    c3 = circuits3(s.lines)
     g = build_incidence(5, c3)
     assert g.num_vertices == 15
     assert g.num_edges == 30
@@ -57,7 +57,7 @@ def test_restriction_preserves_family():
     from rootmat.graphauto import automorphism_group
 
     s = build("A", 3)
-    c3 = circuits3(matroid_of(s))
+    c3 = circuits3(s.lines)
     fam = {frozenset(c) for c in c3}
     g = build_incidence(s.num_lines, c3)
     for p in automorphism_group(g):

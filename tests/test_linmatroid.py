@@ -114,7 +114,7 @@ def test_b2_circuits():
     plus = _line_index(s, (1, 1))
     assert is_circuit(m, [e1, e2, plus])
     assert is_independent(m, [e1, e2]) and not is_circuit(m, [e1, e2])
-    assert circuits3(m) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    assert circuits3(s.lines) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
 
 def test_a4_four_cycle_is_a_circuit():
@@ -128,28 +128,41 @@ def test_a4_four_cycle_is_a_circuit():
     assert not is_circuit(m, cyc[:3])
 
 
-@pytest.mark.parametrize("sid", ["A3", "A4", "B2", "B3", "D4", "F4", "H3", "H4", "I2_7"])
+# the sums put padded lines in the plane keys, Q(sqrt 5) ones in H3+B2
+@pytest.mark.parametrize("sid", ["A3", "A4", "B2", "B3", "D4", "F4", "H3", "H4", "I2_7",
+                                 "E6", "Dprime4", "I2_12", "A2+I2_5", "H3+B2"])
 def test_circuits3_matches_bruteforce(sid):
-    m = matroid_of(parse_system_id(sid))
-    assert circuits3(m) == circuits3_bruteforce(m)
+    s = parse_system_id(sid)
+    assert circuits3(s.lines) == circuits3_bruteforce(matroid_of(s))
+
+
+@pytest.mark.parametrize("vectors", [
+    [(1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0)],  # a parallel pair: {0, 1} is a 2-circuit
+    [(1, 0, 0, 1), (0, 1, 0, 0), (0, 5, 1, 0)],  # e1 + sqrt5 e2 and sqrt5 times it
+    [(1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0)],  # a zero vector is a loop
+])
+def test_circuits3_rejects_parallel_and_zero(vectors):
+    with pytest.raises(ValueError):
+        circuits3(vectors)
 
 
 def test_circuits3_counts():
     for n in range(2, 7):
-        assert len(circuits3(matroid_of(build("A", n)))) == comb(n + 1, 3)
+        assert len(circuits3(build("A", n).lines)) == comb(n + 1, 3)
     for n in range(4, 7):
-        assert len(circuits3(matroid_of(build("D", n)))) == 4 * comb(n, 3)
+        assert len(circuits3(build("D", n).lines)) == 4 * comb(n, 3)
     # marked triples contribute 4 per pair: {e_i, e_j, e_i +- e_j} and
     # {e_i or e_j, e_i+e_j, e_i-e_j}
     for n in range(2, 7):
         expected = 4 * comb(n, 3) + 4 * comb(n, 2)
-        assert len(circuits3(matroid_of(build("B", n)))) == expected
+        assert len(circuits3(build("B", n).lines)) == expected
 
 
 def test_circuits3_uniform():
     for m_param in (5, 8):
-        m = matroid_of(build("I2", m_param))
-        assert len(circuits3(m)) == comb(m_param, 3)
+        s = build("I2", m_param)
+        m = matroid_of(s)
+        assert len(circuits3(s.lines)) == comb(m_param, 3)
         assert rank(m, range(m_param)) == 2
 
 
@@ -162,8 +175,8 @@ def test_all_circuits_a3():
 
 
 def test_all_circuits_b2_caps_at_rank_plus_one():
-    m = matroid_of(build("B", 2))
-    assert all_circuits_upto(m, 3) == circuits3(m)
+    s = build("B", 2)
+    assert all_circuits_upto(matroid_of(s), 3) == circuits3(s.lines)
 
 
 def test_all_circuits_budget_error():
@@ -322,7 +335,7 @@ def test_representative_flip_invariance_randomized():
 def test_circuits3_closed_under_known_group():
     for sid in ["A3", "B3", "D4", "F4", "H3"]:
         s = parse_system_id(sid)
-        c3 = {frozenset(c) for c in circuits3(matroid_of(s))}
+        c3 = {frozenset(c) for c in circuits3(s.lines)}
         for g in known_group_generators(s):
             assert {frozenset(g[i] for i in c) for c in c3} == c3
 
@@ -331,4 +344,4 @@ def test_quadext_rank_path():
     s = build("H3")
     m = matroid_of(s)
     assert rank(m, range(s.num_lines)) == 3
-    assert len(circuits3(m)) == len(circuits3_bruteforce(m))
+    assert len(circuits3(s.lines)) == len(circuits3_bruteforce(m))

@@ -5,7 +5,7 @@ import pytest
 
 from rootmat.graphauto import DEFAULT_NODE_BUDGET, _Search
 from rootmat.incidencegraph import build_incidence
-from rootmat.linmatroid import circuits3, matroid_of
+from rootmat.linmatroid import circuits3
 from rootmat.permgrp import (
     bsgs,
     compose,
@@ -137,7 +137,7 @@ def test_k_e8_bsgs_is_pinned():
 def test_e8_graph_group_bsgs_is_pinned():
     # the self-check group of the E8 C3-graph search, with its first path as base hint
     e8 = build("E8")
-    graph = build_incidence(e8.num_lines, circuits3(matroid_of(e8)))
+    graph = build_incidence(e8.num_lines, circuits3(e8.lines))
     search = _Search(graph, DEFAULT_NODE_BUDGET)
     gens = search.run()
     g = bsgs(gens, degree=graph.num_vertices, base_hint=search.first_path)

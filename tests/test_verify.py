@@ -308,9 +308,18 @@ def test_rank_two_verdict_makes_no_search(sid, monkeypatch):
     assert r.aut_order == r.expected_order == factorial(r.num_lines)
 
 
+@pytest.mark.parametrize("sid", ["A3", "H3", "E6"])
+def test_squeeze_builds_no_matroid(sid, monkeypatch):
+    # C3 comes from the lines; only the all-circuits families build the rows
+    calls = []
+    monkeypatch.setattr(linmatroid, "matroid_of", lambda *a: calls.append(a))
+    assert verify_theorem(sid).status == PASS
+    assert calls == []
+
+
 def test_rank_two_missing_triple_fails(monkeypatch):
     full = linmatroid.circuits3
-    monkeypatch.setattr(linmatroid, "circuits3", lambda m: full(m)[1:])
+    monkeypatch.setattr(linmatroid, "circuits3", lambda lines: full(lines)[1:])
     r = verify_theorem("I2_7")
     assert (r.status, r.detail) == (FAIL, "C3 is not the full triple set")
 
