@@ -111,6 +111,21 @@ def _target_cell_index(partition):
     return best
 
 
+def path_bound(g: ColoredGraph):
+    """prod |T_i| over the target cells of the search's first path, >= |Aut(g)|.
+
+    `refine` is equivariant, so the automorphisms fixing v_1..v_{i-1} (v_j
+    the least vertex of T_j) map T_i onto itself, and the orbit of v_i lies
+    in T_i; the discrete leaf has a trivial stabilizer.  Orbit-stabilizer
+    (McKay & Piperno 2014) gives the bound: a subgroup reaching it is Aut(g).
+    """
+    partition, bound = refine(g, initial_partition(g)), 1
+    while (target := _target_cell_index(partition)) is not None:
+        bound *= len(partition[target])
+        partition = refine(g, _individualize(partition, target, min(partition[target])), [target])
+    return bound
+
+
 def _is_automorphism(g: ColoredGraph, p):
     if any(g.colors[p[v]] != g.colors[v] for v in range(g.num_vertices)):
         return False

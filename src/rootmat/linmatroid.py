@@ -132,7 +132,10 @@ def circuits3(lines):
         p, n = next(k for k, c in enumerate(line_key(v)) if c), len(v) // 2
         vp, buckets = (v[p], v[n + p]), {}
         for j, x in enumerate(lines[i + 1:], i + 1):
-            buckets.setdefault(line_key(combine(vp, x, (x[p], x[n + p]), v)), []).append(j)
+            w = combine(vp, x, (x[p], x[n + p]), v)
+            if any(x) and not any(w):
+                raise ValueError(f"lines {i} and {j} are parallel")
+            buckets.setdefault(line_key(w), []).append(j)
         for bucket in buckets.values():
             out.extend((i, j, k) for j, k in itertools.combinations(bucket, 2))
     return sorted(out)

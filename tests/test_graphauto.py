@@ -11,6 +11,7 @@ from rootmat.graphauto import (
     _target_cell_index,
     automorphism_group,
     initial_partition,
+    path_bound,
     refine,
 )
 from rootmat.incidencegraph import build_incidence, graph_from_edges, restrict_to_ground
@@ -225,7 +226,9 @@ def test_automorphism_group_matches_brute_force_on_random_graphs():
     rng = random.Random(2014)
     for _ in range(40):
         g = _random_graph(rng, 8)
-        assert bsgs(automorphism_group(g), degree=g.num_vertices).order() == _brute_force_order(g)
+        order = _brute_force_order(g)
+        assert bsgs(automorphism_group(g), degree=g.num_vertices).order() == order
+        assert path_bound(g) >= order
 
 
 def test_self_check_falls_back_to_all_vertices():

@@ -137,13 +137,17 @@ def test_circuits3_matches_bruteforce(sid):
 
 
 @pytest.mark.parametrize("vectors", [
-    [(1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0)],  # a parallel pair: {0, 1} is a 2-circuit
-    [(1, 0, 0, 1), (0, 1, 0, 0), (0, 5, 1, 0)],  # e1 + sqrt5 e2 and sqrt5 times it
-    [(1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0)],  # a zero vector is a loop
+    # a parallel pair: {0, 1} is a 2-circuit
+    ([(1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0)], "lines 0 and 1 are parallel"),
+    # e1 + sqrt5 e2 and sqrt5 times it
+    ([(1, 0, 0, 1), (0, 1, 0, 0), (0, 5, 1, 0)], "lines 0 and 2 are parallel"),
+    # a zero vector is a loop
+    ([(1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0)], "zero vector spans no line"),
 ])
 def test_circuits3_rejects_parallel_and_zero(vectors):
-    with pytest.raises(ValueError):
-        circuits3(vectors)
+    lines, message = vectors
+    with pytest.raises(ValueError, match=message):
+        circuits3(lines)
 
 
 def test_circuits3_counts():

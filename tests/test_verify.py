@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import rootmat
-from rootmat import graphauto, linmatroid, rootsystems
+from rootmat import graphauto, linmatroid, permgrp, rootsystems, verify
 from rootmat.cli import build_parser, main
+from rootmat.incidencegraph import build_incidence
 from rootmat.permgrp import bsgs, equal
 from rootmat.verify import (
     FAIL,
@@ -99,15 +100,23 @@ def test_verify_table_subset():
 
 
 def test_budget_exceeded_status():
-    for r in (verify_theorem("E6", node_budget=3), verify_wreath("A3+A3", 3),
-              oracle_crosscheck("A4", node_budget=3)):
+    for r in (verify_wreath("A3+A3", 3), oracle_crosscheck("A4", node_budget=3)):
         assert r.status == "BUDGET_EXCEEDED"
         assert r.detail
 
 
 def test_cli_verify_exit_codes():
     assert main(["verify", "--system", "A3"]) == 0
-    assert main(["verify", "--system", "E6", "--budget", "3"]) == 1
+    assert main(["wreath", "--spec", "A3+A3", "--budget", "3"]) == 1
+
+
+def test_cli_verify_and_table_take_no_budget(capsys):
+    # the squeeze walks one refinement path, so there is no search budget to set
+    for argv in (["verify", "--system", "E6", "--budget", "3"], ["table", "--budget", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 3" in capsys.readouterr().err
 
 
 def test_cli_table_formats(capsys):
@@ -180,12 +189,12 @@ def test_cli_aut_generators(capsys):
     ["crosscheck", "--system", "A3", "--max-order", "2"],
     ["crosscheck", "--system", "A3", "--max-order", "0"],
     ["crosscheck", "--system", "A3", "--max-order", "-2"],
-    ["verify", "--system", "A3", "--budget", "-5"],
+    ["crosscheck", "--system", "A3", "--budget", "-5"],
     ["wreath", "--spec", "A1+A2", "--budget", "0"],
     ["circuits", "--system", "A3", "--budget", "-1"],
 ], ids=["unknown-id", "D3", "empty-families", "circuits-budget", "aut-budget",
         "crosscheck-order-2", "crosscheck-order-0", "crosscheck-order-minus-2",
-        "verify-budget-minus-5", "wreath-budget-0", "circuits-budget-minus-1"])
+        "crosscheck-budget-minus-5", "wreath-budget-0", "circuits-budget-minus-1"])
 def test_cli_errors_are_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -297,15 +306,39 @@ def test_import_loads_no_fractions_module():
     assert proc.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("sid", ["A1", "A2", "B2", "I2_5", "I2_12", "I2_20"])
+@pytest.mark.parametrize("sid", default_table_ids() + ["I2_16", "I2_18", "I2_20", "B9", "D10"])
 def test_rank_two_verdict_makes_no_search(sid, monkeypatch):
-    # the matroid of rank <= 2 is uniform: both ends are Sym(X) without a search
+    # rank <= 2 is uniform, so both ends are Sym(X); above, K(R) closes the
+    # squeeze by reaching the first-path bound: no search, Aut BSGS or subgroup test
     calls = []
-    monkeypatch.setattr(graphauto, "automorphism_group", lambda *a, **k: calls.append(a))
+    for owner, name in [(graphauto, "automorphism_group"), (verify, "aut_group_from_family"),
+                        (permgrp, "is_subgroup")]:
+        monkeypatch.setattr(owner, name, lambda *a, name=name, **k: calls.append(name))
     r = verify_theorem(sid)
     assert calls == []
     assert r.status == PASS
-    assert r.aut_order == r.expected_order == factorial(r.num_lines)
+    uniform = parse_system_id(sid).rank <= 2
+    assert r.aut_order == r.expected_order == (
+        factorial(r.num_lines) if uniform else r.known_group_order)
+
+
+@pytest.mark.parametrize("sid", [s for s in KNOWN_GROUP_IDS if parse_system_id(s).rank > 2])
+def test_path_bound_is_the_searched_order_and_the_known_order(sid):
+    system = parse_system_id(sid)
+    c3 = linmatroid.circuits3(system.lines)
+    n = system.num_lines
+    bound = graphauto.path_bound(build_incidence(n, c3))
+    searched = verify.aut_group_from_family(system, c3, graphauto.DEFAULT_NODE_BUDGET)
+    assert bound == searched.order() == bsgs(known_group_generators(system), degree=n).order()
+
+
+@pytest.mark.parametrize("sid", ["E6", "H4"])
+def test_missing_triple_fails_above_rank_two(sid, monkeypatch):
+    # a C3 that K(R) does not preserve can never pass, whatever its bound
+    full = linmatroid.circuits3
+    monkeypatch.setattr(linmatroid, "circuits3", lambda lines: full(lines)[1:])
+    r = verify_theorem(sid)
+    assert (r.status, r.detail) == (FAIL, "known generator does not preserve C3")
 
 
 @pytest.mark.parametrize("sid", ["A3", "H3", "E6"])
