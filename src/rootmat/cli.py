@@ -61,7 +61,7 @@ def build_parser():
     p.add_argument("--spec", required=True, help='e.g. "A2+A2"')
     _add_budget(p)
 
-    p = sub.add_parser("crosscheck", help="compare C3 group against all-circuits group")
+    p = sub.add_parser("crosscheck", help="check the C3 group's generators against all circuits")
     p.add_argument("--system", required=True)
     p.add_argument("--max-order", type=int, default=None)
     _add_budget(p)
@@ -170,7 +170,7 @@ def cmd_wreath(args):
 
 def cmd_crosscheck(args):
     r = verify.oracle_crosscheck(args.system, kmax=args.max_order, node_budget=args.budget)
-    # a crosscheck report stores the all-circuits group order in known_group_order
+    # a PASS stores the all-circuits group order (that of the C3 group) in known_group_order
     _print_report(r, label="all-circuits")
     return r.status == verify.PASS
 

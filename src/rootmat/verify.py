@@ -11,8 +11,8 @@ both the order-3 characterization and the table row in one shot.
 A matroid of rank <= 2 is uniform once C3 is every triple, so there both
 ends are Sym(X), certified without a graph.
 verify_theorem, verify_wreath and oracle_crosscheck run one pipeline,
-`_verdict`, each with its own input check, set families (searched only by
-verify_wreath and oracle_crosscheck) and decision.
+`_verdict`, each with its own input check, at most one searched set family
+(all circuits for verify_wreath, C3 for oracle_crosscheck) and decision.
 """
 
 from __future__ import annotations
@@ -96,31 +96,25 @@ def aut_group_from_family(system, family, node_budget):
 
 
 def _verdict(system_id, plan, decide, node_budget=graphauto.DEFAULT_NODE_BUDGET) -> VerificationReport:
-    """One timed report: parse, plan, C3, the graph group of each family, decide.
+    """One timed report: parse, plan, C3, the graph group of the family, decide.
 
-    plan(system) checks the system (ValueError) and returns its set families,
-    each a function of (system, C3) called after the group of the one before;
-    a family equal to an earlier one (all circuits of rank 2, say, are C3)
-    reuses its group instead of searching again.
-    decide(system, c3, expected, groups) -> (status, aut, known, detail).
+    plan(system) checks the system (ValueError) and returns None or the one
+    set family to search, a function of (system, C3).
+    decide(system, c3, expected, group) -> (status, aut, known, detail), where
+    group is the family's graph group (None without a family).  A budget
+    exhausted by the search or by decide gives BUDGET_EXCEEDED.
     """
     start = time.perf_counter()
     system = rootsystems.parse_system_id(system_id)
-    families = plan(system)
+    family = plan(system)
     c3 = linmatroid.circuits3(system.lines)
     expected = expected_aut_order(system)
     try:
-        groups, searched = [], {}
-        for family in families:
-            sets = family(system, c3)
-            key = tuple(sets)
-            if key not in searched:
-                searched[key] = aut_group_from_family(system, sets, node_budget)
-            groups.append(searched[key])
+        group = None if family is None else aut_group_from_family(system, family(system, c3),
+                                                                    node_budget)
+        status, aut_order, known_order, detail = decide(system, c3, expected, group)
     except BudgetExceededError as exc:
         status, aut_order, known_order, detail = BUDGET_EXCEEDED, 0, 0, str(exc)
-    else:
-        status, aut_order, known_order, detail = decide(system, c3, expected, groups)
     return VerificationReport(system.system_id, system.num_lines, len(c3), aut_order, expected,
                               known_order, status, int((time.perf_counter() - start) * 1000),
                               detail)
@@ -136,12 +130,12 @@ def verify_theorem(system_id: str) -> VerificationReport:
         if system.family == "DirectSum":
             raise ValueError(f"{system.system_id} is a direct sum; "
                              f"use rootmat wreath --spec {system.system_id}")
-        return []
+        return None
 
     return _verdict(system_id, plan, _squeeze)
 
 
-def _squeeze(system, c3, expected, groups):
+def _squeeze(system, c3, expected, group):
     """K(R) <= Aut(M(R)) <= Aut(G(X, C3)), closed by equal orders.
 
     At rank <= 2 C3 must be every triple; the matroid is then uniform and
@@ -187,10 +181,9 @@ def verify_wreath(sum_spec: str, node_budget=graphauto.DEFAULT_NODE_BUDGET) -> V
     def plan(system):
         if system.family != "DirectSum":
             raise ValueError(f"{sum_spec!r} is not a direct sum")
-        return [lambda s, c3: linmatroid.all_circuits_upto(linmatroid.matroid_of(s), s.rank + 1)]
+        return lambda s, c3: linmatroid.all_circuits_upto(linmatroid.matroid_of(s), s.rank + 1)
 
-    def decide(system, c3, expected, groups):
-        (aut,) = groups
+    def decide(system, c3, expected, aut):
         return PASS if aut.order() == expected else FAIL, aut.order(), 0, ""
 
     return _verdict(sum_spec, plan, decide, node_budget)
@@ -198,22 +191,28 @@ def verify_wreath(sum_spec: str, node_budget=graphauto.DEFAULT_NODE_BUDGET) -> V
 
 def oracle_crosscheck(system_id: str, kmax=None,
                       node_budget=graphauto.DEFAULT_NODE_BUDGET) -> VerificationReport:
-    """Direct check: the C3 graph group equals the all-circuits graph group.
+    """Direct check: the C3 graph group equals the group of all circuits of order <= kmax.
 
-    The circuits of order <= kmax include C3 only for kmax >= 3 (else
-    ValueError); the default is rank + 1, raised to 3 for rank 1 (no circuits).
+    A permutation preserving every circuit of order <= kmax preserves C3, so
+    the all-circuits group lies in the C3 group; it is all of it exactly when
+    each generator of the C3 group (one search, `node_budget` nodes) maps the
+    enumerated circuits onto themselves.  PASS reports the C3 group's order
+    twice; FAIL names the first generator that moves a circuit off the set,
+    with known_group_order 0 (not computed).  The circuits of order <= kmax
+    include C3 only for kmax >= 3 (else ValueError); the default is rank + 1,
+    raised to 3 for rank 1 (no circuits).
     """
-    def plan(system):
-        k = max(system.rank + 1, 3) if kmax is None else kmax
-        if k < 3:
-            raise ValueError(f"crosscheck needs a maximum circuit order of at least 3, got {k}")
-        return [lambda s, c3: c3,
-                lambda s, c3: linmatroid.all_circuits_upto(linmatroid.matroid_of(s), k)]
+    if kmax is not None and kmax < 3:
+        raise ValueError(f"crosscheck needs a maximum circuit order of at least 3, got {kmax}")
 
-    def decide(system, c3, expected, groups):
-        from_c3, from_all = groups
-        ok = permgrp.equal(from_c3, from_all)
-        return (PASS if ok else FAIL, from_c3.order(), from_all.order(),
-                "" if ok else "C3 group differs from full-circuit group")
+    def decide(system, c3, expected, from_c3):
+        k = kmax or max(system.rank + 1, 3)
+        circuits = linmatroid.all_circuits_upto(linmatroid.matroid_of(system), k)
+        family = {frozenset(c) for c in circuits}
+        for gen in from_c3.generators:
+            if not _preserves_family(gen, family):
+                return (FAIL, from_c3.order(), 0, f"C3 group generator "
+                        f"{permgrp.cycle_notation(gen)} does not preserve the circuits")
+        return PASS, from_c3.order(), from_c3.order(), ""
 
-    return _verdict(system_id, plan, decide, node_budget)
+    return _verdict(system_id, lambda system: lambda s, c3: c3, decide, node_budget)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from math import factorial, prod
@@ -10,6 +11,7 @@ import pytest
 import rootmat
 from rootmat import graphauto, linmatroid, permgrp, rootsystems, verify
 from rootmat.cli import build_parser, main
+from rootmat.errors import BudgetExceededError
 from rootmat.incidencegraph import build_incidence
 from rootmat.permgrp import bsgs, equal
 from rootmat.verify import (
@@ -103,6 +105,16 @@ def test_budget_exceeded_status():
     for r in (verify_wreath("A3+A3", 3), oracle_crosscheck("A4", node_budget=3)):
         assert r.status == "BUDGET_EXCEEDED"
         assert r.detail
+
+
+def test_crosscheck_enumeration_budget_gives_budget_exceeded(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise BudgetExceededError("all_circuits_upto", 10)
+
+    monkeypatch.setattr(linmatroid, "all_circuits_upto", exhausted)
+    r = oracle_crosscheck("A4")
+    assert (r.status, r.aut_order, r.known_group_order) == ("BUDGET_EXCEEDED", 0, 0)
+    assert r.detail == "all_circuits_upto: node budget of 10 exceeded"
 
 
 def test_cli_verify_exit_codes():
@@ -271,19 +283,67 @@ def test_cli_verify_direct_sum_is_a_usage_error(capsys):
     assert err == "rootmat: error: A2+A2 is a direct sum; use rootmat wreath --spec A2+A2\n"
 
 
-@pytest.mark.parametrize("sid,kmax,searches", [("I2_7", None, 1), ("A3", 3, 1), ("A3", None, 2)])
-def test_crosscheck_searches_each_distinct_family_once(sid, kmax, searches, monkeypatch):
-    # rank 2 (all circuits have order 3) and kmax = 3 make the all-circuits family C3
-    calls = []
-    search = graphauto.automorphism_group
+@pytest.mark.parametrize("sid,kmax", [("I2_7", None), ("A3", 3), ("A3", None), ("D5", None),
+                                      ("A2+A2", None)])
+def test_crosscheck_makes_one_search_on_the_c3_graph(sid, kmax, monkeypatch):
+    # the all-circuits family is checked against the C3 group's generators, never searched
+    searched, built, calls = [], [], []
+    search, build_graph = graphauto.automorphism_group, verify.build_incidence
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return search(*args, **kwargs)
+    def counted_search(g, *args, **kwargs):
+        searched.append(g.num_vertices)
+        return search(g, *args, **kwargs)
 
-    monkeypatch.setattr(graphauto, "automorphism_group", counted)
-    assert oracle_crosscheck(sid, kmax=kmax).status == PASS
-    assert len(calls) == searches
+    def counted_build(*args, **kwargs):
+        built.append(args)
+        return build_graph(*args, **kwargs)
+
+    monkeypatch.setattr(graphauto, "automorphism_group", counted_search)
+    monkeypatch.setattr(verify, "build_incidence", counted_build)
+    monkeypatch.setattr(permgrp, "equal", lambda *a: calls.append("equal"))
+    r = oracle_crosscheck(sid, kmax=kmax)
+    assert r.status == PASS
+    assert searched == [r.num_lines + r.c3_count]
+    assert len(built) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("sid,kmax", [("A3", 3), ("A3", None), ("A4", None), ("A5", None),
+                                      ("B3", None), ("B4", None), ("D4", None), ("D5", None),
+                                      ("H3", None), ("Dprime4", None), ("I2_7", None),
+                                      ("A2+A2", None), ("B2+A1", None)])
+def test_crosscheck_orders_match_the_all_circuits_search(sid, kmax):
+    # the old path: search the all-circuits incidence graph itself
+    system = parse_system_id(sid)
+    k = kmax or max(system.rank + 1, 3)
+    circuits = linmatroid.all_circuits_upto(linmatroid.matroid_of(system), k)
+    searched = verify.aut_group_from_family(system, circuits, graphauto.DEFAULT_NODE_BUDGET)
+    r = oracle_crosscheck(sid, kmax=kmax)
+    assert r.status == PASS
+    assert r.aut_order == r.known_group_order == searched.order()
+
+
+@pytest.mark.parametrize("sid", ["A4", "D4"])
+def test_crosscheck_fails_on_a_missing_four_circuit(sid, monkeypatch, capsys):
+    # drop one 4-circuit: the C3 group moves it, so some generator maps the family off itself
+    full = linmatroid.all_circuits_upto
+
+    def dropped(*args, **kwargs):
+        circuits = full(*args, **kwargs)
+        first = next(i for i, c in enumerate(circuits) if len(c) == 4)
+        return circuits[:first] + circuits[first + 1:]
+
+    monkeypatch.setattr(linmatroid, "all_circuits_upto", dropped)
+    r = oracle_crosscheck(sid)
+    assert r.status == FAIL
+    assert r.known_group_order == 0
+    assert r.aut_order == r.expected_order
+    assert re.fullmatch(r"C3 group generator (\(\d+( \d+)+\))+ does not preserve the circuits",
+                        r.detail), r.detail
+    assert main(["crosscheck", "--system", sid]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    assert "all-circuits=" not in out
 
 
 @pytest.mark.parametrize("families", ["A:1..2..3", "A:x", "A:", "A:3..1", "A:3..1,B:2"])
