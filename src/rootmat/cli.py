@@ -1,10 +1,11 @@
 """Command line interface.
 
 Exit code is 0 exactly when every requested check reports PASS, 1 when a
-check reports anything else, and 2 when the input is bad or a circuit or
-search budget runs out before a report is made (one line on stderr).  A
-closed standard output (say, `rootmat circuits ... | head -1`) ends the
-command quietly with exit code 141, as a shell reports a SIGPIPE death.
+check reports anything else, and 2 when the input is bad, a graph's first-path
+bound does not close, or a circuit or refinement budget runs out before a
+report is made (one line on stderr).  A closed standard output (say,
+`rootmat circuits ... | head -1`) ends the command quietly with exit code
+141, as a shell reports a SIGPIPE death.
 
 Note on G2: the matroid of a root system forgets root lengths, so the G2
 matroid equals that of I2(6); use the system id "I2_6".

@@ -1,23 +1,23 @@
-"""Color-preserving graph automorphisms via individualization-refinement.
+"""Color-preserving graph automorphisms along one refinement path.
 
-The search keeps an ordered partition of the vertices, refines it to the
-coarsest equitable partition by a splitter queue (McKay & Piperno,
-*Practical graph isomorphism II*, 2014), picks the first smallest
-non-singleton cell as target, and branches on its members.  A child
-individualizes one member, so its refinement starts from that singleton
-cell alone.  Discrete partitions are compared against the first leaf; a
-match that verifies edge-by-edge becomes a generator.  Two standard
-prunings keep the tree small: vertices in the orbit of an already-explored
-sibling (under generators fixing the branching prefix) are skipped, and
-subtrees off the first path are abandoned once they produce one
-automorphism, since everything below is then conjugate to
-already-explored territory.  A Schreier-Sims self-check on a faithful
-support of the group guards the result.
+`refine` takes an ordered partition of the vertices to the coarsest
+equitable partition by a splitter queue (McKay & Piperno, *Practical graph
+isomorphism II*, 2014).  The first path refines, individualizes the least
+vertex of the first smallest non-singleton cell (the target cell T_i) and
+refines again, down to a discrete leaf; refinement is equivariant, so
+prod |T_i| bounds the group order (`path_bound`).  `automorphism_group`
+descends once below each target-cell vertex outside the orbit found so far
+and matches the leaf with the first leaf; verified edge-by-edge, each match
+is a generator.  When all verify, the group reaches the bound; a leaf that
+fails means the bound does not close and is an error, not a search.  A
+Schreier-Sims self-check on a faithful support of the group guards the
+result.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from math import prod
 
 from .errors import BudgetExceededError
 from .incidencegraph import ColoredGraph
@@ -111,29 +111,39 @@ def _target_cell_index(partition):
     return best
 
 
+def _first_path(g: ColoredGraph, spend=lambda: None, partition=None, active=None):
+    """The first path below an ordered partition (by default g's initial one).
+
+    Refines, then individualizes the least vertex of the first smallest
+    non-singleton cell, the target, and refines again, until the partition
+    is discrete.  Returns the (partition, target index) of each level and the
+    leaf, the vertices in cell order.  spend() runs before each refinement.
+    """
+    spend()
+    partition = refine(g, initial_partition(g) if partition is None else partition, active)
+    levels = []
+    while (target := _target_cell_index(partition)) is not None:
+        levels.append((partition, target))
+        spend()
+        # the parent is equitable, so only the new singleton can split a cell
+        partition = refine(g, _individualize(partition, target, min(partition[target])), [target])
+    return levels, [cell[0] for cell in partition]
+
+
 def path_bound(g: ColoredGraph):
-    """prod |T_i| over the target cells of the search's first path, >= |Aut(g)|.
+    """prod |T_i| over the target cells of the first path, >= |Aut(g)|.
 
     `refine` is equivariant, so the automorphisms fixing v_1..v_{i-1} (v_j
     the least vertex of T_j) map T_i onto itself, and the orbit of v_i lies
     in T_i; the discrete leaf has a trivial stabilizer.  Orbit-stabilizer
     (McKay & Piperno 2014) gives the bound: a subgroup reaching it is Aut(g).
     """
-    partition, bound = refine(g, initial_partition(g)), 1
-    while (target := _target_cell_index(partition)) is not None:
-        bound *= len(partition[target])
-        partition = refine(g, _individualize(partition, target, min(partition[target])), [target])
-    return bound
+    return prod(len(partition[target]) for partition, target in _first_path(g)[0])
 
 
 def _is_automorphism(g: ColoredGraph, p):
-    if any(g.colors[p[v]] != g.colors[v] for v in range(g.num_vertices)):
-        return False
-    for u in range(g.num_vertices):
-        image = {p[w] for w in g.adjacency[u]}
-        if image != g.adjacency[p[u]]:
-            return False
-    return True
+    return all(g.colors[p[v]] == g.colors[v] and {p[w] for w in g.adjacency[v]} == g.adjacency[p[v]]
+               for v in range(g.num_vertices))
 
 
 def _orbit(point, gens):
@@ -147,63 +157,6 @@ def _orbit(point, gens):
                 orbit.add(y)
                 queue.append(y)
     return orbit
-
-
-class _Search:
-    def __init__(self, g, node_budget):
-        self.g = g
-        self.budget = node_budget
-        self.nodes = 0
-        self.first_leaf = None
-        self.first_path = []
-        self.gens = []
-
-    def run(self):
-        self._descend(initial_partition(self.g), None, [], on_first_path=True)
-        return self.gens
-
-    def _descend(self, partition, active, prefix, on_first_path):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceededError("automorphism_group", self.budget)
-        partition = refine(self.g, partition, active)
-        target = _target_cell_index(partition)
-        if target is None:
-            return self._leaf(partition)
-        found = 0
-        explored = []
-        for v in sorted(partition[target]):
-            fixing = [p for p in self.gens if all(p[x] == x for x in prefix)]
-            if any(v in _orbit(w, fixing) for w in explored):
-                continue
-            if on_first_path and not explored:
-                self.first_path.append(v)
-            # the parent is equitable, so only the new singleton can split a cell
-            found += self._descend(
-                _individualize(partition, target, v),
-                [target],
-                prefix + [v],
-                on_first_path and not explored,
-            )
-            explored.append(v)
-            if found and not on_first_path:
-                # conjugate to an already-explored subtree; nothing new below
-                return found
-        return found
-
-    def _leaf(self, partition):
-        leaf = [cell[0] for cell in partition]
-        if self.first_leaf is None:
-            self.first_leaf = leaf
-            return 0
-        perm = [0] * self.g.num_vertices
-        for v, w in zip(leaf, self.first_leaf):
-            perm[v] = w
-        perm = tuple(perm)
-        if _is_automorphism(self.g, perm):
-            self.gens.append(perm)
-            return 1
-        return 0
 
 
 def _faithful_support(g: ColoredGraph):
@@ -222,33 +175,56 @@ def _faithful_support(g: ColoredGraph):
 
 
 def automorphism_group(g: ColoredGraph, node_budget=DEFAULT_NODE_BUDGET):
-    """Generators of the color-preserving automorphism group of g.
+    """Generators of the color-preserving automorphism group of g, of order `path_bound(g)`.
 
-    Every returned generator is verified edge-by-edge.  As a self-check,
-    the order of the generated group must equal the orbit-stabilizer count
-    along the search's first branching path; a mismatch would mean a search
-    bug and raises.  The order comes from Schreier-Sims on the generators
-    restricted to a faithful support (`_faithful_support`): the element
-    vertices X for an incidence graph G(X, F), since F has no repeated set.
+    From the deepest level of the first path up, each w in T_i outside the
+    orbit of v_i under the generators found so far gets one descent (the
+    first path below w individualized); its leaf, matched with the first
+    leaf, is verified edge-by-edge and becomes a generator mapping w to v_i.
+    The orbits then fill every T_i, so the group reaches the bound and is
+    Aut(g).  A leaf that fails shows that the bound does not close: a
+    ValueError.  Every refinement spends one of node_budget nodes.
+
+    As a self-check, Schreier-Sims on the generators restricted to a
+    faithful support (`_faithful_support`: the element vertices X for an
+    incidence graph G(X, F), since F has no repeated set) must give the
+    bound; a mismatch would mean a bug and raises.
     """
-    search = _Search(g, node_budget)
-    gens = search.run()
-    if gens:
-        path = search.first_path
-        support = _faithful_support(g)
-        index = {v: i for i, v in enumerate(support)}
-        group = bsgs(
-            [tuple(index[p[v]] for v in support) for p in gens],
-            degree=len(support),
-            base_hint=[index[b] for b in path if b in index],
+    nodes = 0
+
+    def spend():
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError("automorphism_group", node_budget)
+
+    levels, first_leaf = _first_path(g, spend)
+    path = [min(partition[target]) for partition, target in levels]
+    bound = prod(len(partition[target]) for partition, target in levels)
+    gens = []
+    for depth in reversed(range(len(levels))):
+        partition, target = levels[depth]
+        orbit = _orbit(path[depth], gens)
+        for w in sorted(partition[target]):
+            if w in orbit:
+                continue
+            _, leaf = _first_path(g, spend, _individualize(partition, target, w), [target])
+            perm = tuple(u for _, u in sorted(zip(leaf, first_leaf)))  # leaf[k] -> first_leaf[k]
+            if not _is_automorphism(g, perm):
+                raise ValueError(f"automorphism_group: the first-path bound {bound} does not "
+                                 f"close (the leaf below vertex {w} is no automorphism)")
+            gens.append(perm)
+            orbit = _orbit(path[depth], gens)
+    support = _faithful_support(g)
+    index = {v: i for i, v in enumerate(support)}
+    group = bsgs(
+        [tuple(index[p[v]] for v in support) for p in gens],
+        degree=len(support),
+        base_hint=[index[b] for b in path if b in index],
+    )
+    if group.order() != bound:
+        raise AssertionError(
+            f"automorphism search inconsistent: BSGS order {group.order()} "
+            f"vs first-path bound {bound}"
         )
-        expected = 1
-        for i, b in enumerate(path):
-            fixing = [p for p in gens if all(p[x] == x for x in path[:i])]
-            expected *= len(_orbit(b, fixing))
-        if group.order() != expected:
-            raise AssertionError(
-                f"automorphism search inconsistent: BSGS order {group.order()} "
-                f"vs orbit-stabilizer count {expected}"
-            )
     return gens

@@ -124,6 +124,17 @@ def test_asymmetric_graph_has_trivial_group():
     assert automorphism_group(g) == []
 
 
+def test_frucht_graph_bound_does_not_close():
+    # cubic and asymmetric, but refinement leaves one cell: the bound is 12, |Aut| is 1
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    edges = [(i, (i + 1) % 12) for i in range(12)] + [(i, (i + lcf[i]) % 12) for i in range(12)]
+    g = graph_from_edges(12, [0] * 12, edges)
+    assert path_bound(g) == 12
+    with pytest.raises(ValueError, match="first-path bound 12 does not close") as info:
+        automorphism_group(g)
+    assert "\n" not in str(info.value)
+
+
 def _reference_refine(g, partition):
     """Full-round Weisfeiler-Leman refinement, the reference for `refine`.
 
@@ -227,8 +238,7 @@ def test_automorphism_group_matches_brute_force_on_random_graphs():
     for _ in range(40):
         g = _random_graph(rng, 8)
         order = _brute_force_order(g)
-        assert bsgs(automorphism_group(g), degree=g.num_vertices).order() == order
-        assert path_bound(g) >= order
+        assert bsgs(automorphism_group(g), degree=g.num_vertices).order() == order == path_bound(g)
 
 
 def test_self_check_falls_back_to_all_vertices():

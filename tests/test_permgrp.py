@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from rootmat.graphauto import DEFAULT_NODE_BUDGET, _Search
+from rootmat.graphauto import _first_path, automorphism_group
 from rootmat.incidencegraph import build_incidence
 from rootmat.linmatroid import circuits3
 from rootmat.permgrp import (
@@ -135,13 +135,12 @@ def test_k_e8_bsgs_is_pinned():
 
 
 def test_e8_graph_group_bsgs_is_pinned():
-    # the self-check group of the E8 C3-graph search, with its first path as base hint
+    # the self-check group of the E8 C3-graph group, with its first path as base hint
     e8 = build("E8")
     graph = build_incidence(e8.num_lines, circuits3(e8.lines))
-    search = _Search(graph, DEFAULT_NODE_BUDGET)
-    gens = search.run()
-    g = bsgs(gens, degree=graph.num_vertices, base_hint=search.first_path)
-    assert search.first_path == [0, 120, 2, 1, 26, 36, 108, 51, 52]
+    path = [min(partition[target]) for partition, target in _first_path(graph)[0]]
+    g = bsgs(automorphism_group(graph), degree=graph.num_vertices, base_hint=path)
+    assert path == [0, 120, 2, 1, 26, 36, 108, 51, 52]
     assert g.base == [52, 26, 2, 36, 0, 108, 51, 1]
     assert g.basic_orbit_lengths() == [120, 63, 32, 15, 8, 3, 2, 2]
     assert g.order() == 348364800

@@ -387,9 +387,11 @@ def test_path_bound_is_the_searched_order_and_the_known_order(sid):
     system = parse_system_id(sid)
     c3 = linmatroid.circuits3(system.lines)
     n = system.num_lines
-    bound = graphauto.path_bound(build_incidence(n, c3))
+    g = build_incidence(n, c3)
+    graph_group = bsgs(graphauto.automorphism_group(g), degree=g.num_vertices)
     searched = verify.aut_group_from_family(system, c3, graphauto.DEFAULT_NODE_BUDGET)
-    assert bound == searched.order() == bsgs(known_group_generators(system), degree=n).order()
+    assert graphauto.path_bound(g) == graph_group.order() == searched.order() == bsgs(
+        known_group_generators(system), degree=n).order()
 
 
 @pytest.mark.parametrize("sid", ["E6", "H4"])
