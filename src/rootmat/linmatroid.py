@@ -10,13 +10,14 @@ is over Q and a line becomes the one row a.  Otherwise it is over
 Q(sqrt 5) and a line becomes the two rows [a | b] and [5b | a]; their
 rational span is the Q(sqrt 5)-span of the line (restriction of scalars),
 so a rank over Q(sqrt 5) is the integer rank divided by the degree 2.
-All rows are kept primitive (divided by the gcd of their entries) through
-one incremental echelon form.
+Both reduce rows by fraction-free (Bareiss) steps, `_reduce`: each one
+divides exactly by the previous pivot, so entries stay small with no gcd.
 
-The circuit enumeration needs no rank oracle: each row it reduces carries
-integer coefficient columns that record which members' rows it combines,
-so a dependent candidate's reduced row holds its dependency, and the
-candidate is a circuit exactly when no member's coefficient is zero.
+The circuit enumeration needs no rank oracle: each search node carries
+its candidates' rows reduced against the current independent set, with
+coefficient columns that record which members' rows they combine, so a
+dependent candidate is a circuit exactly when no member's coefficient is
+zero.
 
 Circuits are emitted as sorted index tuples in lexicographic order, so all
 dumps are byte-reproducible.
@@ -43,13 +44,9 @@ class LinearMatroid:
         """The matroid of integer vectors (a | b), each the line a + b*sqrt(5)."""
         parts = [(list(v[:len(v) // 2]), list(v[len(v) // 2:])) for v in vectors]
         degree = 2 if any(any(b) for _, b in parts) else 1
-        rows = []
-        for a, b in parts:
-            if degree == 1:
-                rows.append((_primitive(a),))
-            else:
-                rows.append((_primitive(a + b), _primitive([5 * y for y in b] + a)))
-        return LinearMatroid(len(rows), tuple(rows), degree)
+        rows = tuple((_primitive(a),) if degree == 1
+                     else (_primitive(a + b), _primitive([5 * y for y in b] + a)) for a, b in parts)
+        return LinearMatroid(len(rows), rows, degree)
 
 
 def matroid_of(system) -> LinearMatroid:
@@ -68,49 +65,41 @@ def _primitive(vec):
     return tuple([c // g for c in vec]) if g > 1 else tuple(vec)
 
 
-def _eliminate(vec, pivot_row, col):
-    """Clear column col of vec with pivot_row (nonzero there), kept primitive."""
-    if not vec[col]:
-        return vec
-    p, f = pivot_row[col], vec[col]
-    return _primitive([p * a - f * b for a, b in zip(vec, pivot_row)])
+def _reduce(row, steps):
+    """row after each fraction-free (Bareiss) elimination step in turn.
+
+    A step (pivot row, column c, pivot p, previous pivot) maps v to
+    (p*v - v[c]*pivot row) // previous pivot, clearing column c.  Entries
+    stay minors of the original rows, so it divides exactly with no gcd;
+    every row takes every step, also one with v[c] == 0, or a later one would not.
+    """
+    for pivot, c, p, prev in steps:
+        f = row[c]
+        if f:
+            row = [(p * a - f * b) // prev for a, b in zip(row, pivot)]
+        elif p != prev:
+            row = [p * a // prev for a in row]
+    return row
 
 
-class _Echelon:
-    """Incremental integer row echelon form (for rank and the circuit DFS)."""
-
-    def __init__(self):
-        self.rows = []  # primitive rows, each reduced against the earlier ones
-        self.pivots = []
-
-    def reduce(self, vec):
-        for row, p in zip(self.rows, self.pivots):
-            vec = _eliminate(vec, row, p)
-        return vec
-
-    def push(self, reduced_vec):
-        p = next(i for i, c in enumerate(reduced_vec) if c)
-        self.rows.append(reduced_vec)
-        self.pivots.append(p)
-
-    def pop(self):
-        self.rows.pop()
-        self.pivots.pop()
+def _step(row, prev):
+    """The step that clears the first nonzero column of row with row itself."""
+    p = next(filter(None, row))
+    return row, row.index(p), p, prev
 
 
 def rank(m: LinearMatroid, subset) -> int:
-    ech = _Echelon()
+    steps = []
     for i in subset:
         if not 0 <= i < m.ground_size:
             raise IndexError(f"element {i} out of range")
         # the span so far is closed under sqrt(5): the first row of i decides
-        first, *rest = m.rows[i]
-        reduced = ech.reduce(first)
-        if any(reduced):
-            ech.push(reduced)
-            for row in rest:
-                ech.push(ech.reduce(row))
-    return len(ech.rows) // m.degree
+        for row in m.rows[i]:
+            row = _reduce(row, steps)
+            if not any(row):
+                break
+            steps.append(_step(row, steps[-1][2] if steps else 1))
+    return len(steps) // m.degree
 
 
 # -- order-3 circuits -----------------------------------------------------
@@ -149,61 +138,63 @@ DEFAULT_NODE_BUDGET = 5_000_000
 def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
     """All circuits of order <= kmax, lexicographically sorted.
 
-    Depth-first over independent sets in lexicographic order; a set is
+    Depth-first over independent sets S in lexicographic order; a set is
     only extended while independent (every circuit is some independent
     prefix plus one dependent element).  Raises BudgetExceededError when
-    the search frontier exceeds node_budget nodes.
+    the search frontier exceeds node_budget nodes, a node counting one for
+    every element after the last member of S.
 
-    Each row in the echelon carries kmax * degree coefficient columns (at
-    most (dim + 1) * degree) after its n vector columns; a pushed row is
-    nonzero in the vector columns, so every pivot is one of them.  Row r of
-    the element at depth d starts with a unit in column n + d * degree + r;
-    elimination is linear, so every reduced row is its vector part next to
-    the integer combination of the members' rows that produced it.  When
-    the first row of a candidate reduces to zero in the vector columns, its
-    coefficient columns hold the dependency of the candidate set, scaled.
-    The current set is independent, so that dependency is unique up to a
-    scalar of the field, and the set is a circuit exactly when every
-    member's coefficient is nonzero (the candidate's own is, by
-    construction).  Over Q(sqrt 5) a member's two columns (alpha, beta)
-    give the coefficient alpha + beta*sqrt(5) (row 1 is sqrt(5) times
-    row 0), which is zero only when both are.
+    A node carries its candidates' rows (the elements after S not in
+    span(S)) reduced against S: pushing a member j is one level, j's
+    `degree` rows reducing the candidates after j by one `_reduce` step
+    each.  A row is n vector columns, one block of `degree` coefficient
+    columns per depth and a last block for the candidate (a unit in column
+    r of row r at the start), moved to block d when it is pushed at depth
+    d, so a reduced row is its vector part next to the integer combination
+    of rows that produced it.  A candidate whose first row is zero in the
+    vector columns lies in span(S); its blocks hold the dependency of S
+    plus it, unique up to a scalar as S is independent, and the set is a
+    circuit exactly when every member's block is nonzero.  Over Q(sqrt 5)
+    a block (alpha, beta) is the coefficient alpha + beta*sqrt(5) (row 1 is
+    sqrt(5) times row 0); span(S) is closed under sqrt(5), so the first row
+    alone decides.  Such a candidate is dropped: below a further member j
+    its dependency is the same, 0 at j, so it closes no circuit through j.
     """
     if kmax < 1 or not m.ground_size:
         return []
-    out = []
-    ech = _Echelon()
-    nodes = 0
-    deg = m.degree
-    n = len(m.rows[0][0])
-    # A circuit has at most dim + 1 = n // deg + 1 elements, so no deeper
-    # candidate exists and a huge kmax needs no more columns.
-    width = min(kmax, n // deg + 1) * deg
-    units = [tuple(int(c == j) for c in range(width)) for j in range(width)]
+    out, nodes, deg, n = [], 0, m.degree, len(m.rows[0][0])
+    # no set of more than dim = n // deg members is extended, so a huge
+    # kmax needs no more blocks; the candidate's own block comes last
+    own = n + (min(kmax, n // deg + 1) - 1) * deg
+    units = [[0] * (own - n) + [int(c == r) for c in range(deg)] for r in range(deg)]
 
-    def extend(current):
+    def extend(members, ks, carried, prev):
         nonlocal nodes
-        d = len(current)
-        start = current[-1] + 1 if current else 0
-        for k in range(start, m.ground_size):
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError("all_circuits_upto", node_budget)
-            # Over Q(sqrt 5) the span of the current rows is closed under
-            # multiplication by sqrt(5), so the first row of k alone
-            # decides whether k depends on the current set.
-            rows = m.rows[k]
-            reduced = ech.reduce(rows[0] + units[d * deg])
-            if any(reduced[:n]):
-                if d + 1 < kmax:
-                    ech.push(reduced)
-                    for r in range(1, deg):
-                        ech.push(ech.reduce(rows[r] + units[d * deg + r]))
-                    extend(current + [k])
-                    for _ in rows:
-                        ech.pop()
-            elif all(any(reduced[n + j * deg:n + (j + 1) * deg]) for j in range(d)):
-                out.append(tuple(current + [k]))
+        nodes += m.ground_size - (members[-1] + 1 if members else 0)
+        if nodes > node_budget:
+            raise BudgetExceededError("all_circuits_upto", node_budget)
+        d, at = len(members), n + len(members) * deg
+        live_ks, live = [], []
+        for k, rows in zip(ks, carried):
+            first = rows[0]
+            if any(first[:n]):
+                live_ks.append(k)
+                live.append(rows)
+            # every member's block nonzero; a block over Q(sqrt 5) is a pair
+            elif all(first[n:at] if deg == 1 else map(any, zip(first[n:at:2], first[n + 1:at:2]))):
+                out.append(tuple(members + [k]))
+        if d + 1 < kmax:
+            for t, rows in enumerate(live):
+                later, pivot = live[t + 1:], prev
+                if later:  # else the node below only counts its nodes
+                    steps = []
+                    for v in rows:  # the last block moves to block d
+                        v = v[:at] + v[own:] + v[at + deg:own] + [0] * deg
+                        steps.append(_step(_reduce(v, steps), steps[-1][2] if steps else prev))
+                    later, pivot = [[_reduce(v, steps) for v in vs] for vs in later], steps[-1][2]
+                extend(members + [live_ks[t]], live_ks[t + 1:], later, pivot)
 
-    extend([])
+    extend([], range(m.ground_size),
+           [[list(row) + units[r] for r, row in enumerate(rows)] for rows in m.rows], 1)
+    del extend  # it refers to itself: break the cycle, so the search is freed now, not by gc
     return sorted(out)

@@ -175,18 +175,27 @@ def verify_wreath(sum_spec: str, node_budget=graphauto.DEFAULT_NODE_BUDGET) -> V
     """Brute-force check of the wreath-product formula on a direct sum.
 
     The order-3 characterization is stated for irreducible systems only,
-    so reducible systems go through the full circuit set (all orders up
-    to rank + 1).
+    so reducible systems go through the full circuit set (`sum_circuits`).
     """
     def plan(system):
         if system.family != "DirectSum":
             raise ValueError(f"{sum_spec!r} is not a direct sum")
-        return lambda s, c3: linmatroid.all_circuits_upto(linmatroid.matroid_of(s), s.rank + 1)
+        return lambda s, c3: sum_circuits(s)
 
     def decide(system, c3, expected, aut):
         return PASS if aut.order() == expected else FAIL, aut.order(), 0, ""
 
     return _verdict(sum_spec, plan, decide, node_budget)
+
+
+def sum_circuits(system):
+    """All circuits of a direct sum, sorted: its components' (Oxley 4.2), shifted to their lines."""
+    out, offset = [], 0
+    for c in system.components:
+        out += [tuple(offset + i for i in circuit) for circuit in
+                linmatroid.all_circuits_upto(linmatroid.matroid_of(c), c.rank + 1)]
+        offset += c.num_lines
+    return sorted(out)
 
 
 def oracle_crosscheck(system_id: str, kmax=None,

@@ -237,7 +237,52 @@ def test_all_circuits_match_bruteforce_random_sqrt5():
         assert all_circuits_upto(m, 4) == sorted(want), vectors
 
 
-@pytest.mark.parametrize("sid,kmax,count", [("B5", 6, 9302), ("F4", 5, 10400)])
+def _reference_circuits(vectors, kmax):
+    """Circuits of order <= kmax by plain field elimination, sharing no rootmat code."""
+    def dependent(subset):
+        return _reference_rank([vectors[i] for i in subset]) < len(subset)
+
+    return [c for k in range(1, kmax + 1)
+            for c in itertools.combinations(range(len(vectors)), k)
+            if dependent(c) and not any(dependent(c[:i] + c[i + 1:]) for i in range(k))]
+
+
+def _random_vectors(rng, dim, irrational):
+    """Eight integer vectors (a | b): five with entries a + b*sqrt(5), a in
+    -3..3 and b in -2..2 (b = 0 over Q), and three combinations of two of
+    them with such coefficients, for circuits of every small order."""
+    def entry():
+        return rng.randint(-3, 3), rng.randint(-2, 2) if irrational else 0
+
+    vecs = [[entry() for _ in range(dim)] for _ in range(5)]
+    for _ in range(3):
+        u, w = rng.sample(vecs, 2)
+        (s, s5), (t, t5) = entry(), entry()
+        vecs.append([(s * a + 5 * s5 * b + t * c + 5 * t5 * d, s * b + s5 * a + t * d + t5 * c)
+                     for (a, b), (c, d) in zip(u, w)])
+    rng.shuffle(vecs)
+    return [tuple(a for a, _ in v) + tuple(b for _, b in v) for v in vecs]
+
+
+# entries beyond +-1 give fraction-free pivots other than +-1; loops,
+# parallel pairs and circuits of orders 3 to 5 all occur, and kmax runs
+# past rank + 1
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("irrational", [False, True], ids=["Q", "Q(sqrt5)"])
+def test_all_circuits_match_reference_field_elimination(seed, irrational):
+    rng = random.Random(seed)
+    vectors = _random_vectors(rng, rng.choice([3, 4]), irrational)
+    m = LinearMatroid.from_vectors(vectors)
+    assert m.degree == (2 if irrational else 1)
+    exact = field_vectors(vectors)
+    full_rank = _reference_rank(exact)
+    want = _reference_circuits(exact, full_rank + 2)
+    for kmax in range(1, full_rank + 3):
+        assert all_circuits_upto(m, kmax) == [c for c in sorted(want) if len(c) <= kmax], kmax
+
+
+@pytest.mark.parametrize("sid,kmax,count", [("B5", 6, 9302), ("F4", 5, 10400),
+                                            ("D5", 6, 2182), ("H3", 4, 685)])
 def test_all_circuits_counts_are_pinned(sid, kmax, count):
     assert len(all_circuits_upto(matroid_of(parse_system_id(sid)), kmax)) == count
 

@@ -83,6 +83,14 @@ def test_wreath_order_formula():
     assert wreath_order(parse_system_id("D4+Dprime4")) == 2 * 576 ** 2
 
 
+# H3+A1 and A2+I2_5 mix a Q(sqrt 5) or rank-2 component into the sum
+@pytest.mark.parametrize("spec", ["A1+A2+B3", "A3+A3", "A2+I2_5", "H3+A1"])
+def test_sum_circuits_are_the_whole_sum_circuits(spec):
+    s = parse_system_id(spec)
+    whole = linmatroid.all_circuits_upto(linmatroid.matroid_of(s), s.rank + 1)
+    assert verify.sum_circuits(s) == whole
+
+
 def test_verify_wreath_rejects_irreducible():
     with pytest.raises(ValueError):
         verify_wreath("A3")
