@@ -3,6 +3,8 @@
 C3 comes straight from the integer line vectors (a | b), coordinate k
 being a_k + b_k*sqrt(5): a plane through a line v is keyed by the line_key
 of any other of its lines reduced modulo v, one Z[sqrt 5] elimination step.
+Given generators of a group that preserves C3, only one line per orbit is
+keyed, and a transversal maps its triples to the rest of the orbit.
 
 The rank oracle and the circuit enumeration hold the matroid as integer
 rows, built once from the same vectors.  When every b is zero the matroid
@@ -105,29 +107,57 @@ def rank(m: LinearMatroid, subset) -> int:
 # -- order-3 circuits -----------------------------------------------------
 
 
-def circuits3(lines):
+def circuits3(lines, gens=()):
     """All 3-element circuits of integer lines (a | b), sorted lexicographically.
 
-    With no parallel pair, a triple i < j < k is a circuit exactly when it
-    is coplanar.  Let p be the first nonzero coordinate of v = lines[i].
-    The map x -> v[p] x - x[p] v is Q(sqrt 5)-linear with kernel the line
-    of v, so lines j and k map to one line_key exactly when {i, j, k} is
-    coplanar: each bucket of line i gives its pairs (j, k).  A zero vector,
-    or a later line parallel to v (mapped to zero), raises ValueError.
+    Without gens, `_triples` runs on each line i against the later lines.
+    With gens, permutations preserving C3, it runs once per orbit of their
+    group, on its first line r against all others; a BFS over gens gives
+    each x in the orbit a transversal element k_x = g o k_parent with
+    k_x(r) = x, which maps the triples through r onto those through x, kept
+    when x is their least member, so each once (orbit-stabilizer).  The line
+    maps of (semi)linear bijections of the line set (`perm_from_linear_map`)
+    preserve C3; a bare index map need not.
     """
-    out = []
-    for i, v in enumerate(lines):
-        # line_key raises ValueError on a zero v, and keeps its first nonzero coordinate
-        p, n = next(k for k, c in enumerate(line_key(v)) if c), len(v) // 2
-        vp, buckets = (v[p], v[n + p]), {}
-        for j, x in enumerate(lines[i + 1:], i + 1):
-            w = combine(vp, x, (x[p], x[n + p]), v)
-            if any(x) and not any(w):
-                raise ValueError(f"lines {i} and {j} are parallel")
-            buckets.setdefault(line_key(w), []).append(j)
-        for bucket in buckets.values():
-            out.extend((i, j, k) for j, k in itertools.combinations(bucket, 2))
+    if not gens:
+        return sorted([t for i in range(len(lines))
+                       for t in _triples(lines, i, enumerate(lines[i + 1:], i + 1))])
+    out, transversal = [], [None] * len(lines)
+    for r in range(len(lines)):
+        if transversal[r] is None:
+            transversal[r], orbit = tuple(range(len(lines))), [r]
+            for x in orbit:  # the BFS: the orbit grows while it is walked
+                for g in gens:
+                    if transversal[g[x]] is None:
+                        transversal[g[x]] = tuple([g[a] for a in transversal[x]])
+                        orbit.append(g[x])
+            through_r = _triples(lines, r, ((j, x) for j, x in enumerate(lines) if j != r))
+            for x in orbit:
+                k = transversal[x]
+                pairs = ((k[j], k[l]) for _, j, l in through_r)
+                out += [(x, min(p), max(p)) for p in pairs if x < min(p)]
     return sorted(out)
+
+
+def _triples(lines, i, others):
+    """The coplanar triples (i, j, k), j before k in others, pairs (j, lines[j]).
+
+    With no parallel pair they are the circuits through i.  Let p be the
+    first nonzero coordinate of v = lines[i].  The map x -> v[p] x - x[p] v
+    is Q(sqrt 5)-linear with kernel the line of v, so lines j and k map to
+    one line_key exactly when {i, j, k} is coplanar.  A zero vector, or a
+    line of others parallel to v (mapped to zero), raises ValueError.
+    """
+    v = lines[i]
+    # line_key raises ValueError on a zero v, and keeps its first nonzero coordinate
+    p, n = next(k for k, c in enumerate(line_key(v)) if c), len(v) // 2
+    vp, buckets = (v[p], v[n + p]), {}
+    for j, x in others:
+        w = combine(vp, x, (x[p], x[n + p]), v)
+        if any(x) and not any(w):
+            raise ValueError(f"lines {i} and {j} are parallel")
+        buckets.setdefault(line_key(w), []).append(j)
+    return [(i, j, k) for bucket in buckets.values() for j, k in itertools.combinations(bucket, 2)]
 
 
 # -- bounded circuit enumeration ------------------------------------------

@@ -6,7 +6,8 @@ symmetries) is contained in Aut(M(R)), which in turn is contained in the
 automorphism group of the incidence graph of the order-3 circuits, whose
 order is at most the first-path bound `graphauto.path_bound`.  |K(R)|
 equal to that bound and to the table order collapses the chain, certifying
-both the order-3 characterization and the table row in one shot.
+both the order-3 characterization and the table row in one shot.  K(R)'s
+generators come first, so at rank >= 3 C3 is built from one line per K(R)-orbit.
 
 A matroid of rank <= 2 is uniform once C3 is every triple, so there both
 ends are Sym(X), certified without a graph.
@@ -95,23 +96,27 @@ def aut_group_from_family(system, family, node_budget):
     return permgrp.bsgs(ground, degree=system.num_lines)
 
 
-def _verdict(system_id, plan, decide, node_budget=graphauto.DEFAULT_NODE_BUDGET) -> VerificationReport:
-    """One timed report: parse, plan, C3, the graph group of the family, decide.
+def _verdict(system_id, plan, decide, node_budget=graphauto.DEFAULT_NODE_BUDGET,
+             known=False) -> VerificationReport:
+    """One timed report: parse, plan, K(R) if known, C3, the graph group of the family, decide.
 
     plan(system) checks the system (ValueError) and returns None or the one
-    set family to search, a function of (system, C3).
+    set family to search, a function of (system, C3).  known builds K(R)'s
+    generators once, first; at rank >= 3, where each is the line map of a
+    (semi)linear bijection (I2's are index maps), C3 comes from their orbits.
     decide(system, c3, expected, group) -> (status, aut, known, detail), where
-    group is the family's graph group (None without a family).  A budget
-    exhausted by the search or by decide gives BUDGET_EXCEEDED.
+    group is K(R) with known, else the family's graph group (None without a
+    family).  A budget exhausted by the search or by decide gives BUDGET_EXCEEDED.
     """
     start = time.perf_counter()
     system = rootsystems.parse_system_id(system_id)
     family = plan(system)
-    c3 = linmatroid.circuits3(system.lines)
+    gens = rootsystems.known_group_generators(system) if known else ()
+    c3 = linmatroid.circuits3(system.lines, gens if system.rank >= 3 else ())
     expected = expected_aut_order(system)
     try:
-        group = None if family is None else aut_group_from_family(system, family(system, c3),
-                                                                    node_budget)
+        group = (permgrp.bsgs(gens, degree=system.num_lines) if known else family
+                 and aut_group_from_family(system, family(system, c3), node_budget))
         status, aut_order, known_order, detail = decide(system, c3, expected, group)
     except BudgetExceededError as exc:
         status, aut_order, known_order, detail = BUDGET_EXCEEDED, 0, 0, str(exc)
@@ -132,22 +137,23 @@ def verify_theorem(system_id: str) -> VerificationReport:
                              f"use rootmat wreath --spec {system.system_id}")
         return None
 
-    return _verdict(system_id, plan, _squeeze)
+    return _verdict(system_id, plan, _squeeze, known=True)
 
 
-def _squeeze(system, c3, expected, group):
+def _squeeze(system, c3, expected, known):
     """K(R) <= Aut(M(R)) <= Aut(G(X, C3)), closed by equal orders.
 
     At rank <= 2 C3 must be every triple; the matroid is then uniform and
     both ends are Sym(X).  Above, K(R) preserves C3, so |K(R)| equal to the
-    first-path bound proves K(R) = Aut(M(R)) = Aut(G(X, C3)).
+    first-path bound proves K(R) = Aut(M(R)) = Aut(G(X, C3)).  C3 is built from
+    K(R)'s orbits there, so checking that each generator preserves it is what
+    catches a generator that is no automorphism (a transposition of two lines).
     """
     n = system.num_lines
     uniform = system.rank <= 2
     if uniform and len(c3) != comb(n, 3):
         return FAIL, 0, 0, "C3 is not the full triple set"
     aut_order = factorial(n) if uniform else graphauto.path_bound(build_incidence(n, c3))
-    known = permgrp.bsgs(rootsystems.known_group_generators(system), degree=n)
     family = {frozenset(c) for c in c3}
     if not all(_preserves_family(gen, family) for gen in known.generators):
         return FAIL, aut_order, known.order(), "known generator does not preserve C3"

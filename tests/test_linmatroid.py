@@ -15,6 +15,7 @@ from rootmat.linmatroid import (
     rank,
 )
 from rootmat.rootsystems import build, known_group_generators, line_key, parse_system_id
+from rootmat.verify import default_table_ids
 
 
 def is_independent(m, subset):
@@ -387,6 +388,34 @@ def test_circuits3_closed_under_known_group():
         c3 = {frozenset(c) for c in circuits3(s.lines)}
         for g in known_group_generators(s):
             assert {frozenset(g[i] for i in c) for c in c3} == c3
+
+
+# every rank >= 3 table id, three beyond the table, and sums with several orbits
+ORBIT_IDS = [sid for sid in default_table_ids() if parse_system_id(sid).rank >= 3]
+ORBIT_IDS += ["B9", "D10", "Dprime4", "A3+A3", "H3+A1", "D4+Dprime4", "E6+A1"]
+
+
+@pytest.mark.parametrize("sid", ORBIT_IDS)
+def test_circuits3_from_known_orbits_is_circuits3(sid):
+    # one bucket pass per K(R)-orbit, its triples mapped by the transversal;
+    # the sums have product generators and several orbits
+    s = parse_system_id(sid)
+    assert circuits3(s.lines, known_group_generators(s)) == circuits3(s.lines)
+
+
+def test_circuits3_from_a_subgroup_is_circuits3():
+    # each prefix of E7's generators generates a subgroup, with more orbits
+    s = build("E7")
+    gens, expected = known_group_generators(s), circuits3(s.lines)
+    for k in range(1, len(gens) + 1):
+        assert circuits3(s.lines, gens[:k]) == expected
+
+
+def test_circuits3_from_orbits_rejects_a_parallel_pair():
+    # line 1 is in line 0's orbit, so only line 0's pass sees it
+    lines = [(1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]
+    with pytest.raises(ValueError, match="lines 0 and 1 are parallel"):
+        circuits3(lines, [(1, 0, 2)])
 
 
 def test_quadext_rank_path():

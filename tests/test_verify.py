@@ -279,6 +279,57 @@ def test_known_group_missing_a_simple_reflection_fails(dropped, monkeypatch):
     assert r.known_group_order < r.aut_order == 51840
 
 
+def _bogus_generator_cases():
+    for sid in ["E6", "H4", "D5", "F4"]:
+        for i in range(len(known_group_generators(parse_system_id(sid)))):
+            yield sid, i
+
+
+@pytest.mark.parametrize("sid,replaced", list(_bogus_generator_cases()))
+def test_generator_that_is_no_line_map_fails(sid, replaced, monkeypatch):
+    # C3 is built from K(R)'s orbits: a generator that is not an automorphism
+    # (the transposition of lines 0 and 1) must fail the preservation check
+    full = rootsystems.known_group_generators
+
+    def bogus(system):
+        gens = list(full(system))
+        gens[replaced] = (1, 0) + tuple(range(2, system.num_lines))
+        return gens
+
+    monkeypatch.setattr(rootsystems, "known_group_generators", bogus)
+    r = verify_theorem(sid)
+    assert (r.status, r.detail) == (FAIL, "known generator does not preserve C3")
+
+
+def _record_calls(monkeypatch):
+    """Count known_group_generators calls; record the generators circuits3 gets."""
+    calls, c3_gens = [], []
+    kgens, c3 = rootsystems.known_group_generators, linmatroid.circuits3
+    monkeypatch.setattr(rootsystems, "known_group_generators",
+                        lambda system: calls.append(system.system_id) or kgens(system))
+    monkeypatch.setattr(linmatroid, "circuits3",
+                        lambda lines, *a: c3_gens.append(a) or c3(lines, *a))
+    return calls, c3_gens
+
+
+@pytest.mark.parametrize("sid", ["A3", "E6", "H4", "B9", "I2_7", "A2"])
+def test_verify_theorem_builds_known_generators_once(sid, monkeypatch):
+    # one list of K(R)'s generators per verdict: C3 takes it at rank >= 3
+    calls, c3_gens = _record_calls(monkeypatch)
+    assert verify_theorem(sid).status == PASS
+    assert calls == [sid]
+    rank = parse_system_id(sid).rank
+    assert c3_gens == [(known_group_generators(parse_system_id(sid)),) if rank >= 3 else ((),)]
+
+
+def test_crosscheck_and_wreath_build_no_known_group(monkeypatch):
+    calls, c3_gens = _record_calls(monkeypatch)
+    assert oracle_crosscheck("D4").status == PASS
+    assert verify_wreath("A1+A2+B3").status == PASS
+    assert calls == []
+    assert all(not any(a) for a in c3_gens)
+
+
 @pytest.mark.parametrize("spec", ["A2+A2", "H3+A1"])
 def test_verify_theorem_rejects_direct_sums(spec):
     with pytest.raises(ValueError, match="rootmat wreath --spec"):
@@ -406,7 +457,7 @@ def test_path_bound_is_the_searched_order_and_the_known_order(sid):
 def test_missing_triple_fails_above_rank_two(sid, monkeypatch):
     # a C3 that K(R) does not preserve can never pass, whatever its bound
     full = linmatroid.circuits3
-    monkeypatch.setattr(linmatroid, "circuits3", lambda lines: full(lines)[1:])
+    monkeypatch.setattr(linmatroid, "circuits3", lambda lines, *a: full(lines, *a)[1:])
     r = verify_theorem(sid)
     assert (r.status, r.detail) == (FAIL, "known generator does not preserve C3")
 
@@ -422,7 +473,7 @@ def test_squeeze_builds_no_matroid(sid, monkeypatch):
 
 def test_rank_two_missing_triple_fails(monkeypatch):
     full = linmatroid.circuits3
-    monkeypatch.setattr(linmatroid, "circuits3", lambda lines: full(lines)[1:])
+    monkeypatch.setattr(linmatroid, "circuits3", lambda lines, *a: full(lines, *a)[1:])
     r = verify_theorem("I2_7")
     assert (r.status, r.detail) == (FAIL, "C3 is not the full triple set")
 
