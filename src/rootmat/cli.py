@@ -2,7 +2,7 @@
 
 Exit code is 0 exactly when every requested check reports PASS, 1 when a
 check reports anything else, and 2 when the input is bad, a graph's first-path
-bound does not close, or a circuit or refinement budget runs out before a
+bound does not close, or a circuit enumeration budget runs out before a
 report is made (one line on stderr).  A closed standard output (say,
 `rootmat circuits ... | head -1`) ends the command quietly with exit code
 141, as a shell reports a SIGPIPE death.
@@ -21,13 +21,8 @@ import os
 import re
 import sys
 
-from . import graphauto, linmatroid, permgrp, rootsystems, verify
+from . import linmatroid, permgrp, rootsystems, verify
 from .errors import BudgetExceededError
-
-
-def _add_budget(parser, default=graphauto.DEFAULT_NODE_BUDGET):
-    parser.add_argument("--budget", type=int, default=default,
-                        help="node budget (default %(default)s)")
 
 
 def build_parser():
@@ -51,21 +46,19 @@ def build_parser():
     p.add_argument("--system", required=True)
     p.add_argument("--max-order", type=int, default=3)
     p.add_argument("--format", choices=("text", "json"), default="json")
-    _add_budget(p, linmatroid.DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=int, default=linmatroid.DEFAULT_NODE_BUDGET,
+                   help="enumeration node budget (default %(default)s)")
 
     p = sub.add_parser("aut", help="compute the graph automorphism group")
     p.add_argument("--system", required=True)
     p.add_argument("--emit-generators", action="store_true")
-    _add_budget(p)
 
     p = sub.add_parser("wreath", help="check the wreath-product formula on a sum")
     p.add_argument("--spec", required=True, help='e.g. "A2+A2"')
-    _add_budget(p)
 
     p = sub.add_parser("crosscheck", help="check the C3 group's generators against all circuits")
     p.add_argument("--system", required=True)
     p.add_argument("--max-order", type=int, default=None)
-    _add_budget(p)
 
     return parser
 
@@ -138,7 +131,7 @@ def cmd_circuits(args):
         circuits = linmatroid.circuits3(system.lines)
     else:
         circuits = linmatroid.all_circuits_upto(linmatroid.matroid_of(system), args.max_order,
-                                                node_budget=args.budget)
+                                                args.budget)
     if args.format == "json":
         print(json.dumps({
             "system": system.system_id,
@@ -155,22 +148,22 @@ def cmd_circuits(args):
 def cmd_aut(args):
     system = rootsystems.parse_system_id(args.system)
     c3 = linmatroid.circuits3(system.lines)
-    group = verify.aut_group_from_family(system, c3, args.budget)
-    print(f"{system.system_id}: |Aut(G(X, C3))| = {group.order()}")
+    order, gens = verify.aut_group_from_family(system, c3)
+    print(f"{system.system_id}: |Aut(G(X, C3))| = {order}")
     if args.emit_generators:
-        for g in group.generators:
+        for g in gens:
             print(permgrp.cycle_notation(g))
     return True
 
 
 def cmd_wreath(args):
-    r = verify.verify_wreath(args.spec, node_budget=args.budget)
+    r = verify.verify_wreath(args.spec)
     _print_report(r)
     return r.status == verify.PASS
 
 
 def cmd_crosscheck(args):
-    r = verify.oracle_crosscheck(args.system, kmax=args.max_order, node_budget=args.budget)
+    r = verify.oracle_crosscheck(args.system, kmax=args.max_order)
     # a PASS stores the all-circuits group order (that of the C3 group) in known_group_order
     _print_report(r, label="all-circuits")
     return r.status == verify.PASS
@@ -189,7 +182,7 @@ COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "budget", 1) < 1:  # verify and table take no budget
+        if getattr(args, "budget", 1) < 1:  # only circuits takes a budget
             raise ValueError(f"--budget must be at least 1, got {args.budget}")
         ok = COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit

@@ -2,7 +2,7 @@
 
 
 class BudgetExceededError(RuntimeError):
-    """A bounded search or refinement walk passed its configured node budget."""
+    """A bounded circuit enumeration passed its configured node budget."""
 
     def __init__(self, what, budget):
         super().__init__(f"{what}: node budget of {budget} exceeded")

@@ -9,9 +9,9 @@ prod |T_i| bounds the group order (`path_bound`).  `automorphism_group`
 descends once below each target-cell vertex outside the orbit found so far
 and matches the leaf with the first leaf; verified edge-by-edge, each match
 is a generator.  When all verify, the group reaches the bound; a leaf that
-fails means the bound does not close and is an error, not a search.  A
-Schreier-Sims self-check on a faithful support of the group guards the
-result.
+fails means the bound does not close and is an error, not a search, so the
+walk (the first path and one descent per generator) needs no node budget.
+A Schreier-Sims self-check on a faithful support guards the result.
 """
 
 from __future__ import annotations
@@ -19,11 +19,8 @@ from __future__ import annotations
 from collections import deque
 from math import prod
 
-from .errors import BudgetExceededError
 from .incidencegraph import ColoredGraph
 from .permgrp import bsgs
-
-DEFAULT_NODE_BUDGET = 200_000
 
 
 def initial_partition(g: ColoredGraph):
@@ -111,20 +108,18 @@ def _target_cell_index(partition):
     return best
 
 
-def _first_path(g: ColoredGraph, spend=lambda: None, partition=None, active=None):
+def _first_path(g: ColoredGraph, partition=None, active=None):
     """The first path below an ordered partition (by default g's initial one).
 
     Refines, then individualizes the least vertex of the first smallest
     non-singleton cell, the target, and refines again, until the partition
     is discrete.  Returns the (partition, target index) of each level and the
-    leaf, the vertices in cell order.  spend() runs before each refinement.
+    leaf, the vertices in cell order.
     """
-    spend()
     partition = refine(g, initial_partition(g) if partition is None else partition, active)
     levels = []
     while (target := _target_cell_index(partition)) is not None:
         levels.append((partition, target))
-        spend()
         # the parent is equitable, so only the new singleton can split a cell
         partition = refine(g, _individualize(partition, target, min(partition[target])), [target])
     return levels, [cell[0] for cell in partition]
@@ -174,7 +169,7 @@ def _faithful_support(g: ColoredGraph):
     return support if len(set(keys)) == len(keys) else list(range(g.num_vertices))
 
 
-def automorphism_group(g: ColoredGraph, node_budget=DEFAULT_NODE_BUDGET):
+def automorphism_group(g: ColoredGraph):
     """Generators of the color-preserving automorphism group of g, of order `path_bound(g)`.
 
     From the deepest level of the first path up, each w in T_i outside the
@@ -182,23 +177,14 @@ def automorphism_group(g: ColoredGraph, node_budget=DEFAULT_NODE_BUDGET):
     first path below w individualized); its leaf, matched with the first
     leaf, is verified edge-by-edge and becomes a generator mapping w to v_i.
     The orbits then fill every T_i, so the group reaches the bound and is
-    Aut(g).  A leaf that fails shows that the bound does not close: a
-    ValueError.  Every refinement spends one of node_budget nodes.
+    Aut(g).  A leaf that fails shows that the bound does not close: a ValueError.
 
     As a self-check, Schreier-Sims on the generators restricted to a
     faithful support (`_faithful_support`: the element vertices X for an
     incidence graph G(X, F), since F has no repeated set) must give the
     bound; a mismatch would mean a bug and raises.
     """
-    nodes = 0
-
-    def spend():
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceededError("automorphism_group", node_budget)
-
-    levels, first_leaf = _first_path(g, spend)
+    levels, first_leaf = _first_path(g)
     path = [min(partition[target]) for partition, target in levels]
     bound = prod(len(partition[target]) for partition, target in levels)
     gens = []
@@ -208,7 +194,7 @@ def automorphism_group(g: ColoredGraph, node_budget=DEFAULT_NODE_BUDGET):
         for w in sorted(partition[target]):
             if w in orbit:
                 continue
-            _, leaf = _first_path(g, spend, _individualize(partition, target, w), [target])
+            _, leaf = _first_path(g, _individualize(partition, target, w), [target])
             perm = tuple(u for _, u in sorted(zip(leaf, first_leaf)))  # leaf[k] -> first_leaf[k]
             if not _is_automorphism(g, perm):
                 raise ValueError(f"automorphism_group: the first-path bound {bound} does not "

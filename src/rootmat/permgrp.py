@@ -36,15 +36,6 @@ def is_identity(p):
     return p == identity(len(p))
 
 
-def perm_from_cycles(degree, cycles):
-    """Build a permutation from a list of cycles, e.g. [[0, 1, 2], [3, 4]]."""
-    p = list(range(degree))
-    for cyc in cycles:
-        for i, x in enumerate(cyc):
-            p[x] = cyc[(i + 1) % len(cyc)]
-    return tuple(p)
-
-
 def cycle_notation(p) -> str:
     seen = set()
     parts = []
@@ -183,9 +174,6 @@ class PermGroup:
             raise ValueError("degree mismatch")
         h, i = self._strip(p)
         return i == len(self.base) and is_identity(h)
-
-    def basic_orbit_lengths(self):
-        return [len(t) for t in self._trans]
 
 
 def bsgs(generators, degree=None, base_hint=()) -> PermGroup:

@@ -324,13 +324,13 @@ F4_DUALITY_MATRIX = (
 def extra_symmetry_perms(system: RootSystem):
     """Generators of the known symmetries beyond the reflections.
 
-    B_n and D_n (n >= 5): the sign flip e1 -> -e1.  D4: the reflections in
-    the short roots of F4 (triality comes for free).  F4: the integer
-    duality matrix swapping the two D4 copies.  H3/H4: coordinatewise
-    Galois conjugation.  Everything else needs no extra generator.
+    D_n (n >= 5): the sign flip e1 -> -e1, which in B_n is the reflection in
+    e1.  D4: the reflections in the short roots of F4 (triality comes for
+    free).  F4: the integer duality matrix swapping the two D4 copies.
+    H3/H4: coordinatewise Galois conjugation.  Everything else needs none.
     """
     fam, n = system.family, system.ambient_dim
-    if fam in ("B", "D") and not (fam == "D" and system.rank_param == 4):
+    if fam == "D" and system.rank_param >= 5:
         flip = lambda x: (-x[0],) + x[1:n] + (-x[n],) + x[n + 1:]
         return [perm_from_linear_map(system, flip)]
     if fam in ("D", "Dprime4"):

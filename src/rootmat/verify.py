@@ -88,36 +88,37 @@ def _preserves_family(perm, family):
     return all(frozenset(perm[i] for i in c) in family for c in family)
 
 
-def aut_group_from_family(system, family, node_budget):
-    """BSGS of the ground group of the incidence graph of a set family."""
+def aut_group_from_family(system, family):
+    """(order, generators on X) of the graph group of a set family's incidence graph.
+
+    The order is the first-path bound, which `automorphism_group`'s self-check proves exact.
+    """
     g = build_incidence(system.num_lines, family)
-    gens = graphauto.automorphism_group(g, node_budget=node_budget)
-    ground = [restrict_to_ground(p, system.num_lines) for p in gens]
-    return permgrp.bsgs(ground, degree=system.num_lines)
+    gens = graphauto.automorphism_group(g)
+    return graphauto.path_bound(g), [restrict_to_ground(p, system.num_lines) for p in gens]
 
 
-def _verdict(system_id, plan, decide, node_budget=graphauto.DEFAULT_NODE_BUDGET,
-             known=False) -> VerificationReport:
-    """One timed report: parse, plan, K(R) if known, C3, the graph group of the family, decide.
+def _verdict(system_id, plan, decide) -> VerificationReport:
+    """One timed report: parse, plan, K(R) or the family, C3, its group, decide.
 
     plan(system) checks the system (ValueError) and returns None or the one
-    set family to search, a function of (system, C3).  known builds K(R)'s
-    generators once, first; at rank >= 3, where each is the line map of a
+    set family to search, a function of (system, C3).  Without one, K(R)'s
+    generators come first; at rank >= 3, where each is the line map of a
     (semi)linear bijection (I2's are index maps), C3 comes from their orbits.
-    decide(system, c3, expected, group) -> (status, aut, known, detail), where
-    group is K(R) with known, else the family's graph group (None without a
-    family).  A budget exhausted by the search or by decide gives BUDGET_EXCEEDED.
+    decide(system, c3, expected, order, gens) -> (status, aut, known, detail)
+    gets K(R)'s without a family, else the family's graph group's.  An
+    exhausted circuit enumeration gives BUDGET_EXCEEDED.
     """
     start = time.perf_counter()
     system = rootsystems.parse_system_id(system_id)
     family = plan(system)
-    gens = rootsystems.known_group_generators(system) if known else ()
+    gens = () if family else rootsystems.known_group_generators(system)
     c3 = linmatroid.circuits3(system.lines, gens if system.rank >= 3 else ())
     expected = expected_aut_order(system)
     try:
-        group = (permgrp.bsgs(gens, degree=system.num_lines) if known else family
-                 and aut_group_from_family(system, family(system, c3), node_budget))
-        status, aut_order, known_order, detail = decide(system, c3, expected, group)
+        group = (aut_group_from_family(system, family(system, c3)) if family
+                 else (permgrp.bsgs(gens, degree=system.num_lines).order(), gens))
+        status, aut_order, known_order, detail = decide(system, c3, expected, *group)
     except BudgetExceededError as exc:
         status, aut_order, known_order, detail = BUDGET_EXCEEDED, 0, 0, str(exc)
     return VerificationReport(system.system_id, system.num_lines, len(c3), aut_order, expected,
@@ -137,10 +138,10 @@ def verify_theorem(system_id: str) -> VerificationReport:
                              f"use rootmat wreath --spec {system.system_id}")
         return None
 
-    return _verdict(system_id, plan, _squeeze, known=True)
+    return _verdict(system_id, plan, _squeeze)
 
 
-def _squeeze(system, c3, expected, known):
+def _squeeze(system, c3, expected, known_order, gens):
     """K(R) <= Aut(M(R)) <= Aut(G(X, C3)), closed by equal orders.
 
     At rank <= 2 C3 must be every triple; the matroid is then uniform and
@@ -155,10 +156,10 @@ def _squeeze(system, c3, expected, known):
         return FAIL, 0, 0, "C3 is not the full triple set"
     aut_order = factorial(n) if uniform else graphauto.path_bound(build_incidence(n, c3))
     family = {frozenset(c) for c in c3}
-    if not all(_preserves_family(gen, family) for gen in known.generators):
-        return FAIL, aut_order, known.order(), "known generator does not preserve C3"
-    ok = (aut_order if uniform else known.order()) == aut_order == expected
-    return PASS if ok else FAIL, aut_order, known.order(), "" if ok else "order mismatch"
+    if not all(_preserves_family(gen, family) for gen in gens):
+        return FAIL, aut_order, known_order, "known generator does not preserve C3"
+    ok = (aut_order if uniform else known_order) == aut_order == expected
+    return PASS if ok else FAIL, aut_order, known_order, "" if ok else "order mismatch"
 
 
 def default_table_ids():
@@ -177,7 +178,7 @@ def verify_table(system_ids=None):
     return [verify_theorem(sid) for sid in system_ids]
 
 
-def verify_wreath(sum_spec: str, node_budget=graphauto.DEFAULT_NODE_BUDGET) -> VerificationReport:
+def verify_wreath(sum_spec: str) -> VerificationReport:
     """Brute-force check of the wreath-product formula on a direct sum.
 
     The order-3 characterization is stated for irreducible systems only,
@@ -188,10 +189,10 @@ def verify_wreath(sum_spec: str, node_budget=graphauto.DEFAULT_NODE_BUDGET) -> V
             raise ValueError(f"{sum_spec!r} is not a direct sum")
         return lambda s, c3: sum_circuits(s)
 
-    def decide(system, c3, expected, aut):
-        return PASS if aut.order() == expected else FAIL, aut.order(), 0, ""
+    def decide(system, c3, expected, order, gens):
+        return PASS if order == expected else FAIL, order, 0, ""
 
-    return _verdict(sum_spec, plan, decide, node_budget)
+    return _verdict(sum_spec, plan, decide)
 
 
 def sum_circuits(system):
@@ -204,30 +205,29 @@ def sum_circuits(system):
     return sorted(out)
 
 
-def oracle_crosscheck(system_id: str, kmax=None,
-                      node_budget=graphauto.DEFAULT_NODE_BUDGET) -> VerificationReport:
+def oracle_crosscheck(system_id: str, kmax=None) -> VerificationReport:
     """Direct check: the C3 graph group equals the group of all circuits of order <= kmax.
 
     A permutation preserving every circuit of order <= kmax preserves C3, so
     the all-circuits group lies in the C3 group; it is all of it exactly when
-    each generator of the C3 group (one search, `node_budget` nodes) maps the
-    enumerated circuits onto themselves.  PASS reports the C3 group's order
-    twice; FAIL names the first generator that moves a circuit off the set,
-    with known_group_order 0 (not computed).  The circuits of order <= kmax
-    include C3 only for kmax >= 3 (else ValueError); the default is rank + 1,
-    raised to 3 for rank 1 (no circuits).
+    each generator of the C3 group (one search) maps the enumerated circuits
+    onto themselves.  PASS reports the C3 group's order twice; FAIL names the
+    first generator that moves a circuit off the set, with known_group_order 0
+    (not computed).  The circuits of order <= kmax include C3 only for
+    kmax >= 3 (else ValueError); the default is rank + 1, raised to 3 for
+    rank 1 (no circuits).
     """
     if kmax is not None and kmax < 3:
         raise ValueError(f"crosscheck needs a maximum circuit order of at least 3, got {kmax}")
 
-    def decide(system, c3, expected, from_c3):
+    def decide(system, c3, expected, order, gens):
         k = kmax or max(system.rank + 1, 3)
         circuits = linmatroid.all_circuits_upto(linmatroid.matroid_of(system), k)
         family = {frozenset(c) for c in circuits}
-        for gen in from_c3.generators:
+        for gen in gens:
             if not _preserves_family(gen, family):
-                return (FAIL, from_c3.order(), 0, f"C3 group generator "
+                return (FAIL, order, 0, f"C3 group generator "
                         f"{permgrp.cycle_notation(gen)} does not preserve the circuits")
-        return PASS, from_c3.order(), from_c3.order(), ""
+        return PASS, order, order, ""
 
-    return _verdict(system_id, lambda system: lambda s, c3: c3, decide, node_budget)
+    return _verdict(system_id, lambda system: lambda s, c3: c3, decide)

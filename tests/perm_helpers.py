@@ -1,0 +1,15 @@
+"""Permutation helpers that only the tests need: cycles in, basic orbits out."""
+
+
+def perm_from_cycles(degree, cycles):
+    """Build a permutation from a list of cycles, e.g. [[0, 1, 2], [3, 4]]."""
+    p = list(range(degree))
+    for cyc in cycles:
+        for i, x in enumerate(cyc):
+            p[x] = cyc[(i + 1) % len(cyc)]
+    return tuple(p)
+
+
+def basic_orbit_lengths(group):
+    """The basic orbit lengths of a PermGroup, one per base point (its transversal sizes)."""
+    return [len(t) for t in group._trans]

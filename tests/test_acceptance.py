@@ -23,10 +23,11 @@ from math import factorial
 import pytest
 
 from classical_shapes import classical_circuits
+from perm_helpers import perm_from_cycles
 from rootmat import graphauto, linmatroid, permgrp, rootsystems
 from rootmat.incidencegraph import build_incidence, restrict_to_ground
 from rootmat.linmatroid import all_circuits_upto, circuits3, matroid_of
-from rootmat.permgrp import bsgs, is_subgroup, perm_from_cycles
+from rootmat.permgrp import bsgs, is_subgroup
 from rootmat.rootsystems import known_group_generators, parse_system_id
 from rootmat.verify import aut_group_from_family, default_table_ids, verify_wreath
 
@@ -60,18 +61,24 @@ def _emit(capsys, num, title, failures):
     assert not failures, "; ".join(failures)
 
 
+def _graph_group(system, family):
+    """The BSGS of the family's graph group on X, and the order returned with its generators."""
+    order, gens = aut_group_from_family(system, family)
+    return bsgs(gens, degree=system.num_lines), order
+
+
 @pytest.fixture(scope="session")
 def pipeline():
-    """For every table system: C3, the graph group, K(R), and the wall time."""
+    """For every table system: C3, the graph group, its returned order, K(R), the wall time."""
     data = {}
     for sid in default_table_ids():
         start = time.perf_counter()
         system = parse_system_id(sid)
         c3 = circuits3(system.lines)
-        aut = aut_group_from_family(system, c3, node_budget=BIG_BUDGET)
+        aut, returned = _graph_group(system, c3)
         elapsed = time.perf_counter() - start
         known = bsgs(known_group_generators(system), degree=system.num_lines)
-        data[sid] = {"system": system, "c3": c3, "aut": aut,
+        data[sid] = {"system": system, "c3": c3, "aut": aut, "returned": returned,
                      "known": known, "seconds": elapsed}
     return data
 
@@ -97,6 +104,8 @@ def test_criterion_1_table_reproduction(pipeline, capsys):
         got, want = d["aut"].order(), EXPECTED[sid]
         if got != want:
             failures.append(f"{sid}: |Aut| = {got}, expected {want}")
+        if d["returned"] != got:
+            failures.append(f"{sid}: returned order {d['returned']} != BSGS order {got}")
         limit = TIME_LIMIT_S.get(sid, DEFAULT_TIME_LIMIT_S)
         if d["seconds"] > limit:
             failures.append(f"{sid}: took {d['seconds']:.1f}s > {limit}s")
@@ -135,12 +144,13 @@ def test_criterion_3_oracle_equivalence(pipeline, classical_ground_truth, capsys
             system = parse_system_id(sid)
             m = matroid_of(system)
             circuits = all_circuits_upto(m, system.rank + 1, node_budget=BIG_BUDGET)
-        from_all = aut_group_from_family(system, circuits, node_budget=BIG_BUDGET)
+        from_all, returned = _graph_group(system, circuits)
         from_c3 = (pipeline[sid]["aut"] if sid in pipeline
-                   else aut_group_from_family(system, circuits3(system.lines),
-                                              node_budget=BIG_BUDGET))
+                   else _graph_group(system, circuits3(system.lines))[0])
         if not permgrp.equal(from_c3, from_all):
             failures.append(f"{sid}: C3 group differs from all-circuits group")
+        if returned != from_all.order():
+            failures.append(f"{sid}: returned order {returned} != BSGS order {from_all.order()}")
     _emit(capsys, 3, "C3 graph group equals all-circuits graph group", failures)
 
 
@@ -158,7 +168,7 @@ def test_criterion_5_wreath_formula(capsys):
     cases = {"A1+A1": 2, "A1+A2": 6, "A2+A2": 72, "A1+A1+A1": 6}
     failures = []
     for spec, want in cases.items():
-        r = verify_wreath(spec, node_budget=BIG_BUDGET)
+        r = verify_wreath(spec)
         if r.status != "PASS" or r.aut_order != want:
             failures.append(f"{spec}: got {r.aut_order} ({r.status}), expected {want}")
     _emit(capsys, 5, "wreath-product formula on direct sums", failures)
@@ -224,7 +234,7 @@ def test_criterion_6_property_suites(pipeline, capsys):
             relabeled = [frozenset(p[i] for i in c) for c in c3]
             rng.shuffle(relabeled)
             g = build_incidence(system.num_lines, relabeled)
-            gens = graphauto.automorphism_group(g, node_budget=BIG_BUDGET)
+            gens = graphauto.automorphism_group(g)
             ground = bsgs([restrict_to_ground(q, system.num_lines) for q in gens],
                           degree=system.num_lines)
             if ground.order() != order:

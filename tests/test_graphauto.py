@@ -5,7 +5,6 @@ from itertools import permutations
 import pytest
 
 from rootmat import graphauto, permgrp
-from rootmat.errors import BudgetExceededError
 from rootmat.graphauto import (
     _individualize,
     _target_cell_index,
@@ -108,13 +107,6 @@ def test_relabeling_equivariance():
             conj = tuple(inv[restrict_to_ground(p, s.num_lines)[ground_perm[i]]]
                          for i in range(s.num_lines))
             assert ground1.contains(conj)
-
-
-def test_budget_error():
-    s = build("E6")
-    g = build_incidence(s.num_lines, circuits3(s.lines))
-    with pytest.raises(BudgetExceededError):
-        automorphism_group(g, node_budget=3)
 
 
 def test_asymmetric_graph_has_trivial_group():

@@ -121,13 +121,22 @@ def test_reflections_are_involutions():
             assert is_identity(compose(p, p))
 
 
-def test_b3_sign_flip_example():
-    s = build("B", 3)
+def test_d5_sign_flip_example():
+    s = build("D", 5)
     idx = s.line_index
-    e1, plus, minus = _key(1, 0, 0), _key(1, 1, 0), _key(1, -1, 0)
+    fixed, plus, minus = _key(0, 1, 1, 0, 0), _key(1, 1, 0, 0, 0), _key(1, -1, 0, 0, 0)
     (p,) = extra_symmetry_perms(s)
-    assert p[idx[e1]] == idx[e1]
+    assert p[idx[fixed]] == idx[fixed]
     assert p[idx[plus]] == idx[minus]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_b_sign_flip_lies_in_the_known_group(n):
+    # e1 -> -e1 is the reflection in the stored line e1, so B_n needs no extra generator
+    s = build("B", n)
+    flip = _ref_perm(s, lambda v: (-v[0],) + tuple(v[1:]))
+    assert extra_symmetry_perms(s) == []
+    assert bsgs(known_group_generators(s), degree=s.num_lines).contains(flip)
 
 
 def test_f4_duality_matrix_permutes_lines():
@@ -297,7 +306,7 @@ def _ref_perm(system, image):
 
 def _ref_extra_symmetries(system):
     fam, n = system.family, system.rank_param
-    if fam in ("B", "D") and (fam, n) != ("D", 4):
+    if fam == "D" and n >= 5:
         return [_ref_perm(system, lambda v: (-v[0],) + tuple(v[1:]))]
     if fam in ("D", "Dprime4"):
         other = build("Dprime4") if fam == "D" else build("D", 4)
@@ -410,5 +419,7 @@ def test_build_matches_the_pinned_fraction_build(sid):
         gens = known_group_generators(s)
     else:
         gens = [reflection_perm(s, i) for i in range(s.num_lines)] + extra_symmetry_perms(s)
+    if s.family == "B":  # pinned with the sign flip e1 -> -e1 as B's extra: the reflection in e1
+        gens.append(reflection_perm(s, s.line_index[_key(1, *[0] * (s.rank_param - 1))]))
     blob = json.dumps([m.degree, m.rows, circuits3(s.lines), gens], separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_BUILD_SHA256[sid]

@@ -109,10 +109,19 @@ def test_verify_table_subset():
     assert [r.aut_order for r in reports] == [6, 24, 120]
 
 
-def test_budget_exceeded_status():
-    for r in (verify_wreath("A3+A3", 3), oracle_crosscheck("A4", node_budget=3)):
-        assert r.status == "BUDGET_EXCEEDED"
-        assert r.detail
+def _enumerate_under_budget(monkeypatch, budget):
+    """Make every all-circuits enumeration run under the given node budget."""
+    full = linmatroid.all_circuits_upto
+    monkeypatch.setattr(linmatroid, "all_circuits_upto",
+                        lambda m, kmax: full(m, kmax, node_budget=budget))
+
+
+def test_budget_exceeded_status(monkeypatch):
+    # a wreath check can run out of budget only in its circuit enumeration
+    _enumerate_under_budget(monkeypatch, 3)
+    r = verify_wreath("A3+A3")
+    assert (r.status, r.aut_order, r.known_group_order) == ("BUDGET_EXCEEDED", 0, 0)
+    assert r.detail == "all_circuits_upto: node budget of 3 exceeded"
 
 
 def test_crosscheck_enumeration_budget_gives_budget_exceeded(monkeypatch):
@@ -125,14 +134,18 @@ def test_crosscheck_enumeration_budget_gives_budget_exceeded(monkeypatch):
     assert r.detail == "all_circuits_upto: node budget of 10 exceeded"
 
 
-def test_cli_verify_exit_codes():
+def test_cli_verify_exit_codes(monkeypatch):
     assert main(["verify", "--system", "A3"]) == 0
-    assert main(["wreath", "--spec", "A3+A3", "--budget", "3"]) == 1
+    _enumerate_under_budget(monkeypatch, 3)
+    assert main(["wreath", "--spec", "A3+A3"]) == 1
 
 
 def test_cli_verify_and_table_take_no_budget(capsys):
-    # the squeeze walks one refinement path, so there is no search budget to set
-    for argv in (["verify", "--system", "E6", "--budget", "3"], ["table", "--budget", "3"]):
+    # only circuits takes --budget, for its enumeration; the graph walk is bounded by construction
+    for argv in (["verify", "--system", "E6", "--budget", "3"], ["table", "--budget", "3"],
+                 ["aut", "--system", "E6", "--budget", "3"],
+                 ["wreath", "--spec", "A1+A2", "--budget", "3"],
+                 ["crosscheck", "--system", "A3", "--budget", "3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -205,16 +218,13 @@ def test_cli_aut_generators(capsys):
     ["verify", "--system", "D3"],
     ["table", "--families", ","],
     ["circuits", "--system", "B4", "--max-order", "5", "--budget", "10"],
-    ["aut", "--system", "E6", "--budget", "3"],
     ["crosscheck", "--system", "A3", "--max-order", "2"],
     ["crosscheck", "--system", "A3", "--max-order", "0"],
     ["crosscheck", "--system", "A3", "--max-order", "-2"],
-    ["crosscheck", "--system", "A3", "--budget", "-5"],
-    ["wreath", "--spec", "A1+A2", "--budget", "0"],
     ["circuits", "--system", "A3", "--budget", "-1"],
-], ids=["unknown-id", "D3", "empty-families", "circuits-budget", "aut-budget",
+], ids=["unknown-id", "D3", "empty-families", "circuits-budget",
         "crosscheck-order-2", "crosscheck-order-0", "crosscheck-order-minus-2",
-        "crosscheck-budget-minus-5", "wreath-budget-0", "circuits-budget-minus-1"])
+        "circuits-budget-minus-1"])
 def test_cli_errors_are_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -376,10 +386,11 @@ def test_crosscheck_orders_match_the_all_circuits_search(sid, kmax):
     system = parse_system_id(sid)
     k = kmax or max(system.rank + 1, 3)
     circuits = linmatroid.all_circuits_upto(linmatroid.matroid_of(system), k)
-    searched = verify.aut_group_from_family(system, circuits, graphauto.DEFAULT_NODE_BUDGET)
+    order, gens = verify.aut_group_from_family(system, circuits)
     r = oracle_crosscheck(sid, kmax=kmax)
     assert r.status == PASS
-    assert r.aut_order == r.known_group_order == searched.order()
+    assert r.aut_order == r.known_group_order == order == bsgs(
+        gens, degree=system.num_lines).order()
 
 
 @pytest.mark.parametrize("sid", ["A4", "D4"])
@@ -448,9 +459,20 @@ def test_path_bound_is_the_searched_order_and_the_known_order(sid):
     n = system.num_lines
     g = build_incidence(n, c3)
     graph_group = bsgs(graphauto.automorphism_group(g), degree=g.num_vertices)
-    searched = verify.aut_group_from_family(system, c3, graphauto.DEFAULT_NODE_BUDGET)
-    assert graphauto.path_bound(g) == graph_group.order() == searched.order() == bsgs(
-        known_group_generators(system), degree=n).order()
+    order, gens = verify.aut_group_from_family(system, c3)
+    assert graphauto.path_bound(g) == graph_group.order() == order == bsgs(
+        gens, degree=n).order() == bsgs(known_group_generators(system), degree=n).order()
+
+
+@pytest.mark.parametrize("sid", ["A3", "E6", "H4", "I2_7", "D4+Dprime4"])
+def test_aut_group_from_family_builds_no_second_bsgs(sid, monkeypatch):
+    # the search's self-check has proved the first-path bound to be the order
+    calls = []
+    monkeypatch.setattr(permgrp, "bsgs", lambda *a, **k: calls.append(a))
+    system = parse_system_id(sid)
+    order, _ = verify.aut_group_from_family(system, linmatroid.circuits3(system.lines))
+    assert calls == []
+    assert order == expected_aut_order(system)
 
 
 @pytest.mark.parametrize("sid", ["E6", "H4"])
