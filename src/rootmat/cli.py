@@ -25,8 +25,17 @@ from . import linmatroid, permgrp, rootsystems, verify
 from .errors import BudgetExceededError
 
 
+class _UsageError(Exception):
+    """An argparse rejection, reported by `main` as one error line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rootmat",
         description="Verify automorphism groups of root-system matroids. "
                     "System ids: A3, B5, D4, E6/E7/E8, F4, H3, H4, I2_7, "
@@ -180,13 +189,13 @@ COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "budget", 1) < 1:  # only circuits takes a budget
             raise ValueError(f"--budget must be at least 1, got {args.budget}")
         ok = COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
-    except (ValueError, BudgetExceededError) as exc:
+    except (_UsageError, ValueError, BudgetExceededError) as exc:
         print(f"rootmat: error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -146,10 +146,8 @@ def test_cli_verify_and_table_take_no_budget(capsys):
                  ["aut", "--system", "E6", "--budget", "3"],
                  ["wreath", "--spec", "A1+A2", "--budget", "3"],
                  ["crosscheck", "--system", "A3", "--budget", "3"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --budget 3" in capsys.readouterr().err
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "rootmat: error: unrecognized arguments: --budget 3\n"
 
 
 def test_cli_table_formats(capsys):
@@ -218,13 +216,17 @@ def test_cli_aut_generators(capsys):
     ["verify", "--system", "D3"],
     ["table", "--families", ","],
     ["circuits", "--system", "B4", "--max-order", "5", "--budget", "10"],
+    # aut, crosscheck and wreath take no --budget: argparse's rejection is one line too
+    ["aut", "--system", "E6", "--budget", "3"],
     ["crosscheck", "--system", "A3", "--max-order", "2"],
     ["crosscheck", "--system", "A3", "--max-order", "0"],
     ["crosscheck", "--system", "A3", "--max-order", "-2"],
+    ["crosscheck", "--system", "A3", "--budget", "-5"],
+    ["wreath", "--spec", "A1+A2", "--budget", "0"],
     ["circuits", "--system", "A3", "--budget", "-1"],
-], ids=["unknown-id", "D3", "empty-families", "circuits-budget",
+], ids=["unknown-id", "D3", "empty-families", "circuits-budget", "aut-budget",
         "crosscheck-order-2", "crosscheck-order-0", "crosscheck-order-minus-2",
-        "circuits-budget-minus-1"])
+        "crosscheck-budget-minus-5", "wreath-budget-0", "circuits-budget-minus-1"])
 def test_cli_errors_are_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
