@@ -4,8 +4,8 @@ Permutations are tuples ``p`` of length ``degree`` acting on points
 ``0..degree-1`` by ``x -> p[x]``.  Composition ``compose(p, q)`` means
 "q first, then p".  The BSGS gives exact (big integer) group order,
 membership, subgroup and equality tests; everything is deterministic
-(base points picked as the smallest moved point unless a hint is given,
-orbits extended in FIFO order).
+(base points picked as the smallest moved point, orbits extended in FIFO
+order).
 """
 
 from __future__ import annotations
@@ -64,13 +64,12 @@ class PermGroup:
     representatives, the factors a sift applies.
     """
 
-    def __init__(self, degree, generators, base_hint=()):
+    def __init__(self, degree, generators):
         self.degree = degree
         self.generators = [tuple(g) for g in generators]
         for g in self.generators:
             if len(g) != degree:
                 raise ValueError("generator degree mismatch")
-        self._hint = list(base_hint)
         self.base = []
         self._gens = []  # _gens[i]: strong generators fixing base[:i]
         self._orbits = []  # insertion-ordered orbit of base[i]
@@ -81,9 +80,6 @@ class PermGroup:
     # -- construction ----------------------------------------------------
 
     def _new_base_point(self, g):
-        for b in self._hint:
-            if g[b] != b:
-                return b
         for x in range(self.degree):
             if g[x] != x:
                 return x
@@ -176,14 +172,14 @@ class PermGroup:
         return i == len(self.base) and is_identity(h)
 
 
-def bsgs(generators, degree=None, base_hint=()) -> PermGroup:
+def bsgs(generators, degree=None) -> PermGroup:
     """Build a PermGroup from a generator list."""
     gens = [tuple(g) for g in generators]
     if degree is None:
         if not gens:
             raise ValueError("degree required for an empty generator list")
         degree = len(gens[0])
-    return PermGroup(degree, gens, base_hint=base_hint)
+    return PermGroup(degree, gens)
 
 
 def is_subgroup(h: PermGroup, g: PermGroup) -> bool:

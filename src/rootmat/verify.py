@@ -91,7 +91,7 @@ def _preserves_family(perm, family):
 def aut_group_from_family(system, family):
     """(order, generators on X) of the graph group of a set family's incidence graph.
 
-    The order is the first-path bound, which `automorphism_group`'s self-check proves exact.
+    The order is the first-path bound, which `automorphism_group`'s orbit check proves exact.
     """
     g = build_incidence(system.num_lines, family)
     gens = graphauto.automorphism_group(g)

@@ -63,7 +63,7 @@ def test_petersen_group():
 def test_colors_restrict_group():
     # a 4-cycle with one vertex colored differently only keeps the mirror
     g = graph_from_edges(4, [1, 0, 0, 0], [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert bsgs(automorphism_group(g), degree=4, base_hint=[0]).order() == 2
+    assert bsgs(automorphism_group(g), degree=4).order() == 2
 
 
 def test_generators_are_verified_automorphisms():
@@ -234,16 +234,47 @@ def test_automorphism_group_matches_brute_force_on_random_graphs():
 
 
 def test_self_check_falls_back_to_all_vertices():
-    # vertices 1 and 2 have the same color and the same neighbors in the
-    # lowest color class {0}, so the group does not act faithfully on it
+    # vertices 1 and 2 have the same color and the same neighbors in the lowest
+    # color class {0}: the only automorphism swaps them and fixes that class
     g = graph_from_edges(3, [0, 1, 1], [(0, 1), (0, 2)])
     assert bsgs(automorphism_group(g), degree=3).order() == 2
 
 
-def test_self_check_raises_on_inconsistent_order(monkeypatch):
-    def first_generator_only(gens, degree=None, base_hint=()):
-        return permgrp.bsgs(gens[:1], degree=degree, base_hint=base_hint)
+def _c3_graph(sid):
+    s = parse_system_id(sid)
+    return build_incidence(s.num_lines, circuits3(s.lines))
 
-    monkeypatch.setattr(graphauto, "bsgs", first_generator_only)
-    with pytest.raises(AssertionError, match="inconsistent"):
-        automorphism_group(_petersen())
+
+@pytest.mark.parametrize("name", ["B9", "D4+Dprime4", "E8", "H4", "petersen"])
+def test_certify_raises_on_a_missing_generator(name):
+    g = _petersen() if name == "petersen" else _c3_graph(name)
+    levels = graphauto._first_path(g)[0]
+    gens = automorphism_group(g)
+    graphauto._certify(levels, gens)
+    # the last generator comes from the shallowest level that needed one
+    with pytest.raises(AssertionError, match="inconsistent: at level"):
+        graphauto._certify(levels, gens[:-1])
+    # without the deepest level's generators, no generator left fixes the path above it
+    path = [min(partition[target]) for partition, target in levels]
+    shallower = [p for p in gens if any(p[v] != v for v in path[:-1])]
+    assert len(shallower) < len(gens)
+    with pytest.raises(AssertionError, match="inconsistent: at level"):
+        graphauto._certify(levels, shallower)
+
+
+def test_automorphism_group_calls_no_schreier_sims(monkeypatch):
+    g = _c3_graph("E8")
+    gens = automorphism_group(g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Schreier-Sims called")
+
+    monkeypatch.setattr(graphauto, "bsgs", refuse)
+    monkeypatch.setattr(permgrp, "bsgs", refuse)
+    assert automorphism_group(g) == gens
+
+
+def test_empty_graph_group_is_trivial():
+    for g in (graph_from_edges(0, [], []), build_incidence(0, [])):
+        assert automorphism_group(g) == []
+        assert path_bound(g) == 1

@@ -468,7 +468,7 @@ def test_path_bound_is_the_searched_order_and_the_known_order(sid):
 
 @pytest.mark.parametrize("sid", ["A3", "E6", "H4", "I2_7", "D4+Dprime4"])
 def test_aut_group_from_family_builds_no_second_bsgs(sid, monkeypatch):
-    # the search's self-check has proved the first-path bound to be the order
+    # automorphism_group's per-level orbit check has proved the first-path bound to be the order
     calls = []
     monkeypatch.setattr(permgrp, "bsgs", lambda *a, **k: calls.append(a))
     system = parse_system_id(sid)
