@@ -1,15 +1,16 @@
-"""Permutation groups via a deterministic Schreier-Sims construction.
+"""Permutation groups via Schreier-Sims, optionally stopped at a known order bound.
 
 Permutations are tuples ``p`` of length ``degree`` acting on points
 ``0..degree-1`` by ``x -> p[x]``.  Composition ``compose(p, q)`` means
 "q first, then p".  The BSGS gives exact (big integer) group order,
-membership, subgroup and equality tests; everything is deterministic
-(base points picked as the smallest moved point, orbits extended in FIFO
-order).
+membership, subgroup and equality tests.  Every build repeats exactly:
+base points are the smallest moved point, orbits are extended in FIFO
+order, and the random phase of a bounded build draws from a fixed seed.
 """
 
 from __future__ import annotations
 
+import random
 from math import prod
 from operator import itemgetter
 
@@ -62,9 +63,15 @@ class PermGroup:
     once computed and each (orbit point, generator) pair is processed at
     most once per level.  A transversal stores the inverses of the coset
     representatives, the factors a sift applies.
+
+    Given a bound on the order, a seeded random phase (Seress 2003, ch. 4)
+    first makes each sifted random element's residue a strong generator.
+    Each level's generators fix the earlier base points, so the basic orbits
+    multiply to at most the order: reaching a bound no lower than it proves
+    both equal.  60 trivial sifts in a row hand over to the deterministic loop.
     """
 
-    def __init__(self, degree, generators):
+    def __init__(self, degree, generators, bound=None):
         self.degree = degree
         self.generators = [tuple(g) for g in generators]
         for g in self.generators:
@@ -75,7 +82,7 @@ class PermGroup:
         self._orbits = []  # insertion-ordered orbit of base[i]
         self._trans = []  # point x -> u_x^-1, where u_x maps base[i] to x
         self._done = []  # processed (point, gen index) Schreier pairs
-        self._build()
+        self._build(bound)
 
     # -- construction ----------------------------------------------------
 
@@ -92,18 +99,19 @@ class PermGroup:
         self._trans.append({point: identity(self.degree)})
         self._done.append(set())
 
-    def _extend_transversal(self, i):
+    def _extend_transversal(self, i, new=0):
+        """Close orbit i under its generators; the points it has need only _gens[i][new:]."""
         orbit, trans, gens = self._orbits[i], self._trans[i], self._gens[i]
-        gens_inv = [inverse(s) for s in gens]
-        idx = 0
+        gens_inv, old, idx = {}, len(orbit), 0  # inverses by generator index, formed on first use
         while idx < len(orbit):
             x = orbit[idx]
-            tx_inv = trans[x]
-            for s, s_inv in zip(gens, gens_inv):
-                y = s[x]
+            for k in range(new if idx < old else 0, len(gens)):
+                y = gens[k][x]
                 if y not in trans:
+                    if k not in gens_inv:
+                        gens_inv[k] = inverse(gens[k])
                     # u_y = s . u_x, so u_y^-1 = u_x^-1 . s^-1
-                    trans[y] = compose(tx_inv, s_inv)
+                    trans[y] = compose(trans[x], gens_inv[k])
                     orbit.append(y)
             idx += 1
 
@@ -116,7 +124,26 @@ class PermGroup:
             p = compose(trans[x], p)
         return p, len(self.base)
 
-    def _build(self):
+    def _reaches(self, gens, bound):
+        """The random phase: True once the basic orbits multiply to bound."""
+        rng, x, trivial = random.Random(0), identity(self.degree), 0
+        pool = (gens * 10)[:max(10, len(gens))]  # product replacement
+        while trivial < 60 and self.order() < bound:
+            i, j = rng.sample(range(len(pool)), 2)
+            pool[i] = compose(pool[i], pool[j])
+            x = compose(x, pool[i])
+            h, level = self._strip(x)
+            trivial = trivial + 1 if is_identity(h) else 0
+            if trivial:
+                continue
+            if level == len(self.base):
+                self._append_level(self._new_base_point(h))
+            for l in range(level + 1):  # h fixes base[:level]
+                self._gens[l].append(h)
+                self._extend_transversal(l, len(self._gens[l]) - 1)
+        return self.order() >= bound
+
+    def _build(self, bound):
         gens = [g for g in self.generators if not is_identity(g)]
         if not gens:
             return
@@ -125,6 +152,9 @@ class PermGroup:
                 self._append_level(self._new_base_point(g))
         for i in range(len(self.base)):
             self._gens[i] = [g for g in gens if all(g[b] == b for b in self.base[:i])]
+            self._extend_transversal(i)
+        if bound is not None and self._reaches(gens, bound):
+            return
         level = len(self.base) - 1
         while level >= 0:
             self._extend_transversal(level)
@@ -172,14 +202,14 @@ class PermGroup:
         return i == len(self.base) and is_identity(h)
 
 
-def bsgs(generators, degree=None) -> PermGroup:
-    """Build a PermGroup from a generator list."""
+def bsgs(generators, degree=None, bound=None) -> PermGroup:
+    """A PermGroup of a generator list; a bound below the order may leave order() short of it."""
     gens = [tuple(g) for g in generators]
     if degree is None:
         if not gens:
             raise ValueError("degree required for an empty generator list")
         degree = len(gens[0])
-    return PermGroup(degree, gens)
+    return PermGroup(degree, gens, bound)
 
 
 def is_subgroup(h: PermGroup, g: PermGroup) -> bool:

@@ -368,15 +368,17 @@ def simple_lines(system: RootSystem):
     root makes some other one negative.  Positive scalars change no sign,
     so the test runs on the stored lines as they are.  It reflects only the
     x with x.v > 0: else (v.v) x - 2 (x.v) v is a non-negative sum of positives.
+    A non-simple v has a simple witness (Humphreys 1990, ch. 1), so the
+    simple lines found so far are tried first, then all the others.
     """
-    lines = system.lines
-
-    def simple(i, v):
-        vv, dots = dot(v, v), ((x, dot(x, v)) for j, x in enumerate(lines) if j != i)
-        return all(_positive(combine(vv, x, (2 * a, 2 * b), v))
-                   for x, (a, b) in dots if _positive((a, b)))
-
-    return [i for i, v in enumerate(lines) if simple(i, v)]
+    lines, found = system.lines, []
+    for i, v in enumerate(lines):
+        xs = itertools.chain([lines[j] for j in found], (x for j, x in enumerate(lines) if j != i))
+        vv, dots = dot(v, v), ((x, dot(x, v)) for x in xs)
+        if all(_positive(combine(vv, x, (2 * a, 2 * b), v))
+               for x, (a, b) in dots if _positive((a, b))):
+            found.append(i)
+    return found
 
 
 def known_group_generators(system: RootSystem):

@@ -1,13 +1,14 @@
 """Pipeline orchestration: squeeze certification and table reproduction.
 
 For an irreducible system R the certificate is a squeeze: the known
-symmetry group K(R) (one BSGS of the simple reflections and the extra
+symmetry group K(R) (generated by the simple reflections and the extra
 symmetries) is contained in Aut(M(R)), which in turn is contained in the
 automorphism group of the incidence graph of the order-3 circuits, whose
 order is at most the first-path bound `graphauto.path_bound`.  |K(R)|
 equal to that bound and to the table order collapses the chain, certifying
 both the order-3 characterization and the table row in one shot.  K(R)'s
-generators come first, so at rank >= 3 C3 is built from one line per K(R)-orbit.
+generators come first, so at rank >= 3 C3 is built from one line per K(R)-orbit,
+and K(R)'s BSGS is built only until its basic orbits multiply to the bound.
 
 A matroid of rank <= 2 is uniform once C3 is every triple, so there both
 ends are Sym(X), certified without a graph.
@@ -84,8 +85,8 @@ def wreath_order(system: rootsystems.RootSystem) -> int:
 
 
 def _preserves_family(perm, family):
-    """Whether perm maps the set family (a set of frozensets) onto itself."""
-    return all(frozenset(perm[i] for i in c) in family for c in family)
+    """Whether perm maps the set family (a set of sorted tuples) onto itself."""
+    return all(tuple(sorted([perm[i] for i in c])) in family for c in family)
 
 
 def aut_group_from_family(system, family):
@@ -104,10 +105,11 @@ def _verdict(system_id, plan, decide) -> VerificationReport:
     plan(system) checks the system (ValueError) and returns None or the one
     set family to search, a function of (system, C3).  Without one, K(R)'s
     generators come first; at rank >= 3, where each is the line map of a
-    (semi)linear bijection (I2's are index maps), C3 comes from their orbits.
-    decide(system, c3, expected, order, gens) -> (status, aut, known, detail)
-    gets K(R)'s without a family, else the family's graph group's.  An
-    exhausted circuit enumeration gives BUDGET_EXCEEDED.
+    (semi)linear bijection (I2's are index maps), C3 comes from their orbits,
+    and K(R) is built up to C3's graph's first-path bound.  decide(system,
+    c3, expected, order, gens, bound) -> (status, aut, known, detail) gets
+    K(R)'s, or the family's graph group's with bound None (as at rank <= 2).
+    An exhausted circuit enumeration gives BUDGET_EXCEEDED.
     """
     start = time.perf_counter()
     system = rootsystems.parse_system_id(system_id)
@@ -115,10 +117,12 @@ def _verdict(system_id, plan, decide) -> VerificationReport:
     gens = () if family else rootsystems.known_group_generators(system)
     c3 = linmatroid.circuits3(system.lines, gens if system.rank >= 3 else ())
     expected = expected_aut_order(system)
+    bound = (None if family or system.rank <= 2
+             else graphauto.path_bound(build_incidence(system.num_lines, c3)))
     try:
         group = (aut_group_from_family(system, family(system, c3)) if family
-                 else (permgrp.bsgs(gens, degree=system.num_lines).order(), gens))
-        status, aut_order, known_order, detail = decide(system, c3, expected, *group)
+                 else (permgrp.bsgs(gens, degree=system.num_lines, bound=bound).order(), gens))
+        status, aut_order, known_order, detail = decide(system, c3, expected, *group, bound)
     except BudgetExceededError as exc:
         status, aut_order, known_order, detail = BUDGET_EXCEEDED, 0, 0, str(exc)
     return VerificationReport(system.system_id, system.num_lines, len(c3), aut_order, expected,
@@ -141,21 +145,22 @@ def verify_theorem(system_id: str) -> VerificationReport:
     return _verdict(system_id, plan, _squeeze)
 
 
-def _squeeze(system, c3, expected, known_order, gens):
+def _squeeze(system, c3, expected, known_order, gens, bound):
     """K(R) <= Aut(M(R)) <= Aut(G(X, C3)), closed by equal orders.
 
     At rank <= 2 C3 must be every triple; the matroid is then uniform and
-    both ends are Sym(X).  Above, K(R) preserves C3, so |K(R)| equal to the
-    first-path bound proves K(R) = Aut(M(R)) = Aut(G(X, C3)).  C3 is built from
-    K(R)'s orbits there, so checking that each generator preserves it is what
-    catches a generator that is no automorphism (a transposition of two lines).
+    both ends are Sym(X).  Above, C3 is built from K(R)'s orbits, so each
+    generator must first be checked to preserve it: that catches one that is
+    no automorphism (a transposition of two lines) and puts K(R), built up to
+    the first-path bound, in Aut(G(X, C3)).  Then |K(R)| equal to that bound
+    proves K(R) = Aut(M(R)) = Aut(G(X, C3)).
     """
     n = system.num_lines
     uniform = system.rank <= 2
     if uniform and len(c3) != comb(n, 3):
         return FAIL, 0, 0, "C3 is not the full triple set"
-    aut_order = factorial(n) if uniform else graphauto.path_bound(build_incidence(n, c3))
-    family = {frozenset(c) for c in c3}
+    aut_order = factorial(n) if uniform else bound
+    family = set(c3)
     if not all(_preserves_family(gen, family) for gen in gens):
         return FAIL, aut_order, known_order, "known generator does not preserve C3"
     ok = (aut_order if uniform else known_order) == aut_order == expected
@@ -189,7 +194,7 @@ def verify_wreath(sum_spec: str) -> VerificationReport:
             raise ValueError(f"{sum_spec!r} is not a direct sum")
         return lambda s, c3: sum_circuits(s)
 
-    def decide(system, c3, expected, order, gens):
+    def decide(system, c3, expected, order, gens, bound):
         return PASS if order == expected else FAIL, order, 0, ""
 
     return _verdict(sum_spec, plan, decide)
@@ -220,10 +225,9 @@ def oracle_crosscheck(system_id: str, kmax=None) -> VerificationReport:
     if kmax is not None and kmax < 3:
         raise ValueError(f"crosscheck needs a maximum circuit order of at least 3, got {kmax}")
 
-    def decide(system, c3, expected, order, gens):
+    def decide(system, c3, expected, order, gens, bound):
         k = kmax or max(system.rank + 1, 3)
-        circuits = linmatroid.all_circuits_upto(linmatroid.matroid_of(system), k)
-        family = {frozenset(c) for c in circuits}
+        family = set(linmatroid.all_circuits_upto(linmatroid.matroid_of(system), k))
         for gen in gens:
             if not _preserves_family(gen, family):
                 return (FAIL, order, 0, f"C3 group generator "

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from perm_helpers import basic_orbit_lengths, perm_from_cycles
-from rootmat.graphauto import _first_path, automorphism_group
+from rootmat.graphauto import _first_path, automorphism_group, path_bound
 from rootmat.incidencegraph import build_incidence
 from rootmat.linmatroid import circuits3
 from rootmat.permgrp import (
@@ -17,7 +17,8 @@ from rootmat.permgrp import (
     is_identity,
     is_subgroup,
 )
-from rootmat.rootsystems import build, known_group_generators, reflection_perm
+from rootmat.rootsystems import build, known_group_generators, parse_system_id, reflection_perm
+from rootmat.verify import default_table_ids
 
 
 def _sym_gens(n):
@@ -144,3 +145,56 @@ def test_e8_graph_group_bsgs_is_pinned():
     assert g.base == [8, 10, 6, 0, 4, 2, 1]
     assert basic_orbit_lengths(g) == [120, 56, 27, 16, 10, 6, 2]
     assert g.order() == 348364800
+
+
+BOUNDED_IDS = [sid for sid in default_table_ids() if parse_system_id(sid).rank >= 3]
+BOUNDED_IDS += ["B9", "D10", "Dprime4", "B16"]
+
+
+def _k_and_bound(sid):
+    """K(R)'s generators, its degree and the first-path bound of its C3 graph."""
+    system = parse_system_id(sid)
+    gens = known_group_generators(system)
+    c3 = circuits3(system.lines, gens)
+    return gens, system.num_lines, path_bound(build_incidence(system.num_lines, c3))
+
+
+@pytest.mark.parametrize("sid", BOUNDED_IDS)
+def test_bounded_k_has_the_unbounded_order(sid):
+    gens, n, bound = _k_and_bound(sid)
+    assert bsgs(gens, n, bound=bound).order() == bsgs(gens, n).order() == bound
+
+
+@pytest.mark.parametrize("sid", ["E6", "F4", "H3"])
+def test_bound_above_the_order_completes_deterministically(sid):
+    # the random phase never reaches 2|K|; the deterministic loop then finishes an exact BSGS
+    gens, n, _ = _k_and_bound(sid)
+    order = bsgs(gens, n).order()
+    g = bsgs(gens, n, bound=2 * order)
+    assert g.order() == order
+    assert any(g._done)  # Schreier pairs were sifted
+
+
+def test_bounded_e8_sifts_no_schreier_pair():
+    # the seeded random phase reaches |K(E8)| alone
+    gens, n, bound = _k_and_bound("E8")
+    g = bsgs(gens, n, bound=bound)
+    assert g.order() == bound == 348364800
+    assert not any(g._done)
+
+
+@pytest.mark.parametrize("sid", ["E8", "H4", "D10", "B9"])
+def test_bounded_contains_agrees_with_unbounded(sid):
+    gens, n, bound = _k_and_bound(sid)
+    bounded, full = bsgs(gens, n, bound=bound), bsgs(gens, n)
+    outsider = perm_from_cycles(n, [[0, 1]])  # no line map swaps just two lines
+    for p in gens + [compose(gens[0], gens[-1]), outsider]:
+        assert bounded.contains(p) == full.contains(p)
+    assert not bounded.contains(outsider)
+
+
+def test_bounded_build_repeats():
+    gens, n, bound = _k_and_bound("D10")
+    g1, g2 = bsgs(gens, n, bound=bound), bsgs(gens, n, bound=bound)
+    assert g1.base == g2.base
+    assert basic_orbit_lengths(g1) == basic_orbit_lengths(g2)

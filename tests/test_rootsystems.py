@@ -10,8 +10,11 @@ from rootmat.linmatroid import circuits3, matroid_of, rank
 from rootmat.permgrp import bsgs, compose, equal, is_identity
 from rootmat.rootsystems import (
     F4_DUALITY_MATRIX,
+    _positive,
     build,
+    combine,
     direct_sum,
+    dot,
     extra_symmetry_perms,
     known_group_generators,
     line_key,
@@ -19,6 +22,7 @@ from rootmat.rootsystems import (
     perm_from_linear_map,
     reflection,
     reflection_perm,
+    simple_lines,
 )
 from rootmat.verify import default_table_ids
 
@@ -423,3 +427,24 @@ def test_build_matches_the_pinned_fraction_build(sid):
         gens.append(reflection_perm(s, s.line_index[_key(1, *[0] * (s.rank_param - 1))]))
     blob = json.dumps([m.degree, m.rows, circuits3(s.lines), gens], separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_BUILD_SHA256[sid]
+
+
+def _full_sweep_simple_lines(system):
+    """The reference: line i is simple when reflecting in it makes no other line negative."""
+    lines = system.lines
+
+    def simple(i, v):
+        vv, dots = dot(v, v), ((x, dot(x, v)) for j, x in enumerate(lines) if j != i)
+        return all(_positive(combine(vv, x, (2 * a, 2 * b), v))
+                   for x, (a, b) in dots if _positive((a, b)))
+
+    return [i for i, v in enumerate(lines) if simple(i, v)]
+
+
+@pytest.mark.parametrize("sid", [sid for sid in default_table_ids()
+                                 if parse_system_id(sid).rank >= 3]
+                         + ["B9", "D10", "Dprime4", "B16", "D16"])
+def test_simple_lines_match_the_full_sweep(sid):
+    # trying the simple lines found so far as witnesses first changes no output
+    system = parse_system_id(sid)
+    assert simple_lines(system) == _full_sweep_simple_lines(system)

@@ -289,6 +289,9 @@ def test_known_group_missing_a_simple_reflection_fails(dropped, monkeypatch):
     r = verify_theorem("E6")
     assert (r.status, r.detail) == (FAIL, "order mismatch")
     assert r.known_group_order < r.aut_order == 51840
+    # K(R) stops short of the bound, so its BSGS is completed: the exact order is reported
+    e6 = parse_system_id("E6")
+    assert r.known_group_order == bsgs(short(e6), degree=e6.num_lines).order()
 
 
 def _bogus_generator_cases():
