@@ -11,10 +11,13 @@ generators come first, so at rank >= 3 C3 is built from one line per K(R)-orbit,
 and K(R)'s BSGS is built only until its basic orbits multiply to the bound.
 
 A matroid of rank <= 2 is uniform once C3 is every triple, so there both
-ends are Sym(X), certified without a graph.
-verify_theorem, verify_wreath and oracle_crosscheck run one pipeline,
-`_verdict`, each with its own input check, at most one searched set family
-(all circuits for verify_wreath, C3 for oracle_crosscheck) and decision.
+ends are Sym(X), certified without a graph.  verify_theorem runs these
+steps top to bottom and searches no graph.
+
+oracle_crosscheck and verify_wreath share one check instead: C3's graph
+is searched once, and each generator of its group must map the circuits,
+enumerated one component at a time, onto themselves; verify_wreath then
+compares the order with the wreath-product formula.
 """
 
 from __future__ import annotations
@@ -99,72 +102,45 @@ def aut_group_from_family(system, family):
     return graphauto.path_bound(g), [restrict_to_ground(p, system.num_lines) for p in gens]
 
 
-def _verdict(system_id, plan, decide) -> VerificationReport:
-    """One timed report: parse, plan, K(R) or the family, C3, its group, decide.
-
-    plan(system) checks the system (ValueError) and returns None or the one
-    set family to search, a function of (system, C3).  Without one, K(R)'s
-    generators come first; at rank >= 3, where each is the line map of a
-    (semi)linear bijection (I2's are index maps), C3 comes from their orbits,
-    and K(R) is built up to C3's graph's first-path bound.  decide(system,
-    c3, expected, order, gens, bound) -> (status, aut, known, detail) gets
-    K(R)'s, or the family's graph group's with bound None (as at rank <= 2).
-    An exhausted circuit enumeration gives BUDGET_EXCEEDED.
-    """
-    start = time.perf_counter()
-    system = rootsystems.parse_system_id(system_id)
-    family = plan(system)
-    gens = () if family else rootsystems.known_group_generators(system)
-    c3 = linmatroid.circuits3(system.lines, gens if system.rank >= 3 else ())
-    expected = expected_aut_order(system)
-    bound = (None if family or system.rank <= 2
-             else graphauto.path_bound(build_incidence(system.num_lines, c3)))
-    try:
-        group = (aut_group_from_family(system, family(system, c3)) if family
-                 else (permgrp.bsgs(gens, degree=system.num_lines, bound=bound).order(), gens))
-        status, aut_order, known_order, detail = decide(system, c3, expected, *group, bound)
-    except BudgetExceededError as exc:
-        status, aut_order, known_order, detail = BUDGET_EXCEEDED, 0, 0, str(exc)
+def _report(system, c3, aut_order, expected, known_order, status, start, detail=""):
     return VerificationReport(system.system_id, system.num_lines, len(c3), aut_order, expected,
                               known_order, status, int((time.perf_counter() - start) * 1000),
                               detail)
 
 
 def verify_theorem(system_id: str) -> VerificationReport:
-    """Certify the order-3 squeeze and the table row for one irreducible system.
+    """Certify K(R) <= Aut(M(R)) <= Aut(G(X, C3)), closed by equal orders.
 
     The squeeze covers irreducible systems; a direct sum raises ValueError.
+    At rank <= 2 C3 must be every triple; the matroid is then uniform and
+    both ends are Sym(X).  Above, C3 is built from K(R)'s orbits (each
+    generator is the line map of a (semi)linear bijection), so each
+    generator must first be checked to preserve it: that catches one that
+    is no automorphism (a transposition of two lines) and puts K(R), built
+    up to the first-path bound, in Aut(G(X, C3)).  Then |K(R)| equal to
+    that bound proves K(R) = Aut(M(R)) = Aut(G(X, C3)).
     It searches no graph at any rank.
     """
-    def plan(system):
-        if system.family == "DirectSum":
-            raise ValueError(f"{system.system_id} is a direct sum; "
-                             f"use rootmat wreath --spec {system.system_id}")
-        return None
-
-    return _verdict(system_id, plan, _squeeze)
-
-
-def _squeeze(system, c3, expected, known_order, gens, bound):
-    """K(R) <= Aut(M(R)) <= Aut(G(X, C3)), closed by equal orders.
-
-    At rank <= 2 C3 must be every triple; the matroid is then uniform and
-    both ends are Sym(X).  Above, C3 is built from K(R)'s orbits, so each
-    generator must first be checked to preserve it: that catches one that is
-    no automorphism (a transposition of two lines) and puts K(R), built up to
-    the first-path bound, in Aut(G(X, C3)).  Then |K(R)| equal to that bound
-    proves K(R) = Aut(M(R)) = Aut(G(X, C3)).
-    """
-    n = system.num_lines
-    uniform = system.rank <= 2
+    start = time.perf_counter()
+    system = rootsystems.parse_system_id(system_id)
+    if system.family == "DirectSum":
+        raise ValueError(f"{system.system_id} is a direct sum; "
+                         f"use rootmat wreath --spec {system.system_id}")
+    n, uniform = system.num_lines, system.rank <= 2
+    gens = rootsystems.known_group_generators(system)
+    c3 = linmatroid.circuits3(system.lines, () if uniform else gens)
+    expected = expected_aut_order(system)
+    bound = factorial(n) if uniform else graphauto.path_bound(build_incidence(n, c3))
+    known_order = permgrp.bsgs(gens, degree=n, bound=None if uniform else bound).order()
     if uniform and len(c3) != comb(n, 3):
-        return FAIL, 0, 0, "C3 is not the full triple set"
-    aut_order = factorial(n) if uniform else bound
+        return _report(system, c3, 0, expected, 0, FAIL, start, "C3 is not the full triple set")
     family = set(c3)
     if not all(_preserves_family(gen, family) for gen in gens):
-        return FAIL, aut_order, known_order, "known generator does not preserve C3"
-    ok = (aut_order if uniform else known_order) == aut_order == expected
-    return PASS if ok else FAIL, aut_order, known_order, "" if ok else "order mismatch"
+        return _report(system, c3, bound, expected, known_order, FAIL, start,
+                       "known generator does not preserve C3")
+    ok = (uniform or known_order == bound) and bound == expected
+    return _report(system, c3, bound, expected, known_order, PASS if ok else FAIL, start,
+                   "" if ok else "order mismatch")
 
 
 def default_table_ids():
@@ -184,54 +160,71 @@ def verify_table(system_ids=None):
 
 
 def verify_wreath(sum_spec: str) -> VerificationReport:
-    """Brute-force check of the wreath-product formula on a direct sum.
+    """Check the wreath-product formula on a direct sum (ValueError on any other system).
 
-    The order-3 characterization is stated for irreducible systems only,
-    so reducible systems go through the full circuit set (`sum_circuits`).
+    The order-3 characterization is stated for irreducible systems only, so
+    the C3 group is first checked against all circuits (`_c3_group_check`),
+    then its order against `wreath_order`.  known_group_order is 0 (not computed).
     """
-    def plan(system):
-        if system.family != "DirectSum":
-            raise ValueError(f"{sum_spec!r} is not a direct sum")
-        return lambda s, c3: sum_circuits(s)
-
-    def decide(system, c3, expected, order, gens, bound):
-        return PASS if order == expected else FAIL, order, 0, ""
-
-    return _verdict(sum_spec, plan, decide)
-
-
-def sum_circuits(system):
-    """All circuits of a direct sum, sorted: its components' (Oxley 4.2), shifted to their lines."""
-    out, offset = [], 0
-    for c in system.components:
-        out += [tuple(offset + i for i in circuit) for circuit in
-                linmatroid.all_circuits_upto(linmatroid.matroid_of(c), c.rank + 1)]
-        offset += c.num_lines
-    return sorted(out)
+    start = time.perf_counter()
+    system = rootsystems.parse_system_id(sum_spec)
+    if system.family != "DirectSum":
+        raise ValueError(f"{sum_spec!r} is not a direct sum")
+    r = _c3_group_check(system, system.rank + 1, start)
+    if r.status == PASS and r.aut_order != r.expected_order:
+        r.status, r.detail = FAIL, "order mismatch"
+    r.known_group_order = 0
+    return r
 
 
 def oracle_crosscheck(system_id: str, kmax=None) -> VerificationReport:
     """Direct check: the C3 graph group equals the group of all circuits of order <= kmax.
 
-    A permutation preserving every circuit of order <= kmax preserves C3, so
-    the all-circuits group lies in the C3 group; it is all of it exactly when
-    each generator of the C3 group (one search) maps the enumerated circuits
-    onto themselves.  PASS reports the C3 group's order twice; FAIL names the
-    first generator that moves a circuit off the set, with known_group_order 0
-    (not computed).  The circuits of order <= kmax include C3 only for
-    kmax >= 3 (else ValueError); the default is rank + 1, raised to 3 for
-    rank 1 (no circuits).
+    The circuits of order <= kmax include C3 only for kmax >= 3 (else
+    ValueError); the default is rank + 1, raised to 3 for rank 1 (no circuits).
     """
     if kmax is not None and kmax < 3:
         raise ValueError(f"crosscheck needs a maximum circuit order of at least 3, got {kmax}")
+    start = time.perf_counter()
+    system = rootsystems.parse_system_id(system_id)
+    return _c3_group_check(system, kmax or max(system.rank + 1, 3), start)
 
-    def decide(system, c3, expected, order, gens, bound):
-        k = kmax or max(system.rank + 1, 3)
-        family = set(linmatroid.all_circuits_upto(linmatroid.matroid_of(system), k))
-        for gen in gens:
-            if not _preserves_family(gen, family):
-                return (FAIL, order, 0, f"C3 group generator "
-                        f"{permgrp.cycle_notation(gen)} does not preserve the circuits")
-        return PASS, order, order, ""
 
-    return _verdict(system_id, lambda system: lambda s, c3: c3, decide)
+def _c3_group_check(system, kmax, start):
+    """One search of C3's graph, its group's generators checked against the circuits.
+
+    A permutation preserving every circuit of order <= kmax (kmax >= 3)
+    preserves C3, so the group of those circuits lies in the C3 group; it
+    is all of it exactly when each generator of the C3 group maps the
+    circuits onto themselves.  PASS reports the C3 group's order twice; FAIL
+    names the first generator that moves a circuit off the set, with
+    known_group_order 0 (not computed).  An exhausted circuit enumeration
+    gives BUDGET_EXCEEDED.
+    """
+    c3 = linmatroid.circuits3(system.lines)
+    expected = expected_aut_order(system)
+    try:
+        order, gens = aut_group_from_family(system, c3)
+        circuits = set(circuits_upto(system, kmax))
+    except BudgetExceededError as exc:
+        return _report(system, c3, 0, expected, 0, BUDGET_EXCEEDED, start, str(exc))
+    for gen in gens:
+        if not _preserves_family(gen, circuits):
+            return _report(system, c3, order, expected, 0, FAIL, start, f"C3 group generator "
+                           f"{permgrp.cycle_notation(gen)} does not preserve the circuits")
+    return _report(system, c3, order, expected, order, PASS, start)
+
+
+def circuits_upto(system, kmax):
+    """The circuits of order <= kmax, sorted, enumerated one component at a time.
+
+    A direct sum's circuits are its components' (Oxley 4.2), shifted to their
+    lines; a system that is no sum is its own one component.  A component has
+    no circuit of more than rank + 1 elements, so its enumeration stops there.
+    """
+    out, offset = [], 0
+    for c in system.components or (system,):
+        out += [tuple(offset + i for i in circuit) for circuit in
+                linmatroid.all_circuits_upto(linmatroid.matroid_of(c), min(kmax, c.rank + 1))]
+        offset += c.num_lines
+    return sorted(out)

@@ -74,6 +74,10 @@ def test_verify_wreath(spec, order):
     r = verify_wreath(spec)
     assert r.status == PASS
     assert r.aut_order == r.expected_order == order
+    # the old path: search the incidence graph of all circuits itself
+    system = parse_system_id(spec)
+    circuits = linmatroid.all_circuits_upto(linmatroid.matroid_of(system), system.rank + 1)
+    assert verify.aut_group_from_family(system, circuits)[0] == order
 
 
 def test_wreath_order_formula():
@@ -87,8 +91,9 @@ def test_wreath_order_formula():
 @pytest.mark.parametrize("spec", ["A1+A2+B3", "A3+A3", "A2+I2_5", "H3+A1"])
 def test_sum_circuits_are_the_whole_sum_circuits(spec):
     s = parse_system_id(spec)
-    whole = linmatroid.all_circuits_upto(linmatroid.matroid_of(s), s.rank + 1)
-    assert verify.sum_circuits(s) == whole
+    for kmax in (3, 4, s.rank + 1):
+        whole = linmatroid.all_circuits_upto(linmatroid.matroid_of(s), kmax)
+        assert verify.circuits_upto(s, kmax) == whole, kmax
 
 
 def test_verify_wreath_rejects_irreducible():
@@ -96,10 +101,13 @@ def test_verify_wreath_rejects_irreducible():
         verify_wreath("A3")
 
 
-@pytest.mark.parametrize("sid", ["A4", "D4", "B3", "I2_5", "H3"])
+@pytest.mark.parametrize("sid", ["A4", "D4", "B3", "I2_5", "H3", "A2+A2", "A1+A2+B3", "H3+A1"])
 def test_oracle_crosscheck(sid):
     r = oracle_crosscheck(sid)
     assert r.status == PASS
+    system = parse_system_id(sid)
+    if system.family == "DirectSum":
+        assert r.aut_order == r.known_group_order == wreath_order(system)
 
 
 def test_verify_table_subset():
@@ -343,6 +351,44 @@ def test_crosscheck_and_wreath_build_no_known_group(monkeypatch):
     assert verify_wreath("A1+A2+B3").status == PASS
     assert calls == []
     assert all(not any(a) for a in c3_gens)
+
+
+def test_crosscheck_and_wreath_search_triples_only(monkeypatch):
+    # a sum's C3 group is checked against its circuits, as an irreducible system's is
+    families, build_graph = [], verify.build_incidence
+    monkeypatch.setattr(verify, "build_incidence",
+                        lambda n, sets: families.append(list(sets)) or build_graph(n, sets))
+    assert verify_wreath("A1+A2+B3").status == PASS
+    assert oracle_crosscheck("D4").status == PASS
+    assert families == [linmatroid.circuits3(parse_system_id(sid).lines)
+                        for sid in ("A1+A2+B3", "D4")]
+    assert all(len(c) == 3 for family in families for c in family)
+
+
+def test_wreath_order_mismatch_fails(monkeypatch):
+    full = verify.wreath_order
+    monkeypatch.setattr(verify, "wreath_order", lambda system: full(system) + 1)
+    r = verify_wreath("A1+A2+B3")
+    assert (r.status, r.detail) == (FAIL, "order mismatch")
+    assert (r.aut_order, r.expected_order, r.known_group_order) == (144, 145, 0)
+
+
+@pytest.mark.parametrize("spec", ["A1+A2+B3", "A3+A3"])
+def test_wreath_fails_on_a_missing_circuit(spec, monkeypatch):
+    # drop each component's first 4-circuit: some generator of the C3 group moves a circuit onto it
+    full = linmatroid.all_circuits_upto
+
+    def dropped(*args, **kwargs):
+        circuits = full(*args, **kwargs)
+        first = next((c for c in circuits if len(c) == 4), None)
+        return [c for c in circuits if c != first]
+
+    monkeypatch.setattr(linmatroid, "all_circuits_upto", dropped)
+    r = verify_wreath(spec)
+    assert (r.status, r.known_group_order) == (FAIL, 0)
+    assert r.aut_order == r.expected_order
+    assert re.fullmatch(r"C3 group generator (\(\d+( \d+)+\))+ does not preserve the circuits",
+                        r.detail), r.detail
 
 
 @pytest.mark.parametrize("spec", ["A2+A2", "H3+A1"])
