@@ -269,13 +269,13 @@ def line_key(x):
 
 
 def perm_from_linear_map(system, image_of_line):
-    """Permutation induced on lines by a linear map on integer vectors (a | b).
-
-    Raises if some image is not a line of the system (the map does not
-    preserve the line set) or the induced map is not a bijection.
-    """
+    """Permutation induced on lines by a linear map on integer vectors (a | b); see _line_perm."""
     index = system.line_index
-    images = [index.get(line_key(image_of_line(x))) for x in system.lines]
+    return _line_perm(system, [index.get(line_key(image_of_line(x))) for x in system.lines])
+
+
+def _line_perm(system, images):
+    """Line i -> images[i]; raises on a None (that image is no line) or a repeat (no bijection)."""
     if None in images:
         v = system.lines[images.index(None)]
         raise ValueError(f"map does not preserve the line set (image of {v})")
@@ -306,11 +306,6 @@ def reflection(v):
     """
     vv, v2 = dot(v, v), [2 * c for c in v]
     return lambda x: combine(vv, x, dot(x, v2), v)
-
-
-def reflection_perm(system: RootSystem, line_index: int):
-    """Line permutation induced by the reflection in the given line."""
-    return perm_from_linear_map(system, reflection(system.lines[line_index]))
 
 
 F4_DUALITY_MATRIX = (
@@ -359,26 +354,31 @@ def _positive(x):
     return a > 0 if a * a > 5 * b * b else b > 0
 
 
-def simple_lines(system: RootSystem):
-    """Indices of the simple roots of the positive system the stored lines form.
+def simple_reflections(system: RootSystem):
+    """(index, line permutation) of the reflections in the rank simple roots, in line order.
 
-    Every line_key is lexicographically positive, so the lines are the
-    positive roots up to positive scalars.  The reflection in a simple root
-    permutes the other positive roots; the reflection in any other positive
-    root makes some other one negative.  Positive scalars change no sign,
-    so the test runs on the stored lines as they are.  It reflects only the
-    x with x.v > 0: else (v.v) x - 2 (x.v) v is a non-negative sum of positives.
-    A non-simple v has a simple witness (Humphreys 1990, ch. 1), so the
-    simple lines found so far are tried first, then all the others.
+    The line_keys, all lexicographically positive, are the positive roots up
+    to positive scalars: v is simple exactly when its reflection makes no
+    other line negative.  One sweep over the lines x takes d = x.2v: d = 0
+    fixes x's line, as s_v(x) = (v.v) x; else x maps to y = (v.v) x - d v,
+    and d > 0 with y < 0 shows v is not simple.  Simple lines found so far
+    come first (a non-simple v has a simple witness, Humphreys 1990, ch. 1).
     """
-    lines, found = system.lines, []
+    lines, index, simple, n = system.lines, system.line_index, {}, system.num_lines
     for i, v in enumerate(lines):
-        xs = itertools.chain([lines[j] for j in found], (x for j, x in enumerate(lines) if j != i))
-        vv, dots = dot(v, v), ((x, dot(x, v)) for x in xs)
-        if all(_positive(combine(vv, x, (2 * a, 2 * b), v))
-               for x, (a, b) in dots if _positive((a, b))):
-            found.append(i)
-    return found
+        vv, v2, moved = dot(v, v), [2 * c for c in v], {}
+        for j in itertools.chain(simple, (j for j in range(n) if j != i and j not in simple)):
+            d = dot(lines[j], v2)
+            if d != (0, 0):
+                moved[j] = combine(vv, lines[j], d, v)
+                if _positive(d) and not _positive(moved[j]):
+                    break
+        else:
+            images = [index.get(line_key(moved[j])) if j in moved else j for j in range(n)]
+            simple[i] = _line_perm(system, images)
+            if len(simple) == system.rank:
+                break
+    return list(simple.items())
 
 
 def known_group_generators(system: RootSystem):
@@ -399,7 +399,7 @@ def known_group_generators(system: RootSystem):
     if system.family == "I2":
         m = system.num_lines
         return [tuple((k + 1) % m for k in range(m)), tuple(-k % m for k in range(m))]
-    gens = [reflection_perm(system, i) for i in simple_lines(system)]
+    gens = [perm for _, perm in simple_reflections(system)]
     gens.extend(extra_symmetry_perms(system))
     return gens
 

@@ -1,4 +1,6 @@
-"""Permutation helpers that only the tests need: cycles in, basic orbits out."""
+"""Permutation helpers that only the tests need: cycles and reflections in, basic orbits out."""
+
+from rootmat.rootsystems import perm_from_linear_map, reflection
 
 
 def perm_from_cycles(degree, cycles):
@@ -13,3 +15,8 @@ def perm_from_cycles(degree, cycles):
 def basic_orbit_lengths(group):
     """The basic orbit lengths of a PermGroup, one per base point (its transversal sizes)."""
     return [len(t) for t in group._trans]
+
+
+def reflection_perm(system, line_index):
+    """Line permutation induced by the reflection in the given line."""
+    return perm_from_linear_map(system, reflection(system.lines[line_index]))

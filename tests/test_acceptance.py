@@ -23,8 +23,8 @@ from math import factorial
 import pytest
 
 from classical_shapes import classical_circuits
-from perm_helpers import perm_from_cycles
-from rootmat import graphauto, linmatroid, permgrp, rootsystems
+from perm_helpers import perm_from_cycles, reflection_perm
+from rootmat import graphauto, linmatroid, permgrp
 from rootmat.incidencegraph import build_incidence, restrict_to_ground
 from rootmat.linmatroid import all_circuits_upto, circuits3, matroid_of
 from rootmat.permgrp import bsgs, is_subgroup
@@ -213,7 +213,7 @@ def test_criterion_6_property_suites(pipeline, capsys):
             continue
         for k in range(system.num_lines):
             try:
-                rootsystems.reflection_perm(system, k)
+                reflection_perm(system, k)
             except Exception as exc:
                 failures.append(f"{sid}: reflection in line {k} fails: {exc}")
                 break

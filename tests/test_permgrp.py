@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from perm_helpers import basic_orbit_lengths, perm_from_cycles
+from perm_helpers import basic_orbit_lengths, perm_from_cycles, reflection_perm
 from rootmat.graphauto import _first_path, automorphism_group, path_bound
 from rootmat.incidencegraph import build_incidence
 from rootmat.linmatroid import circuits3
@@ -17,7 +17,7 @@ from rootmat.permgrp import (
     is_identity,
     is_subgroup,
 )
-from rootmat.rootsystems import build, known_group_generators, parse_system_id, reflection_perm
+from rootmat.rootsystems import build, known_group_generators, parse_system_id
 from rootmat.verify import default_table_ids
 
 

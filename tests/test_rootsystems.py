@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+from perm_helpers import reflection_perm
 from reference_field import ONE, PHI, canonical_line, field_vectors
 from rootmat.linmatroid import circuits3, matroid_of, rank
 from rootmat.permgrp import bsgs, compose, equal, is_identity
 from rootmat.rootsystems import (
     F4_DUALITY_MATRIX,
+    RootSystem,
     _positive,
     build,
     combine,
@@ -21,8 +23,7 @@ from rootmat.rootsystems import (
     parse_system_id,
     perm_from_linear_map,
     reflection,
-    reflection_perm,
-    simple_lines,
+    simple_reflections,
 )
 from rootmat.verify import default_table_ids
 
@@ -445,6 +446,16 @@ def _full_sweep_simple_lines(system):
                                  if parse_system_id(sid).rank >= 3]
                          + ["B9", "D10", "Dprime4", "B16", "D16"])
 def test_simple_lines_match_the_full_sweep(sid):
-    # trying the simple lines found so far as witnesses first changes no output
+    # trying the simple lines found so far as witnesses first, and stopping
+    # at rank simple lines, changes no output
     system = parse_system_id(sid)
-    assert simple_lines(system) == _full_sweep_simple_lines(system)
+    assert [i for i, _ in simple_reflections(system)] == _full_sweep_simple_lines(system)
+
+
+@pytest.mark.parametrize("dropped", [0, 7, 19])
+def test_known_group_rejects_a_line_set_missing_a_line(dropped):
+    # a simple reflection sends some line onto the dropped one: its image is no line
+    d5 = build("D", 5)
+    lines = d5.lines[:dropped] + d5.lines[dropped + 1:]
+    with pytest.raises(ValueError, match="map does not preserve the line set"):
+        known_group_generators(RootSystem("D", 5, 5, lines))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from perm_helpers import reflection_perm
 import rootmat
 from rootmat import graphauto, linmatroid, permgrp, rootsystems, verify
 from rootmat.cli import build_parser, main
@@ -31,8 +32,7 @@ from rootmat.rootsystems import (
     extra_symmetry_perms,
     known_group_generators,
     parse_system_id,
-    reflection_perm,
-    simple_lines,
+    simple_reflections,
 )
 
 
@@ -275,10 +275,11 @@ def test_simple_reflections_generate_the_known_group(sid):
                  bsgs(every, degree=system.num_lines))
 
 
-@pytest.mark.parametrize("sid", KNOWN_GROUP_IDS)
+@pytest.mark.parametrize("sid", KNOWN_GROUP_IDS + ["B16", "D16", "A20"])
 def test_known_group_has_rank_reflection_generators(sid):
+    # large ids exercise the scan's stop at rank simple lines
     system = parse_system_id(sid)
-    simple = simple_lines(system)
+    simple = [i for i, _ in simple_reflections(system)]
     assert len(simple) == system.rank
     assert known_group_generators(system) == (
         [reflection_perm(system, i) for i in simple] + extra_symmetry_perms(system))
