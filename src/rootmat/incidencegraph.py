@@ -22,17 +22,9 @@ class ColoredGraph:
         return sum(len(a) for a in self.adjacency) // 2
 
 
-def graph_from_edges(num_vertices, colors, edges) -> ColoredGraph:
-    adj = [set() for _ in range(num_vertices)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return ColoredGraph(num_vertices, tuple(colors), tuple(frozenset(a) for a in adj))
-
-
 def build_incidence(ground_size, sets) -> ColoredGraph:
     """The bipartite incidence graph G(X, F) with element/set colors."""
-    normalized = []
+    adj = [set() for _ in range(ground_size)]
     seen = set()
     for s in sets:
         fs = frozenset(s)
@@ -42,13 +34,13 @@ def build_incidence(ground_size, sets) -> ColoredGraph:
         if fs in seen:
             raise ValueError(f"duplicate set {sorted(fs)} in family")
         seen.add(fs)
-        normalized.append(fs)
-    n = ground_size + len(normalized)
-    colors = [0] * ground_size + [1] * len(normalized)
-    edges = [
-        (x, ground_size + k) for k, s in enumerate(normalized) for x in sorted(s)
-    ]
-    return graph_from_edges(n, colors, edges)
+        members = sorted(fs)  # a set's neighbours iterate alike however it was given
+        for x in members:
+            adj[x].add(len(adj))
+        adj.append(set(members))
+    n = len(adj)
+    colors = (0,) * ground_size + (1,) * (n - ground_size)
+    return ColoredGraph(n, colors, tuple(frozenset(a) for a in adj))
 
 
 def restrict_to_ground(graph_perm, ground_size):

@@ -3,9 +3,11 @@
 Permutations are tuples ``p`` of length ``degree`` acting on points
 ``0..degree-1`` by ``x -> p[x]``.  Composition ``compose(p, q)`` means
 "q first, then p".  The BSGS gives exact (big integer) group order,
-membership, subgroup and equality tests.  Every build repeats exactly:
-base points are the smallest moved point, orbits are extended in FIFO
-order, and the random phase of a bounded build draws from a fixed seed.
+membership, subgroup and equality tests.  The random phase of a bounded
+build and the deterministic completion add strong generators by the same
+sift-and-insert step.  Every build repeats exactly: base points are the
+smallest moved point, orbits are extended in FIFO order, and the random
+phase draws from a fixed seed.
 """
 
 from __future__ import annotations
@@ -56,55 +58,82 @@ def cycle_notation(p) -> str:
 class PermGroup:
     """A permutation group with a base and strong generating set.
 
-    Implements the classic deterministic Schreier-Sims procedure: work at
-    the deepest incomplete level, sift Schreier generators through the
-    levels below, and restart at the level where a residue survives.
-    Transversals are extend-only, so coset representatives never change
-    once computed and each (orbit point, generator) pair is processed at
-    most once per level.  A transversal stores the inverses of the coset
-    representatives, the factors a sift applies.
+    Every strong generator enters by one step, `_add`: a residue that a
+    sift left at level j becomes a strong generator at the levels up to j
+    whose base prefix it fixes (a residue that passed every level first gets
+    a new base point, its smallest moved point), and those orbits are closed
+    at once.  Transversals are extend-only, so coset representatives never
+    change once computed.  A transversal maps each orbit point x, in
+    insertion order, to the inverse of its coset representative u_x, the
+    factor a sift applies.
 
     Given a bound on the order, a seeded random phase (Seress 2003, ch. 4)
-    first makes each sifted random element's residue a strong generator.
-    Each level's generators fix the earlier base points, so the basic orbits
+    adds the residue of each sifted product-replacement element.  Each
+    level's generators fix the earlier base points, so the basic orbits
     multiply to at most the order: reaching a bound no lower than it proves
-    both equal.  60 trivial sifts in a row hand over to the deterministic loop.
+    both equal.  Product replacement mixes its pool for 10*|pool| steps
+    before a trivial run counts (Celler et al. 1995); then 60 trivial sifts
+    in a row hand over to the deterministic Schreier-Sims loop.  From the
+    deepest level, it adds the residue of the first Schreier generator that
+    does not sift and goes to the level that residue reached, or goes up a
+    level when none is left.  Each (orbit point, generator) pair is sifted
+    at most once per level.
     """
 
     def __init__(self, degree, generators, bound=None):
         self.degree = degree
         self.generators = [tuple(g) for g in generators]
-        for g in self.generators:
-            if len(g) != degree:
-                raise ValueError("generator degree mismatch")
+        if any(len(g) != degree for g in self.generators):
+            raise ValueError("generator degree mismatch")
         self.base = []
         self._gens = []  # _gens[i]: strong generators fixing base[:i]
-        self._orbits = []  # insertion-ordered orbit of base[i]
-        self._trans = []  # point x -> u_x^-1, where u_x maps base[i] to x
-        self._done = []  # processed (point, gen index) Schreier pairs
-        self._build(bound)
+        self._trans = []  # orbit of base[i] in insertion order, x -> u_x^-1
+        self._done = []  # sifted (point, gen index) Schreier pairs
+        gens = [g for g in self.generators if not is_identity(g)]
+        if not gens:
+            return  # the trivial group; an empty pool would make rng.sample raise
+        for g in gens:
+            if all(g[b] == b for b in self.base):
+                self._append_level(g)
+        for i in range(len(self.base)):
+            self._gens[i] = [g for g in gens if all(g[b] == b for b in self.base[:i])]
+            self._extend_transversal(i)
+        if bound is not None and self._reaches(gens, bound):
+            return
+        level = len(self.base) - 1
+        while level >= 0:
+            residue = self._residue(level)
+            if residue is None:
+                level -= 1
+                continue
+            h, reached = residue
+            self._add(h, range(level + 1, reached + 1))
+            level = reached
 
     # -- construction ----------------------------------------------------
 
-    def _new_base_point(self, g):
-        for x in range(self.degree):
-            if g[x] != x:
-                return x
-        raise AssertionError("tried to pick a base point for the identity")
-
-    def _append_level(self, point):
+    def _append_level(self, g):
+        """A new last level whose base point is the smallest point g moves."""
+        point = next(x for x in range(self.degree) if g[x] != x)
         self.base.append(point)
         self._gens.append([])
-        self._orbits.append([point])
         self._trans.append({point: identity(self.degree)})
         self._done.append(set())
 
+    def _add(self, h, levels):
+        """Make the residue h a strong generator at levels, which end where its sift stopped."""
+        if levels[-1] == len(self.base):
+            self._append_level(h)
+        for l in levels:
+            self._gens[l].append(h)
+            self._extend_transversal(l, len(self._gens[l]) - 1)
+
     def _extend_transversal(self, i, new=0):
         """Close orbit i under its generators; the points it has need only _gens[i][new:]."""
-        orbit, trans, gens = self._orbits[i], self._trans[i], self._gens[i]
-        gens_inv, old, idx = {}, len(orbit), 0  # inverses by generator index, formed on first use
-        while idx < len(orbit):
-            x = orbit[idx]
+        trans, gens = self._trans[i], self._gens[i]
+        orbit = list(trans)
+        gens_inv, old = {}, len(orbit)  # inverses by generator index, formed on first use
+        for idx, x in enumerate(orbit):  # the loop also visits the points it appends
             for k in range(new if idx < old else 0, len(gens)):
                 y = gens[k][x]
                 if y not in trans:
@@ -113,7 +142,25 @@ class PermGroup:
                     # u_y = s . u_x, so u_y^-1 = u_x^-1 . s^-1
                     trans[y] = compose(trans[x], gens_inv[k])
                     orbit.append(y)
-            idx += 1
+
+    def _residue(self, level):
+        """The first unsifted Schreier pair at level that sifts to a non-identity: (residue, its level)."""
+        trans, gens, done = self._trans[level], self._gens[level], self._done[level]
+        for x, ux_inv in trans.items():
+            ux = None  # formed when a Schreier generator needs it
+            for si, s in enumerate(gens):
+                if (x, si) in done:
+                    continue
+                done.add((x, si))
+                if ux is None:
+                    ux = inverse(ux_inv)
+                schreier = compose(trans[s[x]], compose(s, ux))
+                if is_identity(schreier):
+                    continue
+                h, reached = self._strip(schreier, level + 1)
+                if not is_identity(h):
+                    return h, reached
+        return None
 
     def _strip(self, p, start=0):
         for i in range(start, len(self.base)):
@@ -126,73 +173,23 @@ class PermGroup:
 
     def _reaches(self, gens, bound):
         """The random phase: True once the basic orbits multiply to bound."""
-        rng, x, trivial = random.Random(0), identity(self.degree), 0
+        rng, x, trivial, steps = random.Random(0), identity(self.degree), 0, 0
         pool = (gens * 10)[:max(10, len(gens))]  # product replacement
-        while trivial < 60 and self.order() < bound:
+        while (trivial < 60 or steps < 10 * len(pool)) and self.order() < bound:
+            steps += 1
             i, j = rng.sample(range(len(pool)), 2)
             pool[i] = compose(pool[i], pool[j])
             x = compose(x, pool[i])
             h, level = self._strip(x)
             trivial = trivial + 1 if is_identity(h) else 0
-            if trivial:
-                continue
-            if level == len(self.base):
-                self._append_level(self._new_base_point(h))
-            for l in range(level + 1):  # h fixes base[:level]
-                self._gens[l].append(h)
-                self._extend_transversal(l, len(self._gens[l]) - 1)
+            if not trivial:
+                self._add(h, range(level + 1))  # h fixes base[:level]
         return self.order() >= bound
-
-    def _build(self, bound):
-        gens = [g for g in self.generators if not is_identity(g)]
-        if not gens:
-            return
-        for g in gens:
-            if all(g[b] == b for b in self.base):
-                self._append_level(self._new_base_point(g))
-        for i in range(len(self.base)):
-            self._gens[i] = [g for g in gens if all(g[b] == b for b in self.base[:i])]
-            self._extend_transversal(i)
-        if bound is not None and self._reaches(gens, bound):
-            return
-        level = len(self.base) - 1
-        while level >= 0:
-            self._extend_transversal(level)
-            jumped = False
-            orbit, trans = self._orbits[level], self._trans[level]
-            lgens, done = self._gens[level], self._done[level]
-            xi = 0
-            while xi < len(orbit) and not jumped:
-                x = orbit[xi]
-                tx = None  # u_x, formed when a Schreier generator needs it
-                for si in range(len(lgens)):
-                    if (x, si) in done:
-                        continue
-                    done.add((x, si))
-                    s = lgens[si]
-                    if tx is None:
-                        tx = inverse(trans[x])
-                    schreier = compose(trans[s[x]], compose(s, tx))
-                    if is_identity(schreier):
-                        continue
-                    h, j = self._strip(schreier, level + 1)
-                    if is_identity(h):
-                        continue
-                    if j == len(self.base):
-                        self._append_level(self._new_base_point(h))
-                    for l in range(level + 1, j + 1):
-                        self._gens[l].append(h)
-                    level = j
-                    jumped = True
-                    break
-                xi += 1
-            if not jumped:
-                level -= 1
 
     # -- queries ---------------------------------------------------------
 
     def order(self) -> int:
-        return prod(len(t) for t in self._trans) if self.base else 1
+        return prod(map(len, self._trans))
 
     def contains(self, p) -> bool:
         p = tuple(p)

@@ -13,11 +13,19 @@ from rootmat.graphauto import (
     path_bound,
     refine,
 )
-from rootmat.incidencegraph import build_incidence, graph_from_edges, restrict_to_ground
+from rootmat.incidencegraph import ColoredGraph, build_incidence, restrict_to_ground
 from rootmat.linmatroid import circuits3
 from rootmat.permgrp import bsgs
 from rootmat.rootsystems import build, parse_system_id
 from rootmat.verify import default_table_ids
+
+
+def graph_from_edges(num_vertices, colors, edges) -> ColoredGraph:
+    adj = [set() for _ in range(num_vertices)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return ColoredGraph(num_vertices, tuple(colors), tuple(frozenset(a) for a in adj))
 
 
 def _cycle(n):

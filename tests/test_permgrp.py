@@ -18,7 +18,7 @@ from rootmat.permgrp import (
     is_subgroup,
 )
 from rootmat.rootsystems import build, known_group_generators, parse_system_id
-from rootmat.verify import default_table_ids
+from rootmat.verify import default_table_ids, expected_aut_order
 
 
 def _sym_gens(n):
@@ -181,6 +181,23 @@ def test_bounded_e8_sifts_no_schreier_pair():
     g = bsgs(gens, n, bound=bound)
     assert g.order() == bound == 348364800
     assert not any(g._done)
+
+
+def test_bounded_b30_sifts_no_schreier_pair():
+    # the random phase mixes its pool before a run of trivial sifts may stop it
+    system = parse_system_id("B30")
+    bound = expected_aut_order(system)
+    g = bsgs(known_group_generators(system), system.num_lines, bound=bound)
+    assert g.order() == bound
+    assert not any(g._done)
+
+
+@pytest.mark.parametrize("gens, degree, bound", [([], 5, 1), ([identity(4)], 4, 2)])
+def test_bounded_build_without_a_moving_generator_is_trivial(gens, degree, bound):
+    # no generator moves a point, so there is no pool to draw from
+    g = bsgs(gens, degree=degree, bound=bound)
+    assert g.order() == 1
+    assert g.base == []
 
 
 @pytest.mark.parametrize("sid", ["E8", "H4", "D10", "B9"])
