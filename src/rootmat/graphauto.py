@@ -1,17 +1,21 @@
 """Color-preserving graph automorphisms along one refinement path.
 
-`refine` takes an ordered partition of the vertices to the coarsest
-equitable partition by a splitter queue (McKay & Piperno, *Practical graph
-isomorphism II*, 2014).  The first path refines, individualizes the least
-vertex of the first smallest non-singleton cell (the target cell T_i) and
-refines again, down to a discrete leaf; refinement is equivariant, so
+One ordered partition of the vertices, `_Partition`, is refined in place:
+its cells lie contiguously in one array, and a splitter queue takes it to
+the coarsest equitable partition, moving only the vertices a splitter
+touches (McKay & Piperno, *Practical graph isomorphism II*, 2014, §§4-5);
+`refine` is the same kernel on a list of cells.  The first path carries
+that one state down: it individualizes the least vertex of the first
+smallest non-singleton cell (the target cell T_i) in place and refines from
+the new singleton, down to a discrete leaf.  Refinement is equivariant, so
 prod |T_i| bounds the group order (`path_bound`).  `automorphism_group`
-descends once below each target-cell vertex outside the orbit found so far
-and matches the leaf with the first leaf; verified edge-by-edge, each match
-is a generator.  When all verify, the group reaches the bound; a leaf that
-fails means the bound does not close and is an error, not a search, so the
-walk (the first path and one descent per generator) needs no node budget.
-`_certify` checks the orbits that prove the order, level by level.
+keeps a copy of the state at each level, descends once below each
+target-cell vertex outside the orbit found so far and matches the leaf with
+the first leaf; verified edge-by-edge, each match is a generator.  When all
+verify, the group reaches the bound; a leaf that fails means the bound does
+not close and is an error, not a search, so the walk (the first path and
+one descent per generator) needs no node budget.  `_certify` checks the
+orbits that prove the order, level by level.
 """
 
 from __future__ import annotations
@@ -30,110 +34,162 @@ def initial_partition(g: ColoredGraph):
     return [sorted(cells[c]) for c in sorted(cells)]
 
 
+class _Partition:
+    """An ordered partition, refined and individualized in place.
+
+    `elems` lists the vertices of g cell after cell and `pos` is its
+    inverse; `cell_of` maps a vertex to the start of its cell in `elems`,
+    and `size` maps the start of each cell to its length.  A new one is the
+    coarsest equitable refinement of a list of cells, from the splitter
+    cells at the indices in `active` (every cell when it is None).
+    """
+
+    __slots__ = ("adjacency", "elems", "pos", "cell_of", "size")
+
+    def __init__(self, g: ColoredGraph, cells, active=None):
+        self.adjacency, self.elems, self.size = g.adjacency, [], {}
+        self.pos, self.cell_of = [0] * g.num_vertices, [0] * g.num_vertices
+        for cell in cells:
+            start = len(self.elems)
+            self.size[start] = len(cell)
+            for v in cell:
+                self.pos[v], self.cell_of[v] = len(self.elems), start
+                self.elems.append(v)
+        starts = list(self.size)
+        self.refine(starts if active is None else [starts[i] for i in active])
+
+    def copy(self):
+        p = _Partition.__new__(_Partition)
+        p.adjacency, p.size = self.adjacency, dict(self.size)
+        p.elems, p.pos, p.cell_of = self.elems[:], self.pos[:], self.cell_of[:]
+        return p
+
+    def cell(self, start):
+        return self.elems[start:start + self.size[start]]
+
+    def cells(self):
+        return [self.cell(start) for start in sorted(self.size)]
+
+    def target(self):
+        """Start of the first smallest non-singleton cell, None when the partition is discrete."""
+        best, start = None, 0
+        while start < len(self.elems):
+            n = self.size[start]
+            if n > 1 and (best is None or n < self.size[best]):
+                best = start
+                if n == 2:
+                    break
+            start += n
+        return best
+
+    def individualize(self, start, v):
+        """Split v off the front of the cell at start, then refine from the new singleton.
+
+        The partition was equitable, so only the singleton can split a cell.
+        """
+        elems, pos, size = self.elems, self.pos, self.size
+        i, u = pos[v], elems[start]
+        elems[start], elems[i], pos[v], pos[u] = v, u, start, i
+        size[start], size[start + 1] = 1, size[start] - 1
+        for w in elems[start + 1:start + 1 + size[start + 1]]:
+            self.cell_of[w] = start + 1
+        self.refine([start])
+
+    def refine(self, splitters):
+        """Refine to the coarsest equitable partition from the splitter cells at these starts.
+
+        A splitter splits each cell it touches by the number of neighbors
+        each vertex has in it, fragments in increasing order of that count;
+        the untouched vertices stay in front, and only the touched ones are
+        swapped into place.  Every new fragment joins the queue, except the
+        first largest one when the parent cell was not queued: counts into
+        it follow from counts into the parent and the other fragments.
+        Cells and their order depend only on positions and counts, so the
+        result is relabeling-equivariant.
+        """
+        adjacency, elems, pos, cell_of = self.adjacency, self.elems, self.pos, self.cell_of
+        size = self.size
+        queue = deque(splitters)
+        queued = set(queue)
+        while queue and len(size) < len(elems):
+            splitter = queue.popleft()
+            queued.discard(splitter)
+            count = {}
+            for w in elems[splitter:splitter + size[splitter]]:
+                for u in adjacency[w]:
+                    count[u] = count.get(u, 0) + 1
+            hit = {}
+            for u in count:
+                hit.setdefault(cell_of[u], []).append(u)
+            for start in sorted(hit):
+                n, members = size[start], hit[start]
+                groups = {}
+                for u in members:
+                    groups.setdefault(count[u], []).append(u)
+                if len(members) == n and len(groups) == 1:
+                    continue
+                fragments = [groups[k] for k in sorted(groups)]
+                i = start + n - len(members)
+                for frag in fragments:
+                    for u in frag:
+                        j, w = pos[u], elems[i]
+                        elems[i], elems[j], pos[u], pos[w] = u, w, i, j
+                        i += 1
+                lengths = [len(frag) for frag in fragments]
+                if len(members) < n:  # the untouched vertices, whose cell_of stays start
+                    fragments.insert(0, ())
+                    lengths.insert(0, n - len(members))
+                largest = lengths.index(max(lengths))
+                parent_queued = start in queued
+                i = start
+                for k, frag in enumerate(fragments):
+                    size[i] = lengths[k]
+                    if i != start:
+                        for v in frag:
+                            cell_of[v] = i
+                    if (parent_queued or k != largest) and i not in queued:
+                        queue.append(i)
+                        queued.add(i)
+                    i += lengths[k]
+
+
 def refine(g: ColoredGraph, partition, active=None):
     """Coarsest equitable refinement of an ordered partition, as a list of cells.
 
-    Splitter-queue refinement: the cells sit contiguously in one flat
-    array, and the queue holds the start positions of the splitter cells
-    (the cells at the indices in `active`, or every cell when it is None).
-    A splitter splits each cell it touches by the number of neighbors each
-    vertex has in it, fragments in increasing order of that count.  Every
-    new fragment joins the queue, except the first largest one when the
-    parent cell was not queued: counts into it follow from counts into the
-    parent and the other fragments.  Cells and their order depend only on
-    positions and counts, so the result is relabeling-equivariant.
+    The splitters are the cells at the indices in `active`, or every cell
+    when it is None; see `_Partition.refine`.
     """
-    adjacency = g.adjacency
-    elems = [v for cell in partition for v in cell]
-    cell_of = [0] * g.num_vertices  # vertex -> start of its cell in elems
-    size = {}  # start of a cell -> its length
-    starts = []
-    start = 0
-    for cell in partition:
-        starts.append(start)
-        size[start] = len(cell)
-        for v in cell:
-            cell_of[v] = start
-        start += len(cell)
-    queue = deque(starts if active is None else [starts[i] for i in active])
-    queued = set(queue)
-    while queue and len(size) < len(elems):
-        splitter = queue.popleft()
-        queued.discard(splitter)
-        count = {}
-        for w in elems[splitter:splitter + size[splitter]]:
-            for u in adjacency[w]:
-                count[u] = count.get(u, 0) + 1
-        hit = {}
-        for u in count:
-            hit.setdefault(cell_of[u], []).append(u)
-        for start in sorted(hit):
-            n = size[start]
-            members = hit[start]
-            groups = {}
-            for u in members:
-                groups.setdefault(count[u], []).append(u)
-            if len(members) < n:
-                groups[0] = [v for v in elems[start:start + n] if v not in count]
-            if len(groups) == 1:
-                continue
-            fragments = [groups[k] for k in sorted(groups)]
-            largest = max(fragments, key=len)
-            parent_queued = start in queued
-            pos = start
-            for frag in fragments:
-                elems[pos:pos + len(frag)] = frag
-                size[pos] = len(frag)
-                if pos != start:
-                    for v in frag:
-                        cell_of[v] = pos
-                if (parent_queued or frag is not largest) and pos not in queued:
-                    queue.append(pos)
-                    queued.add(pos)
-                pos += len(frag)
-    return [elems[start:start + size[start]] for start in sorted(size)]
+    return _Partition(g, partition, active).cells()
 
 
-def _individualize(partition, idx, v):
-    """Split v off the front of cell idx."""
-    cell = partition[idx]
-    return partition[:idx] + [[v], [w for w in cell if w != v]] + partition[idx + 1:]
+def _walk(p: _Partition):
+    """Walk p down the first path in place, yielding the start of each level's target cell.
 
-
-def _target_cell_index(partition):
-    best = None
-    for idx, cell in enumerate(partition):
-        if len(cell) > 1 and (best is None or len(cell) < len(partition[best])):
-            best = idx
-    return best
-
-
-def _first_path(g: ColoredGraph, partition=None, active=None):
-    """The first path below an ordered partition (by default g's initial one).
-
-    Refines, then individualizes the least vertex of the first smallest
-    non-singleton cell, the target, and refines again, until the partition
-    is discrete.  Returns the (partition, target index) of each level and the
-    leaf, the vertices in cell order.
+    Each level individualizes the least vertex of its target cell.  When
+    the walk ends, p is discrete and p.elems is the leaf.
     """
-    partition = refine(g, initial_partition(g) if partition is None else partition, active)
-    levels = []
-    while (target := _target_cell_index(partition)) is not None:
-        levels.append((partition, target))
-        # the parent is equitable, so only the new singleton can split a cell
-        partition = refine(g, _individualize(partition, target, min(partition[target])), [target])
-    return levels, [cell[0] for cell in partition]
+    while (target := p.target()) is not None:
+        yield target
+        p.individualize(target, min(p.cell(target)))
 
 
 def path_bound(g: ColoredGraph):
     """prod |T_i| over the target cells of the first path, >= |Aut(g)|.
 
-    `refine` is equivariant, so the automorphisms fixing v_1..v_{i-1} (v_j
-    the least vertex of T_j) map T_i onto itself, and the orbit of v_i lies
-    in T_i; the discrete leaf has a trivial stabilizer.  Orbit-stabilizer
+    Refinement is equivariant, so the automorphisms fixing v_1..v_{i-1}
+    (v_j the least vertex of T_j) map T_i onto itself, and the orbit of v_i
+    lies in T_i; the discrete leaf has a trivial stabilizer.  Orbit-stabilizer
     (McKay & Piperno 2014) gives the bound: a subgroup reaching it is Aut(g).
     """
-    return prod(len(partition[target]) for partition, target in _first_path(g)[0])
+    p = _Partition(g, initial_partition(g))
+    return prod(p.size[target] for target in _walk(p))
+
+
+def _first_path(g: ColoredGraph):
+    """The levels of the first path, each (a copy of its state, target start), and the leaf."""
+    p = _Partition(g, initial_partition(g))
+    levels = [(p.copy(), target) for target in _walk(p)]
+    return levels, p.elems
 
 
 def _is_automorphism(g: ColoredGraph, p):
@@ -160,10 +216,10 @@ def _certify(levels, gens):
     Orbit-stabilizer along the path then gives |<gens>| >= prod |T_d| >= |Aut(g)|
     (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
     """
-    path = [min(partition[target]) for partition, target in levels]
-    for depth, (partition, target) in enumerate(levels):
-        fixing = [p for p in gens if all(p[v] == v for v in path[:depth])]
-        if _orbit(path[depth], fixing) != set(partition[target]):
+    path = [min(p.cell(target)) for p, target in levels]
+    for depth, (p, target) in enumerate(levels):
+        fixing = [gen for gen in gens if all(gen[v] == v for v in path[:depth])]
+        if _orbit(path[depth], fixing) != set(p.cell(target)):
             raise AssertionError(f"automorphism search inconsistent: at level {depth} the orbit "
                                  f"of path vertex {path[depth]} is not the target cell")
 
@@ -173,25 +229,30 @@ def automorphism_group(g: ColoredGraph):
 
     From the deepest level of the first path up, each w in T_i outside the
     orbit of v_i under the generators found so far gets one descent (the
-    first path below w individualized); its leaf, matched with the first
-    leaf, is verified edge-by-edge and becomes a generator mapping w to v_i.
-    The orbits then fill every T_i (`_certify` checks this), so the group
-    reaches the bound and is Aut(g).  A leaf that fails shows that the bound
-    does not close: a ValueError.
+    first path below w individualized, walked on a copy of level i's state);
+    its leaf, matched with the first leaf, is verified edge-by-edge and
+    becomes a generator mapping w to v_i.  The generators of deeper levels
+    fix v_i, so every level descends.  The orbits then fill every T_i
+    (`_certify` checks this), so the group reaches the bound and is Aut(g).
+    A leaf that fails shows that the bound does not close: a ValueError.
     """
     levels, first_leaf = _first_path(g)
-    path = [min(partition[target]) for partition, target in levels]
+    path = [min(p.cell(target)) for p, target in levels]
     gens = []
     for depth in reversed(range(len(levels))):
-        partition, target = levels[depth]
+        p, target = levels[depth]
         orbit = _orbit(path[depth], gens)
-        for w in sorted(partition[target]):
+        for w in sorted(p.cell(target)):
             if w in orbit:
                 continue
-            _, leaf = _first_path(g, _individualize(partition, target, w), [target])
-            perm = tuple(u for _, u in sorted(zip(leaf, first_leaf)))  # leaf[k] -> first_leaf[k]
+            q = p.copy()
+            q.individualize(target, w)
+            for _ in _walk(q):
+                pass
+            perm = tuple(u for _, u in sorted(zip(q.elems, first_leaf)))  # leaf[k] -> first_leaf[k]
             if not _is_automorphism(g, perm):
-                raise ValueError(f"automorphism_group: the first-path bound {path_bound(g)} "
+                bound = prod(level.size[t] for level, t in levels)
+                raise ValueError(f"automorphism_group: the first-path bound {bound} "
                                  f"does not close (the leaf below vertex {w} is no automorphism)")
             gens.append(perm)
             orbit = _orbit(path[depth], gens)

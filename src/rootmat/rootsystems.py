@@ -363,12 +363,20 @@ def simple_reflections(system: RootSystem):
     fixes x's line, as s_v(x) = (v.v) x; else x maps to y = (v.v) x - d v,
     and d > 0 with y < 0 shows v is not simple.  Simple lines found so far
     come first (a non-simple v has a simple witness, Humphreys 1990, ch. 1).
+    d is summed over v's nonzero coordinates k only, one term (k, dim + k,
+    2a_k, 2b_k) each: a root touches few of the ambient coordinates.
     """
     lines, index, simple, n = system.lines, system.line_index, {}, system.num_lines
+    dim = system.ambient_dim
     for i, v in enumerate(lines):
-        vv, v2, moved = dot(v, v), [2 * c for c in v], {}
+        vv, moved = dot(v, v), {}
+        terms = [(k, dim + k, 2 * v[k], 2 * v[dim + k]) for k in range(dim) if v[k] or v[dim + k]]
         for j in itertools.chain(simple, (j for j in range(n) if j != i and j not in simple)):
-            d = dot(lines[j], v2)
+            x, p, q = lines[j], 0, 0
+            for k, m, a, b in terms:
+                p += x[k] * a + 5 * x[m] * b
+                q += x[k] * b + x[m] * a
+            d = p, q
             if d != (0, 0):
                 moved[j] = combine(vv, lines[j], d, v)
                 if _positive(d) and not _positive(moved[j]):

@@ -1,18 +1,13 @@
 import random
 from collections import Counter
 from itertools import permutations
+from math import prod
 
 import pytest
 
 from rootmat import graphauto, permgrp
-from rootmat.graphauto import (
-    _individualize,
-    _target_cell_index,
-    automorphism_group,
-    initial_partition,
-    path_bound,
-    refine,
-)
+from rootmat.cli import main
+from rootmat.graphauto import automorphism_group, initial_partition, path_bound, refine
 from rootmat.incidencegraph import ColoredGraph, build_incidence, restrict_to_ground
 from rootmat.linmatroid import circuits3
 from rootmat.permgrp import bsgs
@@ -124,15 +119,64 @@ def test_asymmetric_graph_has_trivial_group():
     assert automorphism_group(g) == []
 
 
-def test_frucht_graph_bound_does_not_close():
-    # cubic and asymmetric, but refinement leaves one cell: the bound is 12, |Aut| is 1
+def _frucht():
     lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
     edges = [(i, (i + 1) % 12) for i in range(12)] + [(i, (i + lcf[i]) % 12) for i in range(12)]
-    g = graph_from_edges(12, [0] * 12, edges)
+    return graph_from_edges(12, [0] * 12, edges)
+
+
+def test_frucht_graph_bound_does_not_close():
+    # cubic and asymmetric, but refinement leaves one cell: the bound is 12, |Aut| is 1
+    g = _frucht()
     assert path_bound(g) == 12
     with pytest.raises(ValueError, match="first-path bound 12 does not close") as info:
         automorphism_group(g)
     assert "\n" not in str(info.value)
+
+
+def _individualize(partition, idx, v):
+    """Split v off the front of cell idx of a list of cells."""
+    cell = partition[idx]
+    return partition[:idx] + [[v], [w for w in cell if w != v]] + partition[idx + 1:]
+
+
+def _target_cell_index(partition):
+    """Index of the first smallest non-singleton cell of a list of cells, or None."""
+    best = None
+    for idx, cell in enumerate(partition):
+        if len(cell) > 1 and (best is None or len(cell) < len(partition[best])):
+            best = idx
+    return best
+
+
+def _reference_first_path(g, partition=None, active=None):
+    """The list-form first path: each level's cells rebuilt by `refine` from a list of cells.
+
+    Returns the (partition, target index) of each level and the leaf, as
+    the first path below an ordered partition (by default g's initial one).
+    """
+    partition = refine(g, initial_partition(g) if partition is None else partition, active)
+    levels = []
+    while (target := _target_cell_index(partition)) is not None:
+        levels.append((partition, target))
+        partition = refine(g, _individualize(partition, target, min(partition[target])), [target])
+    return levels, [cell[0] for cell in partition]
+
+
+def _reference_generators(g):
+    """`automorphism_group`'s generators, every descent walked by `_reference_first_path`."""
+    levels, first_leaf = _reference_first_path(g)
+    path = [min(partition[target]) for partition, target in levels]
+    gens = []
+    for depth in reversed(range(len(levels))):
+        partition, target = levels[depth]
+        orbit = graphauto._orbit(path[depth], gens)
+        for w in sorted(partition[target]):
+            if w not in orbit:
+                _, leaf = _reference_first_path(g, _individualize(partition, target, w), [target])
+                gens.append(tuple(u for _, u in sorted(zip(leaf, first_leaf))))
+                orbit = graphauto._orbit(path[depth], gens)
+    return gens
 
 
 def _reference_refine(g, partition):
@@ -263,7 +307,7 @@ def test_certify_raises_on_a_missing_generator(name):
     with pytest.raises(AssertionError, match="inconsistent: at level"):
         graphauto._certify(levels, gens[:-1])
     # without the deepest level's generators, no generator left fixes the path above it
-    path = [min(partition[target]) for partition, target in levels]
+    path = [min(p.cell(target)) for p, target in levels]
     shallower = [p for p in gens if any(p[v] != v for v in path[:-1])]
     assert len(shallower) < len(gens)
     with pytest.raises(AssertionError, match="inconsistent: at level"):
@@ -286,3 +330,41 @@ def test_empty_graph_group_is_trivial():
     for g in (graph_from_edges(0, [], []), build_incidence(0, [])):
         assert automorphism_group(g) == []
         assert path_bound(g) == 1
+
+
+def _assert_walk_matches_reference(g):
+    # the same cells as sets, in the same order, the same target cell and the same leaf
+    levels, leaf = graphauto._first_path(g)
+    ref_levels, ref_leaf = _reference_first_path(g)
+    assert len(levels) == len(ref_levels)
+    for (p, target), (partition, ref_target) in zip(levels, ref_levels):
+        cells = p.cells()
+        assert [set(c) for c in cells] == [set(c) for c in partition]
+        assert cells.index(p.cell(target)) == ref_target
+    assert leaf == ref_leaf
+    assert path_bound(g) == prod(len(partition[t]) for partition, t in ref_levels)
+
+
+WALK_IDS = default_table_ids() + ["I2_16", "I2_18", "I2_20", "B9", "D10", "B16", "Dprime4+D4"]
+
+
+@pytest.mark.parametrize("name", WALK_IDS + ["petersen", "frucht"])
+def test_in_place_walk_matches_the_list_form_walk(name):
+    g = {"petersen": _petersen, "frucht": _frucht}.get(name, lambda: _c3_graph(name))()
+    _assert_walk_matches_reference(g)
+
+
+def test_in_place_walk_matches_the_list_form_walk_on_random_graphs():
+    rng = random.Random(2007)
+    for _ in range(300):
+        _assert_walk_matches_reference(_random_graph(rng, 12))
+
+
+@pytest.mark.parametrize("sid", ["F4", "E8", "B9", "H4+H3+A1"])
+def test_emitted_generators_match_the_list_form_walk(sid, capsys):
+    g = _c3_graph(sid)
+    n = parse_system_id(sid).num_lines
+    assert main(["aut", "--system", sid, "--emit-generators"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{sid}: |Aut(G(X, C3))| = {path_bound(g)}"] + [
+        permgrp.cycle_notation(restrict_to_ground(p, n)) for p in _reference_generators(g)]

@@ -139,7 +139,7 @@ def test_e8_graph_group_bsgs_is_pinned():
     # the E8 C3-graph group's generators, built with the smallest moved point as each base point
     e8 = build("E8")
     graph = build_incidence(e8.num_lines, circuits3(e8.lines))
-    path = [min(partition[target]) for partition, target in _first_path(graph)[0]]
+    path = [min(p.cell(target)) for p, target in _first_path(graph)[0]]
     g = bsgs(automorphism_group(graph), degree=graph.num_vertices)
     assert path == [0, 120, 2, 1, 26, 36, 108, 51, 52]
     assert g.base == [8, 10, 6, 0, 4, 2, 1]

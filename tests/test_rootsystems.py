@@ -12,6 +12,7 @@ from rootmat.permgrp import bsgs, compose, equal, is_identity
 from rootmat.rootsystems import (
     F4_DUALITY_MATRIX,
     RootSystem,
+    _line_perm,
     _positive,
     build,
     combine,
@@ -450,6 +451,32 @@ def test_simple_lines_match_the_full_sweep(sid):
     # at rank simple lines, changes no output
     system = parse_system_id(sid)
     assert [i for i, _ in simple_reflections(system)] == _full_sweep_simple_lines(system)
+
+
+def _dense_simple_reflections(system):
+    """`simple_reflections` with d = x.2v from `dot` over every coordinate, the reference."""
+    lines, index, simple, n = system.lines, system.line_index, {}, system.num_lines
+    for i, v in enumerate(lines):
+        vv, v2, moved = dot(v, v), [2 * c for c in v], {}
+        for j in itertools.chain(simple, (j for j in range(n) if j != i and j not in simple)):
+            d = dot(lines[j], v2)
+            if d != (0, 0):
+                moved[j] = combine(vv, lines[j], d, v)
+                if _positive(d) and not _positive(moved[j]):
+                    break
+        else:
+            images = [index.get(line_key(moved[j])) if j in moved else j for j in range(n)]
+            simple[i] = _line_perm(system, images)
+            if len(simple) == system.rank:
+                break
+    return list(simple.items())
+
+
+@pytest.mark.parametrize("sid", default_table_ids() + ["B16", "D16", "A20", "Dprime4", "B32"])
+def test_simple_reflections_match_the_dense_dot(sid):
+    # the sparse x.2v over v's nonzero coordinates changes no line or permutation
+    system = parse_system_id(sid)
+    assert simple_reflections(system) == _dense_simple_reflections(system)
 
 
 @pytest.mark.parametrize("dropped", [0, 7, 19])

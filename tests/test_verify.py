@@ -325,6 +325,22 @@ def test_generator_that_is_no_line_map_fails(sid, replaced, monkeypatch):
     assert (r.status, r.detail) == (FAIL, "known generator does not preserve C3")
 
 
+@pytest.mark.parametrize("sid", ["E6", "H4", "D5", "F4", "B9"])
+def test_generator_merging_two_lines_of_a_triple_fails(sid, monkeypatch):
+    # a tuple that is no permutation: a -> b, which sends the triple (a, b, c) to (b, b, c)
+    full = rootsystems.known_group_generators
+    a, b, _ = linmatroid.circuits3(parse_system_id(sid).lines)[0]
+
+    def merging(system):
+        merge = list(range(system.num_lines))
+        merge[a] = b
+        return list(full(system)) + [tuple(merge)]
+
+    monkeypatch.setattr(rootsystems, "known_group_generators", merging)
+    r = verify_theorem(sid)
+    assert (r.status, r.detail) == (FAIL, "known generator does not preserve C3")
+
+
 def _record_calls(monkeypatch):
     """Count known_group_generators calls; record the generators circuits3 gets."""
     calls, c3_gens = [], []
