@@ -56,7 +56,7 @@ def build_parser():
     p.add_argument("--max-order", type=int, default=3)
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.add_argument("--budget", type=int, default=linmatroid.DEFAULT_NODE_BUDGET,
-                   help="enumeration node budget (default %(default)s)")
+                   help="node budget of each component's enumeration (default %(default)s)")
 
     p = sub.add_parser("aut", help="compute the graph automorphism group")
     p.add_argument("--system", required=True)
@@ -136,11 +136,8 @@ def cmd_table(args):
 
 def cmd_circuits(args):
     system = rootsystems.parse_system_id(args.system)
-    if args.max_order == 3:
-        circuits = linmatroid.circuits3(system.lines)
-    else:
-        circuits = linmatroid.all_circuits_upto(linmatroid.matroid_of(system), args.max_order,
-                                                args.budget)
+    circuits = (linmatroid.circuits3(system.lines) if args.max_order == 3
+                else verify.circuits_upto(system, args.max_order, args.budget))
     if args.format == "json":
         print(json.dumps({
             "system": system.system_id,

@@ -41,7 +41,7 @@ class VerificationReport:
     system_id: str
     num_lines: int
     c3_count: int
-    aut_order: int  # squeeze: exact on PASS, the first-path bound on a rank >= 3 FAIL
+    aut_order: int  # the squeeze's bound or the C3 group's order; 0 where not computed
     expected_order: int
     known_group_order: int
     status: str
@@ -76,14 +76,12 @@ def expected_aut_order(system: rootsystems.RootSystem) -> int:
 
 def wreath_order(system: rootsystems.RootSystem) -> int:
     """prod_i p_i! * |Aut(M(R_i))|^{p_i} over matroid classes (D'4 is in that of D4)."""
-    counts = {}
+    total, classes = 1, {}
     for c in system.components:
         key = ("D", 4) if c.family == "Dprime4" else (c.family, c.rank_param)
-        counts[key] = counts.get(key, 0) + 1
-    total = 1
-    for (fam, n), p in counts.items():
-        base = expected_aut_order(rootsystems.build(fam, n))
-        total *= factorial(p) * base ** p
+        classes.setdefault(key, []).append(c)
+    for members in classes.values():
+        total *= factorial(len(members)) * expected_aut_order(members[0]) ** len(members)
     return total
 
 
@@ -131,15 +129,15 @@ def verify_theorem(system_id: str) -> VerificationReport:
     """Certify K(R) <= Aut(M(R)) <= Aut(G(X, C3)), closed by equal orders.
 
     The squeeze covers irreducible systems; a direct sum raises ValueError.
-    At rank <= 2 C3 must be every triple; the matroid is then uniform and
-    both ends are Sym(X).  Above, C3 is built from K(R)'s orbits (each
-    generator is the line map of a (semi)linear bijection), so each
-    generator must first be checked to preserve it (`_preserves_c3`, on
-    the triples meeting its support): that catches one that is no
-    automorphism (a transposition of two lines) and puts K(R), built up to
-    the first-path bound, in Aut(G(X, C3)).  Then |K(R)| equal to that
-    bound proves K(R) = Aut(M(R)) = Aut(G(X, C3)).  It searches no graph
-    at any rank.
+    Checks come before counts; a failed one reports both orders as 0.  At
+    rank <= 2 C3 must be every triple; the matroid is then uniform and both
+    ends are Sym(X).  Above, C3 is built from K(R)'s orbits (each generator
+    is the line map of a (semi)linear bijection), so each generator must be
+    checked to preserve it (`_preserves_c3`, on the triples meeting its
+    support): that catches one that is no automorphism (a transposition of
+    two lines) and puts K(R) in Aut(G(X, C3)).  Then K(R), built up to the
+    first-path bound, proves K(R) = Aut(M(R)) = Aut(G(X, C3)) by reaching
+    it, with no graph search at any rank.
     """
     start = time.perf_counter()
     system = rootsystems.parse_system_id(system_id)
@@ -150,13 +148,13 @@ def verify_theorem(system_id: str) -> VerificationReport:
     gens = rootsystems.known_group_generators(system)
     c3 = linmatroid.circuits3(system.lines, () if uniform else gens)
     expected = expected_aut_order(system)
-    bound = factorial(n) if uniform else graphauto.path_bound(build_incidence(n, c3))
-    known_order = permgrp.bsgs(gens, degree=n, bound=None if uniform else bound).order()
     if uniform and len(c3) != comb(n, 3):
         return _report(system, c3, 0, expected, 0, FAIL, start, "C3 is not the full triple set")
     if not _preserves_c3(gens, c3, n):
-        return _report(system, c3, bound, expected, known_order, FAIL, start,
+        return _report(system, c3, 0, expected, 0, FAIL, start,
                        "known generator does not preserve C3")
+    bound = factorial(n) if uniform else graphauto.path_bound(build_incidence(n, c3))
+    known_order = permgrp.bsgs(gens, degree=n, bound=None if uniform else bound).order()
     ok = (uniform or known_order == bound) and bound == expected
     return _report(system, c3, bound, expected, known_order, PASS if ok else FAIL, start,
                    "" if ok else "order mismatch")
@@ -236,16 +234,18 @@ def _c3_group_check(system, kmax, start):
     return _report(system, c3, order, expected, order, PASS, start)
 
 
-def circuits_upto(system, kmax):
+def circuits_upto(system, kmax, node_budget=linmatroid.DEFAULT_NODE_BUDGET):
     """The circuits of order <= kmax, sorted, enumerated one component at a time.
 
     A direct sum's circuits are its components' (Oxley 4.2), shifted to their
     lines; a system that is no sum is its own one component.  A component has
-    no circuit of more than rank + 1 elements, so its enumeration stops there.
+    no circuit of more than rank + 1 elements, so its enumeration stops there;
+    node_budget bounds each component's enumeration on its own.
     """
     out, offset = [], 0
     for c in system.components or (system,):
-        out += [tuple(offset + i for i in circuit) for circuit in
-                linmatroid.all_circuits_upto(linmatroid.matroid_of(c), min(kmax, c.rank + 1))]
+        circuits = linmatroid.all_circuits_upto(linmatroid.matroid_of(c), min(kmax, c.rank + 1),
+                                                node_budget)
+        out += [tuple(offset + i for i in circuit) for circuit in circuits]
         offset += c.num_lines
     return sorted(out)

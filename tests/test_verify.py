@@ -87,6 +87,17 @@ def test_wreath_order_formula():
     assert wreath_order(parse_system_id("D4+Dprime4")) == 2 * 576 ** 2
 
 
+def test_wreath_order_builds_no_system(monkeypatch):
+    # each class's order comes from a component the sum already holds
+    sums = [parse_system_id(spec) for spec in ("A2+A2+B3", "D4+Dprime4")]
+
+    def no_build(*args):
+        raise AssertionError(f"rootsystems.build{args}")
+
+    monkeypatch.setattr(rootsystems, "build", no_build)
+    assert [wreath_order(s) for s in sums] == [2 * 36 * 24, 2 * 576 ** 2]
+
+
 # H3+A1 and A2+I2_5 mix a Q(sqrt 5) or rank-2 component into the sum
 @pytest.mark.parametrize("spec", ["A1+A2+B3", "A3+A3", "A2+I2_5", "H3+A1"])
 def test_sum_circuits_are_the_whole_sum_circuits(spec):
@@ -118,10 +129,10 @@ def test_verify_table_subset():
 
 
 def _enumerate_under_budget(monkeypatch, budget):
-    """Make every all-circuits enumeration run under the given node budget."""
+    """Run every all-circuits enumeration under the given node budget, whatever it is passed."""
     full = linmatroid.all_circuits_upto
     monkeypatch.setattr(linmatroid, "all_circuits_upto",
-                        lambda m, kmax: full(m, kmax, node_budget=budget))
+                        lambda m, kmax, node_budget=None: full(m, kmax, node_budget=budget))
 
 
 def test_budget_exceeded_status(monkeypatch):
@@ -256,6 +267,27 @@ def test_cli_circuits_below_order_three_are_empty(order, capsys):
     assert out == f"# A3: 0 circuits of order <= {order}\n"
 
 
+def test_cli_circuits_budget_bounds_each_component(capsys):
+    # the whole A3+A3 enumeration needs 2,067 nodes, each A3 needs 53
+    s = parse_system_id("A3+A3")
+    whole = linmatroid.all_circuits_upto(linmatroid.matroid_of(s), 7)
+    assert len(whole) == 14
+    with pytest.raises(BudgetExceededError):
+        linmatroid.all_circuits_upto(linmatroid.matroid_of(s), 7, node_budget=100)
+    assert main(["circuits", "--system", "A3+A3", "--max-order", "7", "--budget", "100"]) == 0
+    assert json.loads(capsys.readouterr().out)["circuits"] == [list(c) for c in whole]
+
+
+def test_cli_circuits_enumerates_one_component_at_a_time(monkeypatch, capsys):
+    calls, full = [], linmatroid.all_circuits_upto
+    monkeypatch.setattr(linmatroid, "all_circuits_upto",
+                        lambda m, *a: calls.append(m.ground_size) or full(m, *a))
+    assert main(["circuits", "--system", "H3+H3", "--max-order", "7"]) == 0
+    assert calls == [15, 15]
+    per_h3 = len(full(linmatroid.matroid_of(build("H3")), 4))
+    assert len(json.loads(capsys.readouterr().out)["circuits"]) == 2 * per_h3
+
+
 def test_cli_circuits_budget_defaults_to_enumerator_budget():
     args = build_parser().parse_args(["circuits", "--system", "E6", "--max-order", "6"])
     assert args.budget == linmatroid.DEFAULT_NODE_BUDGET
@@ -303,6 +335,32 @@ def test_known_group_missing_a_simple_reflection_fails(dropped, monkeypatch):
     assert r.known_group_order == bsgs(short(e6), degree=e6.num_lines).order()
 
 
+def _record_counts(monkeypatch):
+    """Record each call of the squeeze's two counts: K(R)'s BSGS and the first-path bound."""
+    calls = []
+    for owner, name in [(permgrp, "bsgs"), (graphauto, "path_bound")]:
+        def counted(*a, full=getattr(owner, name), name=name, **k):
+            calls.append(name)
+            return full(*a, **k)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _assert_counted_nothing(r, counts):
+    """A failed check comes before the counts: no order is computed or reported."""
+    assert r.aut_order == r.known_group_order == 0
+    assert counts == []
+
+
+@pytest.mark.parametrize("sid", ["E6", "I2_7"])
+def test_squeeze_checks_before_it_counts(sid, monkeypatch):
+    counts, preserves = _record_counts(monkeypatch), verify._preserves_c3
+    monkeypatch.setattr(verify, "_preserves_c3", lambda *a: counts.append("check") or preserves(*a))
+    assert verify_theorem(sid).status == PASS
+    assert counts == ["check"] + (["path_bound"] if sid == "E6" else []) + ["bsgs"]
+
+
 def _bogus_generator_cases():
     for sid in ["E6", "H4", "D5", "F4"]:
         for i in range(len(known_group_generators(parse_system_id(sid)))):
@@ -321,8 +379,10 @@ def test_generator_that_is_no_line_map_fails(sid, replaced, monkeypatch):
         return gens
 
     monkeypatch.setattr(rootsystems, "known_group_generators", bogus)
+    counts = _record_counts(monkeypatch)
     r = verify_theorem(sid)
     assert (r.status, r.detail) == (FAIL, "known generator does not preserve C3")
+    _assert_counted_nothing(r, counts)
 
 
 @pytest.mark.parametrize("sid", ["E6", "H4", "D5", "F4", "B9"])
@@ -337,8 +397,10 @@ def test_generator_merging_two_lines_of_a_triple_fails(sid, monkeypatch):
         return list(full(system)) + [tuple(merge)]
 
     monkeypatch.setattr(rootsystems, "known_group_generators", merging)
+    counts = _record_counts(monkeypatch)
     r = verify_theorem(sid)
     assert (r.status, r.detail) == (FAIL, "known generator does not preserve C3")
+    _assert_counted_nothing(r, counts)
 
 
 def _record_calls(monkeypatch):
@@ -548,8 +610,10 @@ def test_missing_triple_fails_above_rank_two(sid, monkeypatch):
     # a C3 that K(R) does not preserve can never pass, whatever its bound
     full = linmatroid.circuits3
     monkeypatch.setattr(linmatroid, "circuits3", lambda lines, *a: full(lines, *a)[1:])
+    counts = _record_counts(monkeypatch)
     r = verify_theorem(sid)
     assert (r.status, r.detail) == (FAIL, "known generator does not preserve C3")
+    _assert_counted_nothing(r, counts)
 
 
 @pytest.mark.parametrize("sid", ["A3", "H3", "E6"])
@@ -564,8 +628,10 @@ def test_squeeze_builds_no_matroid(sid, monkeypatch):
 def test_rank_two_missing_triple_fails(monkeypatch):
     full = linmatroid.circuits3
     monkeypatch.setattr(linmatroid, "circuits3", lambda lines, *a: full(lines, *a)[1:])
+    counts = _record_counts(monkeypatch)
     r = verify_theorem("I2_7")
     assert (r.status, r.detail) == (FAIL, "C3 is not the full triple set")
+    _assert_counted_nothing(r, counts)
 
 
 @pytest.mark.parametrize("spec", ["A2+I2_5", "H3+A1", "D4+Dprime4", "I2_5+I2_7",
