@@ -67,7 +67,8 @@ def build_parser():
 
     p = sub.add_parser("crosscheck", help="check the C3 group's generators against all circuits")
     p.add_argument("--system", required=True)
-    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--max-order", type=int, help="largest circuit order checked (default: the rank, "
+                   "at least 3, as the circuits of at most rank elements determine the matroid)")
 
     return parser
 

@@ -15,7 +15,7 @@ ends are Sym(X), certified without a graph.  verify_theorem runs these
 steps top to bottom and searches no graph.
 
 oracle_crosscheck and verify_wreath share one check instead: C3's graph
-is searched once, and each generator of its group must map the circuits,
+is searched once, and each generator of its group must map the circuits up to the rank,
 enumerated one component at a time, onto themselves; verify_wreath then
 compares the order with the wreath-product formula.
 """
@@ -180,14 +180,14 @@ def verify_wreath(sum_spec: str) -> VerificationReport:
     """Check the wreath-product formula on a direct sum (ValueError on any other system).
 
     The order-3 characterization is stated for irreducible systems only, so
-    the C3 group is first checked against all circuits (`_c3_group_check`),
-    then its order against `wreath_order`.  known_group_order is 0 (not computed).
+    the C3 group is first checked against the circuits up to the rank
+    (`_c3_group_check`), then its order against `wreath_order`; known_group_order is 0.
     """
     start = time.perf_counter()
     system = rootsystems.parse_system_id(sum_spec)
     if system.family != "DirectSum":
         raise ValueError(f"{sum_spec!r} is not a direct sum")
-    r = _c3_group_check(system, system.rank + 1, start)
+    r = _c3_group_check(system, None, start)
     if r.status == PASS and r.aut_order != r.expected_order:
         r.status, r.detail = FAIL, "order mismatch"
     r.known_group_order = 0
@@ -197,14 +197,13 @@ def verify_wreath(sum_spec: str) -> VerificationReport:
 def oracle_crosscheck(system_id: str, kmax=None) -> VerificationReport:
     """Direct check: the C3 graph group equals the group of all circuits of order <= kmax.
 
-    The circuits of order <= kmax include C3 only for kmax >= 3 (else
-    ValueError); the default is rank + 1, raised to 3 for rank 1 (no circuits).
+    kmax < 3 (no C3) is a ValueError; the default max(rank, 3) gives the group of all circuits.
     """
     if kmax is not None and kmax < 3:
         raise ValueError(f"crosscheck needs a maximum circuit order of at least 3, got {kmax}")
     start = time.perf_counter()
     system = rootsystems.parse_system_id(system_id)
-    return _c3_group_check(system, kmax or max(system.rank + 1, 3), start)
+    return _c3_group_check(system, kmax, start)
 
 
 def _c3_group_check(system, kmax, start):
@@ -213,18 +212,18 @@ def _c3_group_check(system, kmax, start):
     A permutation preserving every circuit of order <= kmax (kmax >= 3)
     preserves C3, so the group of those circuits lies in the C3 group; it
     is all of it exactly when each generator of the C3 group maps the
-    circuits onto themselves.  The check is a full pass over the circuits,
-    not `_preserves_c3`'s support-only lookup: these generators come from
-    the C3 group and move most lines, so an index would cost more than it
-    saves.  PASS reports the C3 group's order twice; FAIL names the first
-    generator that moves a circuit off the set, with known_group_order 0
-    (not computed).  An exhausted circuit enumeration gives BUDGET_EXCEEDED.
+    circuits onto themselves.  kmax None is max(rank, 3), since a set is independent
+    iff it has <= rank elements and no circuit of <= rank elements (Oxley 1.1).
+    A full pass over the circuits beats `_preserves_c3`'s index, as these
+    generators move most lines.  PASS reports the order twice; FAIL names the
+    first generator that moves a circuit off the set, with known_group_order
+    0 (not computed).  An exhausted enumeration gives BUDGET_EXCEEDED.
     """
     c3 = linmatroid.circuits3(system.lines)
     expected = expected_aut_order(system)
     try:
         order, gens = aut_group_from_family(system, c3)
-        circuits = set(circuits_upto(system, kmax))
+        circuits = set(circuits_upto(system, kmax or max(system.rank, 3)))
     except BudgetExceededError as exc:
         return _report(system, c3, 0, expected, 0, BUDGET_EXCEEDED, start, str(exc))
     for gen in gens:

@@ -15,7 +15,7 @@ from rootmat.linmatroid import (
     rank,
 )
 from rootmat.rootsystems import build, known_group_generators, line_key, parse_system_id
-from rootmat.verify import default_table_ids
+from rootmat.verify import _preserves_family, default_table_ids
 
 
 def is_independent(m, subset):
@@ -280,6 +280,28 @@ def test_all_circuits_match_reference_field_elimination(seed, irrational):
     want = _reference_circuits(exact, full_rank + 2)
     for kmax in range(1, full_rank + 3):
         assert all_circuits_upto(m, kmax) == [c for c in sorted(want) if len(c) <= kmax], kmax
+
+
+@pytest.mark.parametrize("irrational", [False, True], ids=["Q", "Q(sqrt5)"])
+def test_circuits_up_to_the_rank_give_the_group_of_all_circuits(irrational):
+    # exhaustively over every permutation of 5-6 random vectors: a permutation
+    # preserves the circuits of order <= rank exactly when it preserves them all,
+    # the fact that lets crosscheck stop below the spanning (rank + 1)-circuits
+    rng = random.Random(24)
+    spanning = automorphisms = 0
+    for _ in range(30):
+        vectors = rng.sample(_random_vectors(rng, rng.choice([3, 4]), irrational), rng.choice([5, 6]))
+        m = LinearMatroid.from_vectors(vectors)
+        r = rank(m, range(m.ground_size))
+        every = set(all_circuits_upto(m, m.ground_size))
+        low = {c for c in every if len(c) <= r}
+        spanning += len(every) > len(low)
+        for perm in itertools.permutations(range(m.ground_size)):
+            assert _preserves_family(perm, low) == _preserves_family(perm, every), (vectors, perm)
+            automorphisms += _preserves_family(perm, every)
+    # the check is not vacuous: spanning circuits occur, and some non-identity permutations pass
+    assert spanning > 0
+    assert automorphisms > 30
 
 
 @pytest.mark.parametrize("sid,kmax,count", [("B5", 6, 9302), ("F4", 5, 10400),

@@ -523,17 +523,22 @@ def test_crosscheck_orders_match_the_all_circuits_search(sid, kmax):
         gens, degree=system.num_lines).order()
 
 
-@pytest.mark.parametrize("sid", ["A4", "D4"])
-def test_crosscheck_fails_on_a_missing_four_circuit(sid, monkeypatch, capsys):
-    # drop one 4-circuit: the C3 group moves it, so some generator maps the family off itself
+def _drop_one_circuit(monkeypatch, size):
+    """Make each all-circuits enumeration leave out its first circuit of the given size."""
     full = linmatroid.all_circuits_upto
 
     def dropped(*args, **kwargs):
         circuits = full(*args, **kwargs)
-        first = next(i for i, c in enumerate(circuits) if len(c) == 4)
+        first = next(i for i, c in enumerate(circuits) if len(c) == size)
         return circuits[:first] + circuits[first + 1:]
 
     monkeypatch.setattr(linmatroid, "all_circuits_upto", dropped)
+
+
+@pytest.mark.parametrize("sid", ["A4", "D4"])
+def test_crosscheck_fails_on_a_missing_four_circuit(sid, monkeypatch, capsys):
+    # drop one 4-circuit: the C3 group moves it, so some generator maps the family off itself
+    _drop_one_circuit(monkeypatch, 4)
     r = oracle_crosscheck(sid)
     assert r.status == FAIL
     assert r.known_group_order == 0
@@ -544,6 +549,69 @@ def test_crosscheck_fails_on_a_missing_four_circuit(sid, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "all-circuits=" not in out
+
+
+def _untimed(report):
+    d = report.to_json_dict()
+    del d["timing_ms"]
+    return d
+
+
+@pytest.mark.parametrize("sid", ["A1", "A3", "A4", "A5", "B3", "B4", "B5", "D4", "D5", "Dprime4",
+                                 "F4", "H3", "I2_7"])
+def test_crosscheck_default_order_reports_as_rank_plus_one(sid):
+    # the spanning (rank + 1)-circuits add nothing: the report is the same without them
+    old_default = max(parse_system_id(sid).rank + 1, 3)
+    assert _untimed(oracle_crosscheck(sid)) == _untimed(oracle_crosscheck(sid, kmax=old_default))
+
+
+def _record_orders(monkeypatch):
+    """Record (ground size, kmax) of each all-circuits enumeration."""
+    calls, full = [], linmatroid.all_circuits_upto
+    monkeypatch.setattr(linmatroid, "all_circuits_upto",
+                        lambda m, kmax, *a: calls.append((m.ground_size, kmax)) or full(m, kmax, *a))
+    return calls
+
+
+@pytest.mark.parametrize("sid", ["A1", "A2", "I2_7", "A3", "H3", "A4", "B4", "D5", "F4"])
+def test_crosscheck_enumerates_up_to_the_rank(sid, monkeypatch):
+    calls = _record_orders(monkeypatch)
+    system = parse_system_id(sid)
+    assert oracle_crosscheck(sid).status == PASS
+    # max(rank, 3), and no further than a component's rank + 1 (A1's one line stops at 2)
+    assert calls == [(system.num_lines, min(max(system.rank, 3), system.rank + 1))]
+
+
+@pytest.mark.parametrize("spec,orders", [("A1+A2+B3", [(1, 2), (3, 3), (9, 4)]),
+                                         ("A3+A3", [(6, 4), (6, 4)])])
+def test_sum_checks_enumerate_each_component_to_its_rank_plus_one(spec, orders, monkeypatch):
+    # a component's rank + 1 is at most the sum's rank, so a sum does the same work as before
+    calls = _record_orders(monkeypatch)
+    assert oracle_crosscheck(spec).status == PASS
+    assert verify_wreath(spec).status == PASS
+    assert calls == orders + orders
+
+
+@pytest.mark.parametrize("sid,size", [("D5", 5), ("B4", 4)])
+def test_crosscheck_fails_on_a_missing_circuit_of_rank_size(sid, size, monkeypatch):
+    # the default order keeps the circuits of exactly rank elements in the check
+    assert parse_system_id(sid).rank == size
+    _drop_one_circuit(monkeypatch, size)
+    r = oracle_crosscheck(sid)
+    assert (r.status, r.known_group_order) == (FAIL, 0)
+    assert r.detail.endswith("does not preserve the circuits")
+
+
+@pytest.mark.parametrize("argv,largest", [(["--max-order", "6"], 6), ([], 5)])
+def test_cli_crosscheck_max_order_rank_plus_one_checks_spanning_circuits(argv, largest,
+                                                                         monkeypatch):
+    # D5 has rank 5: --max-order 6 keeps the old path, spanning 6-circuits included
+    sizes, preserves = [], verify._preserves_family
+    monkeypatch.setattr(verify, "_preserves_family",
+                        lambda perm, family: sizes.append(max(map(len, family)))
+                        or preserves(perm, family))
+    assert main(["crosscheck", "--system", "D5", *argv]) == 0
+    assert sizes and set(sizes) == {largest}
 
 
 @pytest.mark.parametrize("families", ["A:1..2..3", "A:x", "A:", "A:3..1", "A:3..1,B:2"])
