@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import re
@@ -56,7 +55,8 @@ def build_parser():
     p.add_argument("--max-order", type=int, default=3)
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.add_argument("--budget", type=int, default=linmatroid.DEFAULT_NODE_BUDGET,
-                   help="node budget of each component's enumeration (default %(default)s)")
+                   help="node budget of each component's enumeration above order 3 (order 3 "
+                   "reads C3 off the lines and enumerates nothing; default %(default)s)")
 
     p = sub.add_parser("aut", help="compute the graph automorphism group")
     p.add_argument("--system", required=True)
@@ -104,7 +104,8 @@ def _parse_families(spec):
 
 
 def _print_report(r, label="known"):
-    """One report line; `label` names the known_group_order field, left out if 0 (not built)."""
+    """One report line; `label` names known_group_order, left out if 0: "known" for |K(R)|,
+    "all-circuits" for the order a `crosscheck` or `wreath` PASS reports."""
     known = f"{label}={r.known_group_order:<12} " if r.known_group_order else ""
     print(f"{r.system_id:>10}  lines={r.num_lines:<4} |C3|={r.c3_count:<5} "
           f"aut={r.aut_order:<12} expected={r.expected_order:<12} "
@@ -123,12 +124,9 @@ def cmd_table(args):
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(reports[0].to_json_dict()))
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(reports[0].to_json_dict()))
         writer.writeheader()
-        for r in reports:
-            writer.writerow(r.to_json_dict())
-        print(buf.getvalue(), end="")
+        writer.writerows(r.to_json_dict() for r in reports)
     else:
         for r in reports:
             _print_report(r)
@@ -165,13 +163,12 @@ def cmd_aut(args):
 
 def cmd_wreath(args):
     r = verify.verify_wreath(args.spec)
-    _print_report(r)
+    _print_report(r, label="all-circuits")
     return r.status == verify.PASS
 
 
 def cmd_crosscheck(args):
     r = verify.oracle_crosscheck(args.system, kmax=args.max_order)
-    # a PASS stores the all-circuits group order (that of the C3 group) in known_group_order
     _print_report(r, label="all-circuits")
     return r.status == verify.PASS
 
@@ -189,8 +186,10 @@ COMMANDS = {
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "budget", 1) < 1:  # only circuits takes a budget
+        if args.command == "circuits" and args.budget < 1:
             raise ValueError(f"--budget must be at least 1, got {args.budget}")
+        if args.command == "circuits" and args.max_order < 1:
+            raise ValueError(f"--max-order must be at least 1, got {args.max_order}")
         ok = COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
     except (_UsageError, ValueError, BudgetExceededError) as exc:

@@ -15,9 +15,9 @@ ends are Sym(X), certified without a graph.  verify_theorem runs these
 steps top to bottom and searches no graph.
 
 oracle_crosscheck and verify_wreath share one check instead: C3's graph
-is searched once, and each generator of its group must map the circuits up to the rank,
-enumerated one component at a time, onto themselves; verify_wreath then
-compares the order with the wreath-product formula.
+is searched once, each generator of its group must map the circuits up to the rank,
+enumerated one component at a time, onto themselves, and its order must equal
+`expected_aut_order` (the wreath-product formula for a sum).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class VerificationReport:
     c3_count: int
     aut_order: int  # the squeeze's bound or the C3 group's order; 0 where not computed
     expected_order: int
-    known_group_order: int
+    known_group_order: int  # |K(R)| (squeeze) or the all-circuits order (PASS only); else 0
     status: str
     timing_ms: int
     detail: str = ""
@@ -180,24 +180,20 @@ def verify_wreath(sum_spec: str) -> VerificationReport:
     """Check the wreath-product formula on a direct sum (ValueError on any other system).
 
     The order-3 characterization is stated for irreducible systems only, so
-    the C3 group is first checked against the circuits up to the rank
-    (`_c3_group_check`), then its order against `wreath_order`; known_group_order is 0.
+    this is `oracle_crosscheck`'s report, whose order check is against `wreath_order`.
     """
     start = time.perf_counter()
     system = rootsystems.parse_system_id(sum_spec)
     if system.family != "DirectSum":
         raise ValueError(f"{sum_spec!r} is not a direct sum")
-    r = _c3_group_check(system, None, start)
-    if r.status == PASS and r.aut_order != r.expected_order:
-        r.status, r.detail = FAIL, "order mismatch"
-    r.known_group_order = 0
-    return r
+    return _c3_group_check(system, None, start)
 
 
 def oracle_crosscheck(system_id: str, kmax=None) -> VerificationReport:
-    """Direct check: the C3 graph group equals the group of all circuits of order <= kmax.
+    """Direct check: the C3 graph group is that of the circuits of order <= kmax, of table order.
 
-    kmax < 3 (no C3) is a ValueError; the default max(rank, 3) gives the group of all circuits.
+    kmax < 3 (no C3) is a ValueError; the default max(rank, 3) gives the group of all circuits,
+    and the table order is `expected_aut_order`, so a PASS also certifies the table row.
     """
     if kmax is not None and kmax < 3:
         raise ValueError(f"crosscheck needs a maximum circuit order of at least 3, got {kmax}")
@@ -214,10 +210,10 @@ def _c3_group_check(system, kmax, start):
     is all of it exactly when each generator of the C3 group maps the
     circuits onto themselves.  kmax None is max(rank, 3), since a set is independent
     iff it has <= rank elements and no circuit of <= rank elements (Oxley 1.1).
-    A full pass over the circuits beats `_preserves_c3`'s index, as these
-    generators move most lines.  PASS reports the order twice; FAIL names the
-    first generator that moves a circuit off the set, with known_group_order
-    0 (not computed).  An exhausted enumeration gives BUDGET_EXCEEDED.
+    A full pass over the circuits beats `_preserves_c3`'s index, as these generators
+    move most lines.  The order must then be `expected_aut_order`: PASS reports it twice;
+    FAIL names the first generator that moves a circuit off the set, or "order mismatch",
+    with known_group_order 0.  An exhausted enumeration gives BUDGET_EXCEEDED.
     """
     c3 = linmatroid.circuits3(system.lines)
     expected = expected_aut_order(system)
@@ -230,6 +226,8 @@ def _c3_group_check(system, kmax, start):
         if not _preserves_family(gen, circuits):
             return _report(system, c3, order, expected, 0, FAIL, start, f"C3 group generator "
                            f"{permgrp.cycle_notation(gen)} does not preserve the circuits")
+    if order != expected:
+        return _report(system, c3, order, expected, 0, FAIL, start, "order mismatch")
     return _report(system, c3, order, expected, order, PASS, start)
 
 

@@ -243,9 +243,14 @@ def test_cli_aut_generators(capsys):
     ["crosscheck", "--system", "A3", "--budget", "-5"],
     ["wreath", "--spec", "A1+A2", "--budget", "0"],
     ["circuits", "--system", "A3", "--budget", "-1"],
+    # a circuits order below 1 is rejected as a budget below 1 is
+    ["circuits", "--system", "A3", "--max-order", "0"],
+    ["circuits", "--system", "A3", "--max-order", "-2"],
+    ["circuits", "--system", "A3", "--max-order", "-5", "--format", "text"],
 ], ids=["unknown-id", "D3", "empty-families", "circuits-budget", "aut-budget",
         "crosscheck-order-2", "crosscheck-order-0", "crosscheck-order-minus-2",
-        "crosscheck-budget-minus-5", "wreath-budget-0", "circuits-budget-minus-1"])
+        "crosscheck-budget-minus-5", "wreath-budget-0", "circuits-budget-minus-1",
+        "circuits-order-0", "circuits-order-minus-2", "circuits-order-minus-5"])
 def test_cli_errors_are_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -258,7 +263,7 @@ def test_crosscheck_default_order_covers_a1():
     assert oracle_crosscheck("A1").status == PASS
 
 
-@pytest.mark.parametrize("order", ["2", "1", "0", "-2"])
+@pytest.mark.parametrize("order", ["2", "1"])
 def test_cli_circuits_below_order_three_are_empty(order, capsys):
     assert main(["circuits", "--system", "A3", "--max-order", order, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["circuits"] == []
@@ -286,6 +291,17 @@ def test_cli_circuits_enumerates_one_component_at_a_time(monkeypatch, capsys):
     assert calls == [15, 15]
     per_h3 = len(full(linmatroid.matroid_of(build("H3")), 4))
     assert len(json.loads(capsys.readouterr().out)["circuits"]) == 2 * per_h3
+
+
+def test_cli_circuits_max_order_error_names_the_flag(capsys):
+    assert main(["circuits", "--system", "A3", "--max-order", "-5"]) == 2
+    assert capsys.readouterr().err == "rootmat: error: --max-order must be at least 1, got -5\n"
+
+
+def test_cli_circuits_budget_help_says_order_three_enumerates_nothing(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["circuits", "--help"])
+    assert "above order 3" in " ".join(capsys.readouterr().out.split())
 
 
 def test_cli_circuits_budget_defaults_to_enumerator_budget():
@@ -555,6 +571,37 @@ def _untimed(report):
     d = report.to_json_dict()
     del d["timing_ms"]
     return d
+
+
+def test_crosscheck_checks_the_table_order(monkeypatch, capsys):
+    # a C3 group that preserves the circuits but contradicts the table is a FAIL
+    monkeypatch.setitem(verify._EXCEPTIONAL_ORDERS, "H3", 121)
+    r = oracle_crosscheck("H3")
+    assert (r.status, r.detail) == (FAIL, "order mismatch")
+    assert (r.aut_order, r.expected_order, r.known_group_order) == (120, 121, 0)
+    assert main(["crosscheck", "--system", "H3"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    assert "all-circuits=" not in out
+
+
+def test_crosscheck_checks_the_closed_form_order(monkeypatch):
+    full = verify.expected_aut_order
+    monkeypatch.setattr(verify, "expected_aut_order", lambda system: full(system) + 1)
+    r = oracle_crosscheck("A4")
+    assert (r.status, r.detail) == (FAIL, "order mismatch")
+    assert (r.aut_order, r.expected_order, r.known_group_order) == (120, 121, 0)
+    assert main(["crosscheck", "--system", "A4"]) == 1
+
+
+@pytest.mark.parametrize("spec", ["A1+A2+B3", "A3+A3", "A2+I2_5", "H3+A1", "D4+Dprime4"])
+def test_wreath_report_is_the_crosscheck_report(spec):
+    assert _untimed(verify_wreath(spec)) == _untimed(oracle_crosscheck(spec))
+
+
+def test_cli_wreath_prints_the_all_circuits_order(capsys):
+    assert main(["wreath", "--spec", "A3+A3"]) == 0
+    assert "all-circuits=1152" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("sid", ["A1", "A3", "A4", "A5", "B3", "B4", "B5", "D4", "D5", "Dprime4",
