@@ -8,14 +8,12 @@ family, because distinct sets have distinct neighborhoods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class ColoredGraph:
-    num_vertices: int
-    colors: tuple
-    adjacency: tuple  # tuple of frozensets, one per vertex
+    def __init__(self, num_vertices, colors, adjacency):
+        self.num_vertices = num_vertices
+        self.colors = colors
+        self.adjacency = adjacency  # tuple of frozensets, one per vertex
 
     @property
     def num_edges(self):

@@ -15,11 +15,16 @@ so a rank over Q(sqrt 5) is the integer rank divided by the degree 2.
 Both reduce rows by fraction-free (Bareiss) steps, `_reduce`: each one
 divides exactly by the previous pivot, so entries stay small with no gcd.
 
-The circuit enumeration needs no rank oracle: each search node carries
-its candidates' rows reduced against the current independent set, with
-coefficient columns that record which members' rows they combine, so a
-dependent candidate is a circuit exactly when no member's coefficient is
-zero.
+The circuit enumeration asks the rank oracle only for the matroid's rank:
+each search node carries its candidates' rows reduced against the current
+independent set, with coefficient columns that record which members' rows
+they combine, so a dependent candidate is a circuit exactly when no
+member's coefficient is zero.  Its last level is keyed as C3 is:
+S + t + u can be a circuit only when u lies in span(S + t), that is when
+the reduced vector parts of t and u span one line over Q, or one rational
+plane over Q(sqrt 5).  So the candidates are bucketed by the primitive
+vector of that line or the primitive Pluecker vector of that plane, and u
+is reduced against t only within a bucket.
 
 Circuits are emitted as sorted index tuples in lexicographic order, so all
 dumps are byte-reproducible.
@@ -28,18 +33,17 @@ dumps are byte-reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import BudgetExceededError
 from .rootsystems import combine, line_key
 
 
-@dataclass(frozen=True)
 class LinearMatroid:
-    ground_size: int
-    rows: tuple  # rows[i]: the `degree` integer rows of element i
-    degree: int  # 1 over Q, 2 over Q(sqrt 5)
+    def __init__(self, ground_size, rows, degree):
+        self.ground_size = ground_size
+        self.rows = rows  # rows[i]: the `degree` integer rows of element i
+        self.degree = degree  # 1 over Q, 2 over Q(sqrt 5)
 
     @staticmethod
     def from_vectors(vectors) -> "LinearMatroid":
@@ -88,6 +92,14 @@ def _step(row, prev):
     """The step that clears the first nonzero column of row with row itself."""
     p = next(filter(None, row))
     return row, row.index(p), p, prev
+
+
+def _steps(rows, prev=1):
+    """The steps of independent rows, each reduced by those before it, from pivot prev."""
+    steps = [_step(rows[0], prev)]
+    for v in rows[1:]:
+        steps.append(_step(_reduce(v, steps), steps[-1][2]))
+    return steps
 
 
 def rank(m: LinearMatroid, subset) -> int:
@@ -165,6 +177,21 @@ def _triples(lines, i, others):
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
+def _span_key(rows, n):
+    """A key of the rational span of the vector parts rows[r][:n] of one or two rows.
+
+    One row spans a line, keyed by its primitive vector; two independent
+    rows span a plane, keyed by the primitive vector of their 2 x 2 minors
+    (Pluecker coordinates); the sign makes the first nonzero entry positive.
+    """
+    v = rows[0][:n]
+    if len(rows) == 2:
+        w = rows[1]
+        v = [a * w[j] - v[j] * w[i] for i, a in enumerate(v) for j in range(i + 1, n)]
+    g = gcd(*v) if next(filter(None, v)) > 0 else -gcd(*v)
+    return tuple(map(g.__rfloordiv__, v))  # each c // g
+
+
 def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
     """All circuits of order <= kmax, lexicographically sorted.
 
@@ -189,38 +216,73 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
     sqrt(5) times row 0); span(S) is closed under sqrt(5), so the first row
     alone decides.  Such a candidate is dropped: below a further member j
     its dependency is the same, 0 at j, so it closes no circuit through j.
+
+    The nodes of kmax - 1 members are not entered.  Such a node S + t
+    could only close the circuits S + t + u with u a later candidate in
+    span(S + t), which holds exactly when the reduced vector parts of t and
+    u span one space (`_span_key`; a space, not a vector, since span(S) is
+    closed under sqrt(5)).  So S buckets its candidates by that key, or
+    puts them in one bucket when S + t spans the matroid, and reduces u
+    against t only within a bucket (`close_pairs`); each S + t is still
+    counted, so the budget is spent as if it were entered.
     """
     if kmax < 1 or not m.ground_size:
         return []
     out, nodes, deg, n = [], 0, m.degree, len(m.rows[0][0])
+    full = rank(m, range(m.ground_size))
     # no set of more than dim = n // deg members is extended, so a huge
     # kmax needs no more blocks; the candidate's own block comes last
     own = n + (min(kmax, n // deg + 1) - 1) * deg
     units = [[0] * (own - n) + [int(c == r) for c in range(deg)] for r in range(deg)]
 
+    def closes(blocks):  # every member's block nonzero; over Q(sqrt 5) a block is a pair
+        return all(blocks if deg == 1 else map(any, zip(blocks[::2], blocks[1::2])))
+
+    def close_pairs(members, at, ks, live, bucket):
+        # the bucket's vector parts span one space, met independently by the
+        # pivot columns of its first candidate's rows: each candidate is cut
+        # once to its rows on those columns and its member blocks, and u's
+        # first row reduced by t's cut rows leaves the blocks of S + t + u
+        cols = [c for _, c, _, _ in _steps([v[:n] for v in live[bucket[0]]])]
+        cut = [[[v[c] for c in cols] + v[n:at] for v in live[t]] for t in bucket]
+        for i in range(len(cut) - 1):
+            steps = _steps(cut[i])
+            for j in range(i + 1, len(cut)):
+                if closes(_reduce(cut[j][0], steps)[deg:]):
+                    out.append(tuple(members + [ks[bucket[i]], ks[bucket[j]]]))
+
     def extend(members, ks, carried, prev):
         nonlocal nodes
-        nodes += m.ground_size - (members[-1] + 1 if members else 0)
-        if nodes > node_budget:
-            raise BudgetExceededError("all_circuits_upto", node_budget)
         d, at = len(members), n + len(members) * deg
         live_ks, live = [], []
         for k, rows in zip(ks, carried):
-            first = rows[0]
-            if any(first[:n]):
+            if any(rows[0][:n]):
                 live_ks.append(k)
                 live.append(rows)
-            # every member's block nonzero; a block over Q(sqrt 5) is a pair
-            elif all(first[n:at] if deg == 1 else map(any, zip(first[n:at:2], first[n + 1:at:2]))):
+            elif closes(rows[0][n:at]):
                 out.append(tuple(members + [k]))
-        if d + 1 < kmax:
+        nodes += m.ground_size - (members[-1] + 1 if members else 0)
+        if d + 2 == kmax:  # the last level: its children S + t are counted, not entered
+            nodes += len(live_ks) * (m.ground_size - 1) - sum(live_ks)
+        if nodes > node_budget:
+            raise BudgetExceededError("all_circuits_upto", node_budget)
+        if d + 2 == kmax:
+            if d + 1 == full:  # S + t spans the matroid: one bucket
+                buckets = [range(len(live))]
+            else:
+                buckets = {}
+                for t, rows in enumerate(live):
+                    buckets.setdefault(_span_key(rows, n), []).append(t)
+                buckets = buckets.values()
+            for bucket in buckets:
+                if len(bucket) > 1:
+                    close_pairs(members, at, live_ks, live, bucket)
+        elif d + 1 < kmax:
             for t, rows in enumerate(live):
                 later, pivot = live[t + 1:], prev
                 if later:  # else the node below only counts its nodes
-                    steps = []
-                    for v in rows:  # the last block moves to block d
-                        v = v[:at] + v[own:] + v[at + deg:own] + [0] * deg
-                        steps.append(_step(_reduce(v, steps), steps[-1][2] if steps else prev))
+                    moved = [v[:at] + v[own:] + v[at + deg:own] + [0] * deg for v in rows]
+                    steps = _steps(moved, prev)  # with t's last block moved to block d
                     later, pivot = [[_reduce(v, steps) for v in vs] for vs in later], steps[-1][2]
                 extend(members + [live_ks[t]], live_ks[t + 1:], later, pivot)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import mul
@@ -43,13 +42,13 @@ LINE_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    family: str
-    rank_param: int
-    ambient_dim: int
-    lines: tuple  # integer vectors (a | b), each the line_key of its line
-    components: tuple = ()  # direct sums only
+    def __init__(self, family, rank_param, ambient_dim, lines, components=()):
+        self.family = family
+        self.rank_param = rank_param
+        self.ambient_dim = ambient_dim
+        self.lines = lines  # integer vectors (a | b), each the line_key of its line
+        self.components = components  # direct sums only
 
     @property
     def system_id(self) -> str:

@@ -23,7 +23,6 @@ enumerated one component at a time, onto themselves, and its order must equal
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 from math import comb, factorial
 
 from . import graphauto, linmatroid, permgrp, rootsystems
@@ -36,21 +35,22 @@ BUDGET_EXCEEDED = "BUDGET_EXCEEDED"
 _ORDER_FIELDS = ("aut_order", "expected_order", "known_group_order")
 
 
-@dataclass
 class VerificationReport:
-    system_id: str
-    num_lines: int
-    c3_count: int
-    aut_order: int  # the squeeze's bound or the C3 group's order; 0 where not computed
-    expected_order: int
-    known_group_order: int  # |K(R)| (squeeze) or the all-circuits order (PASS only); else 0
-    status: str
-    timing_ms: int
-    detail: str = ""
+    def __init__(self, system_id, num_lines, c3_count, aut_order, expected_order,
+                 known_group_order, status, timing_ms, detail=""):
+        self.system_id = system_id
+        self.num_lines = num_lines
+        self.c3_count = c3_count
+        self.aut_order = aut_order  # the squeeze's bound or the C3 group's order; 0 if not computed
+        self.expected_order = expected_order
+        self.known_group_order = known_group_order  # |K(R)| or the all-circuits order (PASS) or 0
+        self.status = status
+        self.timing_ms = timing_ms
+        self.detail = detail
 
     def to_json_dict(self):
         """The fields in order, each group order as a decimal string."""
-        return {k: str(v) if k in _ORDER_FIELDS else v for k, v in asdict(self).items()}
+        return {k: str(v) if k in _ORDER_FIELDS else v for k, v in vars(self).items()}
 
 
 _EXCEPTIONAL_ORDERS = {"D4": 576, "Dprime4": 576, "E6": 51840, "E7": 1451520,
@@ -85,9 +85,22 @@ def wreath_order(system: rootsystems.RootSystem) -> int:
     return total
 
 
+def _by_mask(sets):
+    """{the bitmask of its lines: the set} for sets of lines."""
+    return {sum(map((1).__lshift__, c)): c for c in sets}
+
+
 def _preserves_family(perm, family):
-    """Whether perm maps the set family (a set of sorted tuples) onto itself."""
-    return all(tuple(sorted([perm[i] for i in c])) in family for c in family)
+    """Whether perm maps a set family, keyed `_by_mask`, onto itself.
+
+    A tuple that is no bijection fails first: the bits of a set it merges
+    could add up to another set's mask.  A bijection maps each set to the
+    set whose mask is the sum of its images' bits.
+    """
+    if len(set(perm)) < len(perm):
+        return False
+    bit = [1 << p for p in perm].__getitem__
+    return all(sum(map(bit, c)) in family for c in family.values())
 
 
 def _preserves_c3(gens, c3, num_lines):
@@ -219,7 +232,7 @@ def _c3_group_check(system, kmax, start):
     expected = expected_aut_order(system)
     try:
         order, gens = aut_group_from_family(system, c3)
-        circuits = set(circuits_upto(system, kmax or max(system.rank, 3)))
+        circuits = _by_mask(circuits_upto(system, kmax or max(system.rank, 3)))
     except BudgetExceededError as exc:
         return _report(system, c3, 0, expected, 0, BUDGET_EXCEEDED, start, str(exc))
     for gen in gens:

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from classical_shapes import classical_circuits
+from pairwise_circuits import pairwise_circuits
 from reference_field import field_vectors
 from rootmat.errors import BudgetExceededError
 from rootmat.linmatroid import (
@@ -15,7 +16,7 @@ from rootmat.linmatroid import (
     rank,
 )
 from rootmat.rootsystems import build, known_group_generators, line_key, parse_system_id
-from rootmat.verify import _preserves_family, default_table_ids
+from rootmat.verify import _by_mask, _preserves_family, default_table_ids
 
 
 def is_independent(m, subset):
@@ -236,6 +237,7 @@ def test_all_circuits_match_bruteforce_random_sqrt5():
             if is_circuit(m, c)
         ]
         assert all_circuits_upto(m, 4) == sorted(want), vectors
+        assert pairwise_circuits(m, 4) == sorted(want), vectors
 
 
 def _reference_circuits(vectors, kmax):
@@ -280,6 +282,7 @@ def test_all_circuits_match_reference_field_elimination(seed, irrational):
     want = _reference_circuits(exact, full_rank + 2)
     for kmax in range(1, full_rank + 3):
         assert all_circuits_upto(m, kmax) == [c for c in sorted(want) if len(c) <= kmax], kmax
+        assert pairwise_circuits(m, kmax) == all_circuits_upto(m, kmax), kmax
 
 
 @pytest.mark.parametrize("irrational", [False, True], ids=["Q", "Q(sqrt5)"])
@@ -293,8 +296,8 @@ def test_circuits_up_to_the_rank_give_the_group_of_all_circuits(irrational):
         vectors = rng.sample(_random_vectors(rng, rng.choice([3, 4]), irrational), rng.choice([5, 6]))
         m = LinearMatroid.from_vectors(vectors)
         r = rank(m, range(m.ground_size))
-        every = set(all_circuits_upto(m, m.ground_size))
-        low = {c for c in every if len(c) <= r}
+        every = _by_mask(all_circuits_upto(m, m.ground_size))
+        low = {mask: c for mask, c in every.items() if len(c) <= r}
         spanning += len(every) > len(low)
         for perm in itertools.permutations(range(m.ground_size)):
             assert _preserves_family(perm, low) == _preserves_family(perm, every), (vectors, perm)
@@ -315,6 +318,53 @@ def test_all_circuits_budget_boundary_is_pinned():
     assert len(all_circuits_upto(m, 5, node_budget=4904)) > 0
     with pytest.raises(BudgetExceededError):
         all_circuits_upto(m, 5, node_budget=4903)
+
+
+def _outcome(enumerate_circuits, m, kmax, node_budget):
+    try:
+        return enumerate_circuits(m, kmax, node_budget)
+    except BudgetExceededError:
+        return "BUDGET_EXCEEDED"
+
+
+# the last level keys each candidate by the span it adds to S: a line over Q, a
+# plane of Pluecker coordinates over Q(sqrt 5); at order rank + 1 there is one bucket
+@pytest.mark.parametrize("sid", default_table_ids() + ["Dprime4"])
+def test_span_buckets_match_pairwise_on_the_table(sid):
+    s = parse_system_id(sid)
+    m = matroid_of(s)
+    for kmax in range(1, s.rank + 2):
+        want = _outcome(pairwise_circuits, m, kmax, 50_000)
+        assert _outcome(all_circuits_upto, m, kmax, 50_000) == want, kmax
+        if want == "BUDGET_EXCEEDED":
+            break
+
+
+def test_span_buckets_match_pairwise_on_h4_up_to_order_4():
+    # past the table test's budget; H3, the other Q(sqrt 5) system, is covered there
+    m = matroid_of(build("H4"))
+    for kmax in range(1, 5):
+        assert all_circuits_upto(m, kmax) == pairwise_circuits(m, kmax), kmax
+
+
+@pytest.mark.parametrize("sid,kmax", [("B4", 5), ("B4", 4), ("D4", 4), ("A4", 3),
+                                      ("H3", 3), ("H3", 4), ("I2_6", 2)])
+def test_span_buckets_exceed_the_same_budgets(sid, kmax):
+    # the last level still counts every child it no longer enters, so the
+    # smallest budget that passes is the pairwise enumeration's
+    m = matroid_of(parse_system_id(sid))
+    low, high = 0, 1
+    while _outcome(pairwise_circuits, m, kmax, high) == "BUDGET_EXCEEDED":
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if _outcome(pairwise_circuits, m, kmax, mid) == "BUDGET_EXCEEDED":
+            low = mid
+        else:
+            high = mid
+    assert all_circuits_upto(m, kmax, node_budget=high) == pairwise_circuits(m, kmax)
+    with pytest.raises(BudgetExceededError):
+        all_circuits_upto(m, kmax, node_budget=high - 1)
 
 
 @pytest.mark.parametrize("sid", ["A3", "H3"])

@@ -419,6 +419,14 @@ def test_generator_merging_two_lines_of_a_triple_fails(sid, monkeypatch):
     _assert_counted_nothing(r, counts)
 
 
+def test_preserves_family_rejects_a_tuple_that_merges_lines():
+    # (0, 0) maps {0} and {1} to {0}, and the bits of {0, 1} add up to {1}'s mask
+    family = verify._by_mask([(0,), (1,), (0, 1)])
+    assert verify._preserves_family((1, 0), family)
+    assert not verify._preserves_family((0, 0), family)
+    assert not verify._preserves_family((1, 0), verify._by_mask([(0,), (0, 1)]))
+
+
 def _record_calls(monkeypatch):
     """Count known_group_generators calls; record the generators circuits3 gets."""
     calls, c3_gens = [], []
@@ -655,7 +663,7 @@ def test_cli_crosscheck_max_order_rank_plus_one_checks_spanning_circuits(argv, l
     # D5 has rank 5: --max-order 6 keeps the old path, spanning 6-circuits included
     sizes, preserves = [], verify._preserves_family
     monkeypatch.setattr(verify, "_preserves_family",
-                        lambda perm, family: sizes.append(max(map(len, family)))
+                        lambda perm, family: sizes.append(max(map(len, family.values())))
                         or preserves(perm, family))
     assert main(["crosscheck", "--system", "D5", *argv]) == 0
     assert sizes and set(sizes) == {largest}
@@ -675,6 +683,18 @@ def test_import_loads_no_fractions_module():
     src = str(Path(rootmat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, rootmat.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_import_loads_no_introspection_modules():
+    # dataclasses brings inspect, ast, dis and tokenize, about 12 ms of a cold start
+    src = str(Path(rootmat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; before = set(sys.modules); import rootmat; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
