@@ -3,24 +3,25 @@
 One ordered partition of the vertices, `_Partition`, is refined in place:
 its cells lie contiguously in one array, and a splitter queue takes it to
 the coarsest equitable partition, moving only the vertices a splitter
-touches (McKay & Piperno, *Practical graph isomorphism II*, 2014, §§4-5);
-`refine` is the same kernel on a list of cells.  The first path carries
-that one state down: it individualizes the least vertex of the first
-smallest non-singleton cell (the target cell T_i) in place and refines from
-the new singleton, down to a discrete leaf.  Refinement is equivariant, so
-prod |T_i| bounds the group order (`path_bound`).  `automorphism_group`
-keeps a copy of the state at each level, descends once below each
-target-cell vertex outside the orbit found so far and matches the leaf with
-the first leaf; verified edge-by-edge, each match is a generator.  When all
-verify, the group reaches the bound; a leaf that fails means the bound does
-not close and is an error, not a search, so the walk (the first path and
-one descent per generator) needs no node budget.  `_certify` checks the
-orbits that prove the order, level by level.
+touches in cells of two or more (McKay & Piperno, *Practical graph
+isomorphism II*, 2014, §§4-5); `refine` is that kernel on a list of cells.
+The first path carries that one state down: it individualizes the least
+vertex of the first smallest non-singleton cell (the target cell T_i) in
+place and refines from the new singleton, down to a discrete leaf.
+Refinement is equivariant, so prod |T_i| bounds the group order
+(`path_bound`).  `automorphism_group` keeps a copy of the state at each
+level, descends once below each target-cell vertex outside the orbit found
+so far and matches the leaf with the first leaf; verified edge-by-edge,
+each match is a generator.  When all verify, the group reaches the bound; a
+leaf that fails means the bound does not close and is an error, not a
+search, so the walk (the first path and one descent per generator) needs no
+node budget.  `_certify` checks the orbits that prove the order by level.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from itertools import chain
 from math import prod
 
 from .incidencegraph import ColoredGraph
@@ -98,14 +99,14 @@ class _Partition:
     def refine(self, splitters):
         """Refine to the coarsest equitable partition from the splitter cells at these starts.
 
-        A splitter splits each cell it touches by the number of neighbors
-        each vertex has in it, fragments in increasing order of that count;
-        the untouched vertices stay in front, and only the touched ones are
-        swapped into place.  Every new fragment joins the queue, except the
-        first largest one when the parent cell was not queued: counts into
-        it follow from counts into the parent and the other fragments.
-        Cells and their order depend only on positions and counts, so the
-        result is relabeling-equivariant.
+        A splitter splits each non-singleton cell it touches by the number
+        of neighbors each vertex has in it, fragments in increasing order of
+        that count (one fragment from a singleton splitter); the untouched
+        vertices stay in front, the touched ones are swapped in.  Every new
+        fragment joins the queue, except the first largest one when the
+        parent cell was not queued: counts into it follow from counts into
+        the parent and the other fragments.  Cells and their order depend
+        only on positions and counts, so the result is relabeling-equivariant.
         """
         adjacency, elems, pos, cell_of = self.adjacency, self.elems, self.pos, self.cell_of
         size = self.size
@@ -114,21 +115,27 @@ class _Partition:
         while queue and len(size) < len(elems):
             splitter = queue.popleft()
             queued.discard(splitter)
-            count = {}
-            for w in elems[splitter:splitter + size[splitter]]:
-                for u in adjacency[w]:
-                    count[u] = count.get(u, 0) + 1
+            single = size[splitter] == 1
+            if single:
+                count = dict.fromkeys(adjacency[elems[splitter]], 1)
+            else:
+                cell = elems[splitter:splitter + size[splitter]]
+                count = Counter(chain.from_iterable(map(adjacency.__getitem__, cell)))
             hit = {}
             for u in count:
-                hit.setdefault(cell_of[u], []).append(u)
+                if size[at := cell_of[u]] > 1:
+                    hit.setdefault(at, []).append(u)
             for start in sorted(hit):
                 n, members = size[start], hit[start]
-                groups = {}
-                for u in members:
-                    groups.setdefault(count[u], []).append(u)
-                if len(members) == n and len(groups) == 1:
+                if len(members) == n and (single or len(set(map(count.__getitem__, members))) == 1):
                     continue
-                fragments = [groups[k] for k in sorted(groups)]
+                if single:
+                    fragments = [members]
+                else:
+                    groups = {}
+                    for u in members:
+                        groups.setdefault(count[u], []).append(u)
+                    fragments = [groups[k] for k in sorted(groups)]
                 i = start + n - len(members)
                 for frag in fragments:
                     for u in frag:

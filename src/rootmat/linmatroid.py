@@ -124,30 +124,29 @@ def circuits3(lines, gens=()):
 
     Without gens, `_triples` runs on each line i against the later lines.
     With gens, permutations preserving C3, it runs once per orbit of their
-    group, on its first line r against all others; a BFS over gens gives
-    each x in the orbit a transversal element k_x = g o k_parent with
-    k_x(r) = x, which maps the triples through r onto those through x, kept
-    when x is their least member, so each once (orbit-stabilizer).  The line
-    maps of (semi)linear bijections of the line set (`perm_from_linear_map`)
-    preserve C3; a bare index map need not.
+    group, on its first line r against all others.  A BFS over gens carries
+    the pairs completing r's triples down the orbit: a child g(x) gets g
+    applied to x's pairs, which complete the triples through g(x), kept
+    when g(x) is their least member, so each once (orbit-stabilizer).  Only
+    the BFS frontier holds its pairs.  The line maps of (semi)linear
+    bijections of the line set (`perm_from_linear_map`) preserve C3; a bare
+    index map need not.
     """
     if not gens:
         return sorted([t for i in range(len(lines))
                        for t in _triples(lines, i, enumerate(lines[i + 1:], i + 1))])
-    out, transversal = [], [None] * len(lines)
+    out, pairs = [], [None] * len(lines)
     for r in range(len(lines)):
-        if transversal[r] is None:
-            transversal[r], orbit = tuple(range(len(lines))), [r]
+        if pairs[r] is None:
+            others = ((j, x) for j, x in enumerate(lines) if j != r)
+            pairs[r], orbit = [(j, k) for _, j, k in _triples(lines, r, others)], [r]
             for x in orbit:  # the BFS: the orbit grows while it is walked
                 for g in gens:
-                    if transversal[g[x]] is None:
-                        transversal[g[x]] = tuple([g[a] for a in transversal[x]])
+                    if pairs[g[x]] is None:
+                        pairs[g[x]] = [(g[j], g[k]) for j, k in pairs[x]]
                         orbit.append(g[x])
-            through_r = _triples(lines, r, ((j, x) for j, x in enumerate(lines) if j != r))
-            for x in orbit:
-                k = transversal[x]
-                pairs = ((k[j], k[l]) for _, j, l in through_r)
-                out += [(x, min(p), max(p)) for p in pairs if x < min(p)]
+                out += [(x, min(p), max(p)) for p in pairs[x] if x < min(p)]
+                pairs[x] = ()
     return sorted(out)
 
 

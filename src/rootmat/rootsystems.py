@@ -264,7 +264,7 @@ def line_key(x):
         x = ([s * p - 5 * t * q for s, t in zip(x[:n], x[n:])]
              + [t * p - s * q for s, t in zip(x[:n], x[n:])])
     g = gcd(*x) if x[i] > 0 else -gcd(*x)
-    return tuple(c // g for c in x)
+    return tuple(x) if g == 1 else tuple([c // g for c in x])
 
 
 def perm_from_linear_map(system, image_of_line):
@@ -291,9 +291,16 @@ def dot(u, v):
 
 
 def combine(s, x, t, v):
-    """s*x - t*v for scalars s, t = (a, b) of Z[sqrt 5] and vectors x, v = (a | b)."""
+    """s*x - t*v for scalars s, t = (a, b) of Z[sqrt 5] and vectors x, v = (a | b).
+
+    Rational s and t (b = 0) scale the a- and b-parts alike: one product
+    pair per entry, not four products per coordinate.
+    """
+    (p, q), (r, w) = s, t
+    if not (q or w):
+        return [p * a - r * c for a, c in zip(x, v)]
     n = len(x) // 2
-    (p, q), (r, w), cols = s, t, list(zip(x[:n], x[n:], v[:n], v[n:]))
+    cols = list(zip(x[:n], x[n:], v[:n], v[n:]))
     return ([p * a + 5 * q * b - r * c - 5 * w * d for a, b, c, d in cols]
             + [q * a + p * b - w * c - r * d for a, b, c, d in cols])
 
@@ -358,30 +365,41 @@ def simple_reflections(system: RootSystem):
 
     The line_keys, all lexicographically positive, are the positive roots up
     to positive scalars: v is simple exactly when its reflection makes no
-    other line negative.  One sweep over the lines x takes d = x.2v: d = 0
-    fixes x's line, as s_v(x) = (v.v) x; else x maps to y = (v.v) x - d v,
-    and d > 0 with y < 0 shows v is not simple.  Simple lines found so far
+    other line negative.  One sweep over the lines x takes d = x.2v, summed
+    over v's nonzero coordinates k only, one term (k, dim + k, 2a_k, 2b_k)
+    each: a root touches few of the ambient coordinates.  d = 0 fixes x's
+    line, as s_v(x) = (v.v) x; else s_v(x) = (v.v) x - d v, and a witness
+    (d > 0, s_v(x) < 0) shows v is not simple.  Simple lines found so far
     come first (a non-simple v has a simple witness, Humphreys 1990, ch. 1).
-    d is summed over v's nonzero coordinates k only, one term (k, dim + k,
-    2a_k, 2b_k) each: a root touches few of the ambient coordinates.
+    The witness test forms no image but at equal leads, lead(x) being x's
+    first nonzero coordinate, positive on a line_key: below lead(v) s_v(x)
+    leads with (v.v) x[lead] > 0, and beyond it with -d v[lead] < 0.  A
+    simple v's reflection is an involution on lines, so each moved pair
+    (j, k) takes one image and one lookup, and k gets j.
     """
     lines, index, simple, n = system.lines, system.line_index, {}, system.num_lines
     dim = system.ambient_dim
+    lead = [next(k for k, c in enumerate(x) if c) for x in lines]
     for i, v in enumerate(lines):
-        vv, moved = dot(v, v), {}
+        vv, moved, lv = dot(v, v), {}, lead[i]
         terms = [(k, dim + k, 2 * v[k], 2 * v[dim + k]) for k in range(dim) if v[k] or v[dim + k]]
         for j in itertools.chain(simple, (j for j in range(n) if j != i and j not in simple)):
             x, p, q = lines[j], 0, 0
             for k, m, a, b in terms:
                 p += x[k] * a + 5 * x[m] * b
                 q += x[k] * b + x[m] * a
-            d = p, q
-            if d != (0, 0):
-                moved[j] = combine(vv, lines[j], d, v)
-                if _positive(d) and not _positive(moved[j]):
+            if p or q:
+                moved[j] = d = p, q
+                if lead[j] >= lv and _positive(d) and (
+                        lead[j] > lv or not _positive(combine(vv, x, d, v))):
                     break
         else:
-            images = [index.get(line_key(moved[j])) if j in moved else j for j in range(n)]
+            images = list(range(n))
+            for j, d in moved.items():
+                if images[j] == j:
+                    k = images[j] = index.get(line_key(combine(vv, lines[j], d, v)))
+                    if k is not None:
+                        images[k] = j
             simple[i] = _line_perm(system, images)
             if len(simple) == system.rank:
                 break

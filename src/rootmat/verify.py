@@ -106,18 +106,24 @@ def _preserves_family(perm, family):
 def _preserves_c3(gens, c3, num_lines):
     """Whether each generator maps every triple of C3 into C3, looked up on its support only.
 
-    A triple that avoids a generator's support is fixed exactly, so only
-    the triples meeting it, found through one line -> triples index, need
-    a lookup: the check is as strong as a full pass over C3 for any tuple,
-    a non-injective one included.
+    C3 and each image are keyed by the power sums of their lines, x + m x^2
+    + m^2 x^3 summed with m = 3 n^2 for n lines: one small int, injective on
+    3-multisets by Newton's identities, so a tuple that merges two lines of
+    a triple gives the key of no 3-set.  A triple that avoids a generator's
+    support is fixed exactly, so only the triples meeting it, found through
+    one line -> triples index, need a lookup: the check is as strong as a
+    full pass over C3 for any tuple.
     """
-    family, meeting = set(c3), [[] for _ in range(num_lines)]
+    m = 3 * num_lines * num_lines
+    keys = [x + m * x * x + m * m * x * x * x for x in range(num_lines)]
+    family, meeting = {keys[a] + keys[b] + keys[c] for a, b, c in c3}, [[] for _ in keys]
     for c in c3:
         for i in c:
             meeting[i].append(c)
     for gen in gens:
         moved = set().union(*[meeting[i] for i in range(num_lines) if gen[i] != i])
-        if not all(tuple(sorted([gen[a], gen[b], gen[c]])) in family for a, b, c in moved):
+        key = [keys[p] for p in gen]
+        if not all(key[a] + key[b] + key[c] in family for a, b, c in moved):
             return False
     return True
 

@@ -5,6 +5,7 @@ from math import prod
 
 import pytest
 
+from reference_refine import ReferencePartition
 from rootmat import graphauto, permgrp
 from rootmat.cli import main
 from rootmat.graphauto import automorphism_group, initial_partition, path_bound, refine
@@ -12,7 +13,7 @@ from rootmat.incidencegraph import ColoredGraph, build_incidence, restrict_to_gr
 from rootmat.linmatroid import circuits3
 from rootmat.permgrp import bsgs
 from rootmat.rootsystems import build, parse_system_id
-from rootmat.verify import default_table_ids
+from rootmat.verify import circuits_upto, default_table_ids
 
 
 def graph_from_edges(num_vertices, colors, edges) -> ColoredGraph:
@@ -358,6 +359,50 @@ def test_in_place_walk_matches_the_list_form_walk_on_random_graphs():
     rng = random.Random(2007)
     for _ in range(300):
         _assert_walk_matches_reference(_random_graph(rng, 12))
+
+
+def _assert_kernel_matches_the_reference(g, first=None):
+    # the same elems, positions, cell sizes and target at every level of the
+    # first path, below the first level's vertex `first` when it is given
+    start = initial_partition(g)
+    p, ref = graphauto._Partition(g, start), ReferencePartition(g, start)
+    while True:
+        assert (p.elems, p.pos, p.cell_of, p.size) == (ref.elems, ref.pos, ref.cell_of, ref.size)
+        target = p.target()
+        assert target == ref.target()
+        if target is None:
+            return
+        v = min(p.cell(target)) if first is None else first
+        p.individualize(target, v)
+        ref.individualize(target, v)
+        first = None
+
+
+# the table's and headroom's C3 graphs, and the crosscheck workload's sums and
+# all-circuit families (":circuits", the circuits up to max(rank, 3))
+CROSSCHECK_IDS = ["A4", "A5", "B3", "B4", "D4", "D5", "H3", "A1+A2+B3", "A3+A3"]
+KERNEL_IDS = default_table_ids() + ["I2_16", "I2_18", "I2_20", "B9", "D10", "A1+A2+B3", "A3+A3"]
+KERNEL_IDS += [f"{sid}:circuits" for sid in CROSSCHECK_IDS]
+
+
+@pytest.mark.parametrize("name", KERNEL_IDS)
+def test_refine_kernel_matches_the_reference_order(name):
+    sid, _, circuits = name.partition(":")
+    s = parse_system_id(sid)
+    family = circuits_upto(s, max(s.rank, 3)) if circuits else circuits3(s.lines)
+    _assert_kernel_matches_the_reference(build_incidence(s.num_lines, family))
+
+
+def test_refine_kernel_matches_the_reference_order_on_random_graphs():
+    # every vertex of the first target cell starts a walk, as the descents do
+    rng = random.Random(27)
+    for _ in range(300):
+        g = _random_graph(rng, 14)
+        _assert_kernel_matches_the_reference(g)
+        p = graphauto._Partition(g, initial_partition(g))
+        target = p.target()
+        for v in p.cell(target) if target is not None else ():
+            _assert_kernel_matches_the_reference(g, v)
 
 
 @pytest.mark.parametrize("sid", ["F4", "E8", "B9", "H4+H3+A1"])

@@ -462,17 +462,22 @@ def test_circuits3_closed_under_known_group():
             assert {frozenset(g[i] for i in c) for c in c3} == c3
 
 
-# every rank >= 3 table id, three beyond the table, and sums with several orbits
+# every table id, some beyond the table, and sums with several orbits
 ORBIT_IDS = [sid for sid in default_table_ids() if parse_system_id(sid).rank >= 3]
 ORBIT_IDS += ["B9", "D10", "Dprime4", "A3+A3", "H3+A1", "D4+Dprime4", "E6+A1"]
+ORBIT_IDS += [sid for sid in default_table_ids() if parse_system_id(sid).rank <= 2]
+ORBIT_IDS += ["B16", "D16", "A20"]
 
 
 @pytest.mark.parametrize("sid", ORBIT_IDS)
 def test_circuits3_from_known_orbits_is_circuits3(sid):
-    # one bucket pass per K(R)-orbit, its triples mapped by the transversal;
-    # the sums have product generators and several orbits
+    # one bucket pass per orbit, its pairs carried down the orbit by the BFS, for
+    # K(R) and for the subgroup of every other generator (more orbits); the sums
+    # have product generators and several orbits
     s = parse_system_id(sid)
-    assert circuits3(s.lines, known_group_generators(s)) == circuits3(s.lines)
+    gens, expected = known_group_generators(s), circuits3(s.lines)
+    assert circuits3(s.lines, gens) == expected
+    assert circuits3(s.lines, gens[::2]) == expected
 
 
 def test_circuits3_from_a_subgroup_is_circuits3():

@@ -472,11 +472,40 @@ def _dense_simple_reflections(system):
     return list(simple.items())
 
 
-@pytest.mark.parametrize("sid", default_table_ids() + ["B16", "D16", "A20", "Dprime4", "B32"])
+@pytest.mark.parametrize("sid", default_table_ids()
+                         + ["B16", "D16", "A20", "Dprime4", "B24", "D24", "B32"])
 def test_simple_reflections_match_the_dense_dot(sid):
-    # the sparse x.2v over v's nonzero coordinates changes no line or permutation
+    # the sparse x.2v over v's nonzero coordinates, the lead rule for witnesses
+    # and the pairing of moved lines change no line or permutation
     system = parse_system_id(sid)
     assert simple_reflections(system) == _dense_simple_reflections(system)
+
+
+@pytest.mark.parametrize("sid", [sid for sid in default_table_ids() if not sid.startswith("I2")]
+                         + ["Dprime4", "B16", "D16", "A20"])
+def test_simple_reflection_permutations_are_involutions(sid):
+    for _, perm in simple_reflections(parse_system_id(sid)):
+        assert is_identity(compose(perm, perm))
+
+
+def _four_product_combine(s, x, t, v):
+    """s*x - t*v with four Z[sqrt 5] products per coordinate, the reference for `combine`."""
+    n = len(x) // 2
+    (p, q), (r, w) = s, t
+    return ([p * x[k] + 5 * q * x[n + k] - r * v[k] - 5 * w * v[n + k] for k in range(n)]
+            + [q * x[k] + p * x[n + k] - w * v[k] - r * v[n + k] for k in range(n)])
+
+
+@pytest.mark.parametrize("irrational", list(itertools.product((False, True), repeat=2)))
+def test_combine_matches_the_four_product_formula(irrational):
+    # rational scalars take one product pair per entry, on rational and Z[sqrt 5] vectors alike
+    rng = random.Random(27)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        x, v = ([rng.randint(-9, 9) if k < n or rng.random() < 0.5 else 0 for k in range(2 * n)]
+                for _ in range(2))
+        s, t = ((rng.randint(-9, 9), rng.choice((-2, -1, 1, 3)) if irr else 0) for irr in irrational)
+        assert combine(s, x, t, v) == _four_product_combine(s, x, t, v)
 
 
 @pytest.mark.parametrize("dropped", [0, 7, 19])

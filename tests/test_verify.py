@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -417,6 +418,43 @@ def test_generator_merging_two_lines_of_a_triple_fails(sid, monkeypatch):
     r = verify_theorem(sid)
     assert (r.status, r.detail) == (FAIL, "known generator does not preserve C3")
     _assert_counted_nothing(r, counts)
+
+
+@pytest.mark.parametrize("sid", ["E6", "H4"])
+def test_preserves_c3_rejects_merges_and_transpositions(sid):
+    # a -> b sends the triple (a, b, c) to the multiset {b, b, c}, whose key is no triple's
+    s = parse_system_id(sid)
+    n, gens = s.num_lines, known_group_generators(s)
+    c3 = linmatroid.circuits3(s.lines, gens)
+    assert verify._preserves_c3(gens, c3, n)
+    a, b, _ = c3[0]
+    merge = list(range(n))
+    merge[a] = b
+    assert not verify._preserves_c3(gens + [tuple(merge)], c3, n)
+    assert not verify._preserves_c3(gens + [(1, 0) + tuple(range(2, n))], c3, n)
+
+
+def test_preserves_c3_is_the_sorted_triple_lookup_on_every_tuple():
+    # every map of 5 points, non-injective ones included, against the lookup
+    # of each image triple's sorted tuple, on several families of triples
+    triples = list(itertools.combinations(range(5), 3))
+    for c3 in (triples, triples[:4], triples[::3], [triples[0], triples[-1]]):
+        family = set(c3)
+        for gen in itertools.product(range(5), repeat=5):
+            expected = all(tuple(sorted(gen[i] for i in c)) in family for c in c3)
+            assert verify._preserves_c3([gen], c3, 5) == expected
+
+
+def test_preserves_c3_keys_tell_every_image_multiset_apart():
+    # a family of one triple t and a map sending t onto each multiset m of
+    # 3 of 8 lines: preserved exactly when m is t, so no two multisets share a key
+    n = 8
+    for t in itertools.combinations(range(n), 3):
+        for m in itertools.product(range(n), repeat=3):
+            gen = list(range(n))
+            for i, j in zip(t, m):
+                gen[i] = j
+            assert verify._preserves_c3([tuple(gen)], [t], n) == (tuple(sorted(m)) == t)
 
 
 def test_preserves_family_rejects_a_tuple_that_merges_lines():
