@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import os
-import re
 import sys
 
 from . import linmatroid, permgrp, rootsystems, verify
@@ -34,11 +33,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    ids = ", ".join(f if row.least is None
+                    else f"{rootsystems.series_prefix(f)}<n> (n >= {row.least})"
+                    for f, row in rootsystems.FAMILIES.items())
     parser = _Parser(
         prog="rootmat",
         description="Verify automorphism groups of root-system matroids. "
-                    "System ids: A3, B5, D4, E6/E7/E8, F4, H3, H4, I2_7, "
-                    "direct sums like A2+A2+B3. For G2 use I2_6 (same matroid).",
+                    f"System ids: {ids}, and direct sums like A2+A2+B3. "
+                    "For G2 use I2_6 (same matroid).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -46,8 +48,9 @@ def build_parser():
     p.add_argument("--system", required=True)
 
     p = sub.add_parser("table", help="reproduce the classification table")
-    p.add_argument("--families", default=None,
-                   help="e.g. A:1..7,B:2..7,D:4..7,E,F,H,I2:5..12 (default: all)")
+    p.add_argument("--families", default=verify.TABLE_FAMILIES,
+                   help="FAMILY:LO..HI ranges, E/F/H letters and system ids, e.g. I2:13..20,"
+                   "Dprime4 (default: %(default)s, the classification table)")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     p = sub.add_parser("circuits", help="dump circuits of a system")
@@ -73,36 +76,6 @@ def build_parser():
     return parser
 
 
-def _parse_families(spec):
-    if spec is None:
-        return None
-    ids = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            fam, rng = part.split(":", 1)
-            bounds = re.fullmatch(r"\s*(\d+)\s*(?:\.\.\s*(\d+)\s*)?", rng)
-            lo, hi = (int(bounds[1]), int(bounds[2] or bounds[1])) if bounds else (1, 0)
-            if lo > hi:
-                raise ValueError(f"--families: bad range {part!r} "
-                                 "(expected FAMILY:N or FAMILY:LO..HI with LO <= HI)")
-            for n in range(lo, hi + 1):
-                ids.append(f"{fam}_{n}" if fam == "I2" else f"{fam}{n}")
-        elif part == "E":
-            ids += ["E6", "E7", "E8"]
-        elif part == "F":
-            ids.append("F4")
-        elif part == "H":
-            ids += ["H3", "H4"]
-        else:
-            ids.append(part)
-    if not ids:
-        raise ValueError(f"--families {spec!r} names no system")
-    return ids
-
-
 def _print_report(r, label="known"):
     """One report line; `label` names known_group_order, left out if 0: "known" for |K(R)|,
     "all-circuits" for the order a `crosscheck` or `wreath` PASS reports."""
@@ -119,8 +92,7 @@ def cmd_verify(args):
 
 
 def cmd_table(args):
-    ids = _parse_families(args.families)
-    reports = verify.verify_table(ids)
+    reports = verify.verify_table(rootsystems.parse_families(args.families))
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     elif args.format == "csv":

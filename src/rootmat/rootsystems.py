@@ -12,6 +12,10 @@ convenience: the half-integer roots of E8 and D'4 are doubled, and the
 golden-ratio coordinates of H3/H4 are doubled into Z[sqrt 5], e.g.
 2*phi = 1 + sqrt(5) is the pair (1, 1).
 
+A family is one row of FAMILIES (see Family), which build and the id
+parsers read; a row's matroid names the class of systems that
+expected_aut_order and wreath_order share (D'4 is in D4's).
+
 K(R) is generated by the reflections in the simple roots of the positive
 system the stored lines form, plus the extra symmetries.  I2(m) is stored
 as the lines (1, k), k < m, which realize its matroid U_{2,m} but are not
@@ -26,22 +30,6 @@ from functools import cached_property
 from math import gcd
 from operator import mul
 
-#: expected line count |R|/2 per family, as a function of the parameter
-LINE_COUNTS = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "Dprime4": lambda n: 12,
-    "E6": lambda n: 36,
-    "E7": lambda n: 63,
-    "E8": lambda n: 120,
-    "F4": lambda n: 24,
-    "H3": lambda n: 15,
-    "H4": lambda n: 60,
-    "I2": lambda m: m,
-}
-
-
 class RootSystem:
     def __init__(self, family, rank_param, ambient_dim, lines, components=()):
         self.family = family
@@ -54,11 +42,14 @@ class RootSystem:
     def system_id(self) -> str:
         if self.family == "DirectSum":
             return "+".join(c.system_id for c in self.components)
-        if self.family in ("A", "B", "D"):
-            return f"{self.family}{self.rank_param}"
-        if self.family == "I2":
-            return f"I2_{self.rank_param}"
-        return self.family
+        return self.family if FAMILIES[self.family].least is None else (
+            series_prefix(self.family) + str(self.rank_param))
+
+    @property
+    def matroid(self) -> str:
+        """The id of the system whose matroid this one has: its row's matroid, else its own."""
+        row = FAMILIES[self.family]
+        return row.matroid(self.rank_param) if row.matroid else self.system_id
 
     @cached_property
     def line_index(self):
@@ -74,7 +65,7 @@ class RootSystem:
         """Dimension of the span of the roots."""
         if self.family == "DirectSum":
             return sum(c.rank for c in self.components)
-        return 2 if self.family == "I2" else self.rank_param
+        return FAMILIES[self.family].rank or self.rank_param
 
 
 def _e(i, dim):
@@ -92,29 +83,10 @@ def _lines(roots, dim):
         line_key(r if len(r) == 2 * dim else tuple(r) + (0,) * dim) for r in roots))
 
 
-def _a_roots(n):
-    dim = n + 1
-    return [
-        tuple(1 if k == i else (-1 if k == j else 0) for k in range(dim))
-        for i in range(dim)
-        for j in range(i + 1, dim)
-    ]
-
-
 def _d_roots(n):
-    roots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for sj in (1, -1):
-                v = [0] * n
-                v[i] = 1
-                v[j] = sj
-                roots.append(tuple(v))
-    return roots
-
-
-def _b_roots(n):
-    return [tuple(_e(i, n)) for i in range(n)] + _d_roots(n)
+    """e_i + e_j and e_i - e_j for i < j."""
+    return [tuple(1 if k == i else s if k == j else 0 for k in range(n))
+            for i in range(n) for j in range(i + 1, n) for s in (1, -1)]
 
 
 def _dprime4_roots():
@@ -124,21 +96,17 @@ def _dprime4_roots():
     return roots
 
 
-def _e8_roots():
-    roots = _d_roots(8)
-    # half-integer roots, doubled to (+-1)^8 with an even number of -1s
-    for signs in itertools.product((1, -1), repeat=8):
-        if signs.count(-1) % 2 == 0:
-            roots.append(signs)
-    return roots
-
-
 def _dot(u, v):
     return sum(map(mul, u, v))
 
 
-def _e8_sub_roots(orthogonal_to):
-    return [r for r in _e8_roots() if all(_dot(r, w) == 0 for w in orthogonal_to)]
+def _e_roots(n):
+    # E8: the roots of D8 and the half-integer roots, doubled to (+-1)^8 with
+    # an even number of -1s; E7: those orthogonal to e7 + e8; E6: to e6 + e8 as well
+    roots = _d_roots(8) + [signs for signs in itertools.product((1, -1), repeat=8)
+                           if signs.count(-1) % 2 == 0]
+    normals = [(0,) * 6 + (1, 1), (0,) * 5 + (1, 0, 1)][:8 - n]
+    return [r for r in roots if all(_dot(r, w) == 0 for w in normals)]
 
 
 def _golden(a, b, signs, order):
@@ -175,51 +143,66 @@ def _h4_roots():
     return roots
 
 
-_MIN_PARAM = {"A": 1, "B": 2, "D": 4, "I2": 5}
+class Family:
+    """One row of FAMILIES: how a family's systems are built, and the matroid each has.
+
+    least is the least parameter n of a series, or None for a family of one
+    system, whose parameter is its rank.  dim(n), roots(n) and lines(n) are
+    the ambient dimension, the roots (integer vectors (a | b), or just a when
+    rational) and the line count |R|/2.  rank is the rank, None when it is
+    n.  matroid(n), when given, is the id of the system whose matroid R(n)
+    has (D'4 has D4's), the class that `expected_aut_order` and
+    `wreath_order` go by; a system with none is its own class.
+    """
+
+    def __init__(self, least, dim, roots, lines, rank=None, matroid=None):
+        self.least, self.dim, self.roots, self.lines = least, dim, roots, lines
+        self.rank, self.matroid = rank, matroid
+
+
+#: family -> its row; registering a family is adding a row
+FAMILIES = {
+    # A_n: the roots e_i - e_j of D_{n+1}; B_n: the e_i and D_n's
+    "A": Family(1, lambda n: n + 1, lambda n: [r for r in _d_roots(n + 1) if sum(r) == 0],
+                lambda n: n * (n + 1) // 2),
+    "B": Family(2, lambda n: n, lambda n: [_e(i, n) for i in range(n)] + _d_roots(n),
+                lambda n: n * n),
+    "D": Family(4, lambda n: n, _d_roots, lambda n: n * (n - 1)),
+    "I2": Family(5, lambda m: 2, lambda m: [(1, k) for k in range(m)], lambda m: m, rank=2),
+    "Dprime4": Family(None, lambda n: 4, lambda n: _dprime4_roots(), lambda n: 12, rank=4,
+                      matroid=lambda n: "D4"),
+    "E6": Family(None, lambda n: 8, _e_roots, lambda n: 36, rank=6),
+    "E7": Family(None, lambda n: 8, _e_roots, lambda n: 63, rank=7),
+    "E8": Family(None, lambda n: 8, _e_roots, lambda n: 120, rank=8),
+    "F4": Family(None, lambda n: 4, lambda n: _d_roots(4) + _dprime4_roots(), lambda n: 24, rank=4),
+    "H3": Family(None, lambda n: 3, lambda n: _h3_roots(), lambda n: 15, rank=3),
+    "H4": Family(None, lambda n: 4, lambda n: _h4_roots(), lambda n: 60, rank=4),
+}
+
+
+def series_prefix(family):
+    """What a series' id puts before the parameter: the family, then "_" after a digit (I2_7)."""
+    return family + "_" if family[-1:].isdigit() else family
 
 
 def build(family: str, n_or_m: int | None = None) -> RootSystem:
-    """Construct a root system by family name and parameter."""
-    if family in _MIN_PARAM:
-        n = _require_param(family, n_or_m, _MIN_PARAM[family])
-    if family == "A":
-        dim, roots = n + 1, _a_roots(n)
-    elif family in ("B", "D"):
-        dim, roots = n, (_b_roots if family == "B" else _d_roots)(n)
-    elif family == "I2":
-        dim, roots = 2, [(1, k) for k in range(n)]
-    elif family in ("Dprime4", "F4"):
-        n = dim = 4
-        roots = _dprime4_roots() if family == "Dprime4" else _d_roots(4) + _dprime4_roots()
-    elif family in ("E6", "E7", "E8"):
-        # E7: the roots of E8 orthogonal to e7 + e8; E6: to e6 + e8 as well
-        normals = [(0,) * 6 + (1, 1), (0,) * 5 + (1, 0, 1)][:8 - int(family[1])]
-        n, dim, roots = int(family[1]), 8, _e8_sub_roots(normals)
-    elif family in ("H3", "H4"):
-        n = dim = int(family[1])
-        roots = _h3_roots() if family == "H3" else _h4_roots()
-    else:
+    """Construct a root system from its FAMILIES row and parameter (none for one system).
+
+    The lines must number the row's line count, each its own line_key.
+    """
+    row = FAMILIES.get(family)
+    if row is None:
         raise ValueError(f"unknown root system family: {family!r}")
-    return RootSystem(family, n, dim, _check_lines(family, n, _lines(roots, dim)))
-
-
-def _require_param(family, n, minimum):
+    n = row.rank if row.least is None else n_or_m
     if n is None:
         raise ValueError(f"family {family} needs a rank parameter")
-    if n < minimum:
-        raise ValueError(f"{family}_n requires n >= {minimum} (D3 would alias A3)" if family == "D"
-                         else f"{family} requires parameter >= {minimum}, got {n}")
-    return n
-
-
-def _check_lines(family, n, lines):
-    expected = LINE_COUNTS[family](n)
-    if len(lines) != expected:
-        raise AssertionError(f"{family}{n}: built {len(lines)} lines, expected {expected}")
-    for v in lines:
-        if line_key(v) != v:
-            raise AssertionError(f"{family}{n}: representative {v} is not its line_key")
-    return lines
+    if row.least is not None and n < row.least:
+        raise ValueError(f"D_n requires n >= {row.least} (D3 would alias A3)" if family == "D"
+                         else f"{family} requires parameter >= {row.least}, got {n}")
+    lines = _lines(row.roots(n), row.dim(n))
+    if len(lines) != row.lines(n) or any(line_key(v) != v for v in lines):
+        raise AssertionError(f"{family}{n}: {len(lines)} lines, not {row.lines(n)} line_keys")
+    return RootSystem(family, n, row.dim(n), lines)
 
 
 def direct_sum(components) -> RootSystem:
@@ -431,19 +414,41 @@ def known_group_generators(system: RootSystem):
 
 # -- string ids -----------------------------------------------------------
 
-_ID_RE = re.compile(r"^(A|B|D)(\d+)$|^(E6|E7|E8|F4|H3|H4|Dprime4)$|^I2_(\d+)$")
-
-
 def parse_system_id(system_id: str) -> RootSystem:
-    """Resolve ids like "A3", "E8", "I2_7", or sums like "A2+A2+B3"."""
+    """Resolve ids like "A3", "E8", "I2_7", or sums like "A2+A2+B3", by the FAMILIES rows."""
     parts = system_id.split("+")
     if len(parts) > 1:
         return direct_sum(parse_system_id(p.strip()) for p in parts)
-    m = _ID_RE.match(system_id.strip())
-    if not m:
+    sid = system_id.strip()
+    if sid in FAMILIES and FAMILIES[sid].least is None:
+        return build(sid)
+    series = {series_prefix(f): f for f, row in FAMILIES.items() if row.least is not None}
+    m = re.fullmatch(r"(\w+?)(\d+)", sid)
+    if not (m and m[1] in series):
         raise ValueError(f"unrecognized system id: {system_id!r}")
-    if m.group(1):
-        return build(m.group(1), int(m.group(2)))
-    if m.group(3):
-        return build(m.group(3))
-    return build("I2", int(m.group(4)))
+    return build(series[m[1]], int(m[2]))
+
+
+def parse_families(spec: str) -> list:
+    """The system ids of a table spec such as "A:1..7,E,I2:5..12".
+
+    FAMILY:N or FAMILY:LO..HI names a range of a series, a letter the
+    families of one system named by it and a digit (E: E6, E7 and E8), and
+    any other part one system id.
+    """
+    ids = []
+    for part in filter(None, (p.strip() for p in spec.split(","))):
+        if ":" in part:
+            fam, rng = part.split(":", 1)
+            bounds = re.fullmatch(r"\s*(\d+)\s*(?:\.\.\s*(\d+)\s*)?", rng)
+            lo, hi = (int(bounds[1]), int(bounds[2] or bounds[1])) if bounds else (1, 0)
+            if lo > hi:
+                raise ValueError(f"--families: bad range {part!r} "
+                                 "(expected FAMILY:N or FAMILY:LO..HI with LO <= HI)")
+            ids += [series_prefix(fam) + str(n) for n in range(lo, hi + 1)]
+        else:
+            ids += [f for f, row in FAMILIES.items()
+                    if row.least is None and f[0] == part and f[1:].isdigit()] or [part]
+    if not ids:
+        raise ValueError(f"--families {spec!r} names no system")
+    return ids

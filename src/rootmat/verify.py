@@ -23,7 +23,7 @@ enumerated one component at a time, onto themselves, and its order must equal
 from __future__ import annotations
 
 import time
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from . import graphauto, linmatroid, permgrp, rootsystems
 from .errors import BudgetExceededError
@@ -53,15 +53,17 @@ class VerificationReport:
         return {k: str(v) if k in _ORDER_FIELDS else v for k, v in vars(self).items()}
 
 
-_EXCEPTIONAL_ORDERS = {"D4": 576, "Dprime4": 576, "E6": 51840, "E7": 1451520,
-                       "E8": 348364800, "F4": 1152, "H3": 120, "H4": 14400}  # D'4 is isomorphic to D4
+_EXCEPTIONAL_ORDERS = {"D4": 576, "E6": 51840, "E7": 1451520, "E8": 348364800, "F4": 1152,
+                       "H3": 120, "H4": 14400}
 
 
 def expected_aut_order(system: rootsystems.RootSystem) -> int:
-    """Closed-form classification-table order of Aut(M(R)) on lines."""
+    """Closed-form classification-table order of Aut(M(R)) on lines, that of R's matroid."""
     fam, n = system.family, system.rank_param
     if fam == "DirectSum":
         return wreath_order(system)
+    if system.matroid != system.system_id:
+        return expected_aut_order(rootsystems.parse_system_id(system.matroid))
     if system.rank <= 2:
         # the matroid is uniform, so all of Sym(X) acts
         return factorial(system.num_lines)
@@ -75,14 +77,12 @@ def expected_aut_order(system: rootsystems.RootSystem) -> int:
 
 
 def wreath_order(system: rootsystems.RootSystem) -> int:
-    """prod_i p_i! * |Aut(M(R_i))|^{p_i} over matroid classes (D'4 is in that of D4)."""
-    total, classes = 1, {}
+    """prod_i p_i! * |Aut(M(R_i))|^{p_i} over the components' matroid classes (D'4 is in D4's)."""
+    classes = {}
     for c in system.components:
-        key = ("D", 4) if c.family == "Dprime4" else (c.family, c.rank_param)
-        classes.setdefault(key, []).append(c)
-    for members in classes.values():
-        total *= factorial(len(members)) * expected_aut_order(members[0]) ** len(members)
-    return total
+        classes.setdefault(c.matroid, []).append(c)
+    return prod(factorial(len(members)) * expected_aut_order(members[0]) ** len(members)
+                for members in classes.values())
 
 
 def _by_mask(sets):
@@ -179,13 +179,12 @@ def verify_theorem(system_id: str) -> VerificationReport:
                    "" if ok else "order mismatch")
 
 
+#: the classification table, as a `rootmat table --families` spec
+TABLE_FAMILIES = "A:1..7,B:2..7,D:4..7,E,F,H,I2:5..12"
+
+
 def default_table_ids():
-    ids = [f"A{n}" for n in range(1, 8)]
-    ids += [f"B{n}" for n in range(2, 8)]
-    ids += [f"D{n}" for n in range(4, 8)]
-    ids += ["E6", "E7", "E8", "F4", "H3", "H4"]
-    ids += [f"I2_{m}" for m in range(5, 13)]
-    return ids
+    return rootsystems.parse_families(TABLE_FAMILIES)
 
 
 def verify_table(system_ids=None):
