@@ -1,11 +1,12 @@
 """Command line interface.
 
-Exit code is 0 exactly when every requested check reports PASS, 1 when a
-check reports anything else, and 2 when the input is bad, a graph's first-path
-bound does not close, or a circuit enumeration budget runs out before a
-report is made (one line on stderr).  A closed standard output (say,
-`rootmat circuits ... | head -1`) ends the command quietly with exit code
-141, as a shell reports a SIGPIPE death.
+Each command prints its output and returns its reports, and `main` alone
+turns them into the exit code: 0 exactly when every report is PASS (always
+for `circuits` and `aut`, which make none), 1 when one is not, and 2 when
+the input is bad, a graph's first-path bound does not close, or a circuit
+enumeration budget runs out before a report is made (one line on stderr).
+A closed standard output (say, `rootmat circuits ... | head -1`) ends the
+command quietly with exit code 141, as a shell reports a SIGPIPE death.
 
 Note on G2: the matroid of a root system forgets root lengths, so the G2
 matroid equals that of I2(6); use the system id "I2_6".
@@ -23,13 +24,11 @@ from . import linmatroid, permgrp, rootsystems, verify
 from .errors import BudgetExceededError
 
 
-class _UsageError(Exception):
-    """An argparse rejection, reported by `main` as one error line."""
-
-
 class _Parser(argparse.ArgumentParser):
+    """Raises an argparse rejection as a ValueError, which `main` reports as one error line."""
+
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def build_parser():
@@ -77,18 +76,17 @@ def build_parser():
 
 
 def _print_report(r, label="known"):
-    """One report line; `label` names known_group_order, left out if 0: "known" for |K(R)|,
-    "all-circuits" for the order a `crosscheck` or `wreath` PASS reports."""
+    """Print one report line, return r; `label` names known_group_order, left out if 0: "known"
+    for |K(R)|, "all-circuits" for the order a `crosscheck` or `wreath` PASS reports."""
     known = f"{label}={r.known_group_order:<12} " if r.known_group_order else ""
     print(f"{r.system_id:>10}  lines={r.num_lines:<4} |C3|={r.c3_count:<5} "
           f"aut={r.aut_order:<12} expected={r.expected_order:<12} "
           f"{known}{r.status}  ({r.timing_ms} ms)")
+    return r
 
 
 def cmd_verify(args):
-    r = verify.verify_theorem(args.system)
-    _print_report(r)
-    return r.status == verify.PASS
+    return [_print_report(verify.verify_theorem(args.system))]
 
 
 def cmd_table(args):
@@ -102,76 +100,62 @@ def cmd_table(args):
     else:
         for r in reports:
             _print_report(r)
-    return all(r.status == verify.PASS for r in reports)
+    return reports
 
 
 def cmd_circuits(args):
+    for flag, value in (("--budget", args.budget), ("--max-order", args.max_order)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     system = rootsystems.parse_system_id(args.system)
     circuits = (linmatroid.circuits3(system.lines) if args.max_order == 3
                 else verify.circuits_upto(system, args.max_order, args.budget))
     if args.format == "json":
-        print(json.dumps({
-            "system": system.system_id,
-            "order": args.max_order,
-            "circuits": [list(c) for c in circuits],
-        }))
+        print(json.dumps({"system": system.system_id, "order": args.max_order,
+                          "circuits": [list(c) for c in circuits]}))
     else:
         print(f"# {system.system_id}: {len(circuits)} circuits of order <= {args.max_order}")
         for c in circuits:
             print(" ".join(map(str, c)))
-    return True
+    return []
 
 
 def cmd_aut(args):
     system = rootsystems.parse_system_id(args.system)
-    c3 = linmatroid.circuits3(system.lines)
-    order, gens = verify.aut_group_from_family(system, c3)
+    order, gens = verify.aut_group_from_family(system, linmatroid.circuits3(system.lines))
     print(f"{system.system_id}: |Aut(G(X, C3))| = {order}")
     if args.emit_generators:
         for g in gens:
             print(permgrp.cycle_notation(g))
-    return True
+    return []
 
 
 def cmd_wreath(args):
-    r = verify.verify_wreath(args.spec)
-    _print_report(r, label="all-circuits")
-    return r.status == verify.PASS
+    return [_print_report(verify.verify_wreath(args.spec), label="all-circuits")]
 
 
 def cmd_crosscheck(args):
-    r = verify.oracle_crosscheck(args.system, kmax=args.max_order)
-    _print_report(r, label="all-circuits")
-    return r.status == verify.PASS
+    return [_print_report(verify.oracle_crosscheck(args.system, kmax=args.max_order),
+                          label="all-circuits")]
 
 
-COMMANDS = {
-    "verify": cmd_verify,
-    "table": cmd_table,
-    "circuits": cmd_circuits,
-    "aut": cmd_aut,
-    "wreath": cmd_wreath,
-    "crosscheck": cmd_crosscheck,
-}
+COMMANDS = {"verify": cmd_verify, "table": cmd_table, "circuits": cmd_circuits,
+            "aut": cmd_aut, "wreath": cmd_wreath, "crosscheck": cmd_crosscheck}
 
 
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "circuits" and args.budget < 1:
-            raise ValueError(f"--budget must be at least 1, got {args.budget}")
-        if args.command == "circuits" and args.max_order < 1:
-            raise ValueError(f"--max-order must be at least 1, got {args.max_order}")
-        ok = COMMANDS[args.command](args)
+        reports = COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
-    except (_UsageError, ValueError, BudgetExceededError) as exc:
+    except (ValueError, BudgetExceededError) as exc:
         print(f"rootmat: error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # nobody reads the rest; send it to devnull so the flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    return 0 if ok else 1
+    return 0 if all(r.status == verify.PASS for r in reports) else 1
 
 
 if __name__ == "__main__":

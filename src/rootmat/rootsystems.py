@@ -47,7 +47,10 @@ class RootSystem:
 
     @property
     def matroid(self) -> str:
-        """The id of the system whose matroid this one has: its row's matroid, else its own."""
+        """The id of the system whose matroid this one has: its row's matroid, else its own;
+        a direct sum's joins its components' (D4+D4 for D4+Dprime4)."""
+        if self.family == "DirectSum":
+            return "+".join(c.matroid for c in self.components)
         row = FAMILIES[self.family]
         return row.matroid(self.rank_param) if row.matroid else self.system_id
 
@@ -416,10 +419,12 @@ def known_group_generators(system: RootSystem):
 
 def parse_system_id(system_id: str) -> RootSystem:
     """Resolve ids like "A3", "E8", "I2_7", or sums like "A2+A2+B3", by the FAMILIES rows."""
-    parts = system_id.split("+")
+    parts = [p.strip() for p in system_id.split("+")]
     if len(parts) > 1:
-        return direct_sum(parse_system_id(p.strip()) for p in parts)
-    sid = system_id.strip()
+        if "" in parts:
+            raise ValueError(f"unrecognized system id: {system_id!r} (empty component)")
+        return direct_sum(map(parse_system_id, parts))
+    sid = parts[0]
     if sid in FAMILIES and FAMILIES[sid].least is None:
         return build(sid)
     series = {series_prefix(f): f for f, row in FAMILIES.items() if row.least is not None}

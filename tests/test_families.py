@@ -84,6 +84,19 @@ REJECTED = {
     "Z9": "unrecognized system id: 'Z9'",
 }
 
+# a sum with an empty component is rejected by its whole id, not by the empty part
+EMPTY_COMPONENT_IDS = ["A3+", "+A3", "A3++B3", "A3+ +B3"]
+
+# direct sum -> (its matroid, the components' joined; expected_aut_order; wreath_order),
+# the orders recorded before a sum had a matroid
+SUM_MATROIDS = {
+    "A2+Dprime4": ("A2+D4", 3456, 3456),
+    "D4+Dprime4": ("D4+D4", 663552, 663552),
+    "Dprime4+D4+D4": ("D4+D4+D4", 1146617856, 1146617856),
+    "A2+A2": ("A2+A2", 72, 72),
+    "I2_5+A2+I2_5": ("I2_5+A2+I2_5", 172800, 172800),
+}
+
 # --families spec -> (exit code, system ids of the CSV rows, standard error)
 FAMILY_SPECS = {
     "E,F,H": (0, ["E6", "E7", "E8", "F4", "H3", "H4"], ""),
@@ -113,6 +126,22 @@ def test_rejected_id_message(sid):
     with pytest.raises(ValueError) as info:
         parse_system_id(sid)
     assert str(info.value) == REJECTED[sid]
+
+
+@pytest.mark.parametrize("sid", EMPTY_COMPONENT_IDS)
+def test_empty_sum_component_names_the_whole_id(sid, capsys):
+    message = f"unrecognized system id: {sid!r} (empty component)"
+    with pytest.raises(ValueError) as info:
+        parse_system_id(sid)
+    assert str(info.value) == message
+    assert main(["verify", "--system", sid]) == 2
+    assert capsys.readouterr().err == f"rootmat: error: {message}\n"
+
+
+@pytest.mark.parametrize("sid", list(SUM_MATROIDS))
+def test_direct_sum_matroid_joins_its_components(sid):
+    s = parse_system_id(sid)
+    assert (s.matroid, expected_aut_order(s), wreath_order(s)) == SUM_MATROIDS[sid]
 
 
 @pytest.mark.parametrize("spec", list(FAMILY_SPECS))

@@ -160,6 +160,18 @@ def test_cli_verify_exit_codes(monkeypatch):
     assert main(["wreath", "--spec", "A3+A3"]) == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_cli_verify_and_table_exit_1_on_a_fail(fmt, monkeypatch, capsys):
+    # K(R) without its first generator stops short of A3's bound; A2 still PASSes by uniformity
+    full = rootsystems.known_group_generators
+    monkeypatch.setattr(rootsystems, "known_group_generators", lambda s: full(s)[1:])
+    assert main(["verify", "--system", "A3"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert main(["table", "--families", "A:2..3", "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    assert out.count("PASS") == out.count("FAIL") == 1
+
+
 def test_cli_verify_and_table_take_no_budget(capsys):
     # only circuits takes --budget, for its enumeration; the graph walk is bounded by construction
     for argv in (["verify", "--system", "E6", "--budget", "3"], ["table", "--budget", "3"],
