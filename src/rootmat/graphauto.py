@@ -4,7 +4,9 @@ One ordered partition of the vertices, `_Partition`, is refined in place:
 its cells lie contiguously in one array, and a splitter queue takes it to
 the coarsest equitable partition, moving only the vertices a splitter
 touches in cells of two or more (McKay & Piperno, *Practical graph
-isomorphism II*, 2014, §§4-5); `refine` is that kernel on a list of cells.
+isomorphism II*, 2014, §§4-5), read off a singleton splitter's adjacency
+with no count; `refine` is that kernel on a list of cells.  Adjacency may
+be int tuples (`build_incidence`) or neighbor sets.
 The first path carries that one state down: it individualizes the least
 vertex of the first smallest non-singleton cell (the target cell T_i) in
 place and refines from the new singleton, down to a discrete leaf.
@@ -101,12 +103,13 @@ class _Partition:
 
         A splitter splits each non-singleton cell it touches by the number
         of neighbors each vertex has in it, fragments in increasing order of
-        that count (one fragment from a singleton splitter); the untouched
-        vertices stay in front, the touched ones are swapped in.  Every new
-        fragment joins the queue, except the first largest one when the
-        parent cell was not queued: counts into it follow from counts into
-        the parent and the other fragments.  Cells and their order depend
-        only on positions and counts, so the result is relabeling-equivariant.
+        that count, swapped in behind the untouched vertices.  Touched ones
+        of one count (always, from a singleton splitter: its adjacency lists
+        them, uncounted) form one fragment.  Every new fragment joins the
+        queue, except the first largest one when the parent cell was not
+        queued: counts into it follow from counts into the parent and the
+        other fragments.  Cells and their order depend only on positions and
+        counts, so the result is relabeling-equivariant.
         """
         adjacency, elems, pos, cell_of = self.adjacency, self.elems, self.pos, self.cell_of
         size = self.size
@@ -115,27 +118,35 @@ class _Partition:
         while queue and len(size) < len(elems):
             splitter = queue.popleft()
             queued.discard(splitter)
-            single = size[splitter] == 1
-            if single:
-                count = dict.fromkeys(adjacency[elems[splitter]], 1)
+            if size[splitter] == 1:
+                touched, count = adjacency[elems[splitter]], None
             else:
                 cell = elems[splitter:splitter + size[splitter]]
-                count = Counter(chain.from_iterable(map(adjacency.__getitem__, cell)))
+                touched = count = Counter(chain.from_iterable(map(adjacency.__getitem__, cell)))
             hit = {}
-            for u in count:
+            for u in touched:
                 if size[at := cell_of[u]] > 1:
                     hit.setdefault(at, []).append(u)
             for start in sorted(hit):
                 n, members = size[start], hit[start]
-                if len(members) == n and (single or len(set(map(count.__getitem__, members))) == 1):
-                    continue
-                if single:
-                    fragments = [members]
-                else:
-                    groups = {}
+                if count is None or len(set(map(count.__getitem__, members))) == 1:
+                    if len(members) == n:
+                        continue
+                    i = new = start + n - len(members)
                     for u in members:
-                        groups.setdefault(count[u], []).append(u)
-                    fragments = [groups[k] for k in sorted(groups)]
+                        j, w = pos[u], elems[i]
+                        elems[i], elems[j], pos[u], pos[w], cell_of[u] = u, w, i, j, new
+                        i += 1
+                    size[start], size[new] = new - start, len(members)
+                    # the untouched part is the first largest one unless the touched one is larger
+                    k = new if start in queued or new - start >= len(members) else start
+                    queue.append(k)
+                    queued.add(k)
+                    continue
+                groups = {}
+                for u in members:
+                    groups.setdefault(count[u], []).append(u)
+                fragments = [groups[k] for k in sorted(groups)]
                 i = start + n - len(members)
                 for frag in fragments:
                     for u in frag:
@@ -200,8 +211,8 @@ def _first_path(g: ColoredGraph):
 
 
 def _is_automorphism(g: ColoredGraph, p):
-    return all(g.colors[p[v]] == g.colors[v] and {p[w] for w in g.adjacency[v]} == g.adjacency[p[v]]
-               for v in range(g.num_vertices))
+    return all(g.colors[p[v]] == g.colors[v] and {p[w] for w in a} == set(g.adjacency[p[v]])
+               for v, a in enumerate(g.adjacency))
 
 
 def _orbit(point, gens):

@@ -13,7 +13,7 @@ class ColoredGraph:
     def __init__(self, num_vertices, colors, adjacency):
         self.num_vertices = num_vertices
         self.colors = colors
-        self.adjacency = adjacency  # tuple of frozensets, one per vertex
+        self.adjacency = adjacency  # neighbors per vertex (build_incidence: ascending int tuples)
 
     @property
     def num_edges(self):
@@ -22,23 +22,18 @@ class ColoredGraph:
 
 def build_incidence(ground_size, sets) -> ColoredGraph:
     """The bipartite incidence graph G(X, F) with element/set colors."""
-    adj = [set() for _ in range(ground_size)]
-    seen = set()
+    through, family = [[] for _ in range(ground_size)], {}  # family: set -> its vertex, in order
     for s in sets:
-        fs = frozenset(s)
-        for i in fs:
-            if not 0 <= i < ground_size:
-                raise IndexError(f"set member {i} out of range")
-        if fs in seen:
-            raise ValueError(f"duplicate set {sorted(fs)} in family")
-        seen.add(fs)
-        members = sorted(fs)  # a set's neighbours iterate alike however it was given
+        members = tuple(sorted(set(s)))  # repeats collapse; any member order gives one tuple
+        if members and (members[0] < 0 or members[-1] >= ground_size):
+            raise IndexError(f"set {list(members)} has a member out of range")
+        if members in family:
+            raise ValueError(f"duplicate set {list(members)} in family")
+        family[members] = vertex = ground_size + len(family)
         for x in members:
-            adj[x].add(len(adj))
-        adj.append(set(members))
-    n = len(adj)
-    colors = (0,) * ground_size + (1,) * (n - ground_size)
-    return ColoredGraph(n, colors, tuple(frozenset(a) for a in adj))
+            through[x].append(vertex)
+    colors = (0,) * ground_size + (1,) * len(family)
+    return ColoredGraph(len(colors), colors, tuple(map(tuple, through)) + tuple(family))
 
 
 def restrict_to_ground(graph_perm, ground_size):

@@ -423,7 +423,11 @@ def parse_system_id(system_id: str) -> RootSystem:
     if len(parts) > 1:
         if "" in parts:
             raise ValueError(f"unrecognized system id: {system_id!r} (empty component)")
-        return direct_sum(map(parse_system_id, parts))
+        try:
+            components = [parse_system_id(p) for p in parts]
+        except ValueError as exc:  # a component's error, named with the whole id
+            raise ValueError(f"{exc}, in the sum {system_id!r}") from None
+        return direct_sum(components)
     sid = parts[0]
     if sid in FAMILIES and FAMILIES[sid].least is None:
         return build(sid)

@@ -11,7 +11,7 @@ generators come first, so at rank >= 3 C3 is built from one line per K(R)-orbit,
 and K(R)'s BSGS is built only until its basic orbits multiply to the bound.
 
 A matroid of rank <= 2 is uniform once C3 is every triple, so there both
-ends are Sym(X), certified without a graph.  verify_theorem runs these
+ends are Sym(X), certified with no first-path bound.  verify_theorem runs these
 steps top to bottom and searches no graph.
 
 oracle_crosscheck and verify_wreath share one check instead: C3's graph
@@ -103,27 +103,25 @@ def _preserves_family(perm, family):
     return all(sum(map(bit, c)) in family for c in family.values())
 
 
-def _preserves_c3(gens, c3, num_lines):
+def _preserves_c3(gens, g, num_lines):
     """Whether each generator maps every triple of C3 into C3, looked up on its support only.
 
-    C3 and each image are keyed by the power sums of their lines, x + m x^2
-    + m^2 x^3 summed with m = 3 n^2 for n lines: one small int, injective on
-    3-multisets by Newton's identities, so a tuple that merges two lines of
-    a triple gives the key of no 3-set.  A triple that avoids a generator's
-    support is fixed exactly, so only the triples meeting it, found through
-    one line -> triples index, need a lookup: the check is as strong as a
-    full pass over C3 for any tuple.
+    C3 is read from its incidence graph g: the set vertices' neighbours are
+    the triples, a line's are the triples through it.  C3 and each image are
+    keyed by the power sums of their lines, x + m x^2 + m^2 x^3 summed with
+    m = 3 n^2 for n lines: one small int, injective on 3-multisets by
+    Newton's identities, so a tuple that merges two lines of a triple gives
+    the key of no 3-set.  A triple that avoids a generator's support is
+    fixed exactly, so only the triples through its moved lines need a
+    lookup: the check is as strong as a full pass over C3 for any tuple.
     """
-    m = 3 * num_lines * num_lines
+    m, adj = 3 * num_lines * num_lines, g.adjacency
     keys = [x + m * x * x + m * m * x * x * x for x in range(num_lines)]
-    family, meeting = {keys[a] + keys[b] + keys[c] for a, b, c in c3}, [[] for _ in keys]
-    for c in c3:
-        for i in c:
-            meeting[i].append(c)
+    family = {keys[a] + keys[b] + keys[c] for a, b, c in adj[num_lines:]}
     for gen in gens:
-        moved = set().union(*[meeting[i] for i in range(num_lines) if gen[i] != i])
+        moved = set().union(*[adj[i] for i in range(num_lines) if gen[i] != i])
         key = [keys[p] for p in gen]
-        if not all(key[a] + key[b] + key[c] in family for a, b, c in moved):
+        if not all(key[a] + key[b] + key[c] in family for a, b, c in map(adj.__getitem__, moved)):
             return False
     return True
 
@@ -156,7 +154,8 @@ def verify_theorem(system_id: str) -> VerificationReport:
     support): that catches one that is no automorphism (a transposition of
     two lines) and puts K(R) in Aut(G(X, C3)).  Then K(R), built up to the
     first-path bound, proves K(R) = Aut(M(R)) = Aut(G(X, C3)) by reaching
-    it, with no graph search at any rank.
+    it, with no graph search at any rank.  C3's graph, built once for the
+    check and the bound, is gone before K(R)'s BSGS.
     """
     start = time.perf_counter()
     system = rootsystems.parse_system_id(system_id)
@@ -169,10 +168,12 @@ def verify_theorem(system_id: str) -> VerificationReport:
     expected = expected_aut_order(system)
     if uniform and len(c3) != comb(n, 3):
         return _report(system, c3, 0, expected, 0, FAIL, start, "C3 is not the full triple set")
-    if not _preserves_c3(gens, c3, n):
+    g = build_incidence(n, c3)
+    if not _preserves_c3(gens, g, n):
         return _report(system, c3, 0, expected, 0, FAIL, start,
                        "known generator does not preserve C3")
-    bound = factorial(n) if uniform else graphauto.path_bound(build_incidence(n, c3))
+    bound = factorial(n) if uniform else graphauto.path_bound(g)
+    del g  # K's BSGS sets the peak memory, so the graph does not live through it
     known_order = permgrp.bsgs(gens, degree=n, bound=None if uniform else bound).order()
     ok = (uniform or known_order == bound) and bound == expected
     return _report(system, c3, bound, expected, known_order, PASS if ok else FAIL, start,

@@ -138,6 +138,24 @@ def test_empty_sum_component_names_the_whole_id(sid, capsys):
     assert capsys.readouterr().err == f"rootmat: error: {message}\n"
 
 
+# a sum whose component is rejected -> (the command, the message, which names the whole id)
+FAILED_COMPONENT_SUMS = {
+    "A3+X9": (["verify", "--system"], "unrecognized system id: 'X9', in the sum 'A3+X9'"),
+    "A3+D3": (["wreath", "--spec"], "D_n requires n >= 4 (D3 would alias A3), in the sum 'A3+D3'"),
+    "B1+A2": (["crosscheck", "--system"], "B requires parameter >= 2, got 1, in the sum 'B1+A2'"),
+}
+
+
+@pytest.mark.parametrize("sid", list(FAILED_COMPONENT_SUMS))
+def test_failed_sum_component_names_the_whole_id(sid, capsys):
+    command, message = FAILED_COMPONENT_SUMS[sid]
+    with pytest.raises(ValueError) as info:
+        parse_system_id(sid)
+    assert str(info.value) == message
+    assert main(command + [sid]) == 2
+    assert capsys.readouterr().err == f"rootmat: error: {message}\n"
+
+
 @pytest.mark.parametrize("sid", list(SUM_MATROIDS))
 def test_direct_sum_matroid_joins_its_components(sid):
     s = parse_system_id(sid)

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from math import prod
 
 import pytest
@@ -298,6 +298,21 @@ def _c3_graph(sid):
     return build_incidence(s.num_lines, circuits3(s.lines))
 
 
+@pytest.mark.parametrize("sid", default_table_ids() + ["B9", "D10", "Dprime4", "A1+A2+B3"])
+def test_tuple_and_frozenset_adjacency_give_one_bound_and_one_group(sid):
+    # build_incidence's int tuples against neighbour frozensets of the same C3 graph,
+    # set k at vertex n + k in both
+    s = parse_system_id(sid)
+    n, c3 = s.num_lines, circuits3(s.lines)
+    g = build_incidence(n, c3)
+    h = graph_from_edges(n + len(c3), g.colors, [(x, n + k) for k, c in enumerate(c3) for x in c])
+    assert all(isinstance(a, tuple) for a in g.adjacency)
+    assert all(isinstance(a, frozenset) for a in h.adjacency)
+    assert [set(a) for a in g.adjacency] == [set(a) for a in h.adjacency]
+    assert path_bound(g) == path_bound(h)
+    assert automorphism_group(g) == automorphism_group(h)
+
+
 @pytest.mark.parametrize("name", ["B9", "D4+Dprime4", "E8", "H4", "petersen"])
 def test_certify_raises_on_a_missing_generator(name):
     g = _petersen() if name == "petersen" else _c3_graph(name)
@@ -393,16 +408,42 @@ def test_refine_kernel_matches_the_reference_order(name):
     _assert_kernel_matches_the_reference(build_incidence(s.num_lines, family))
 
 
+def _random_triple_system(rng, max_points):
+    """The incidence graph of a random family of 3-subsets of 3..max_points points."""
+    n = rng.randint(3, max_points)
+    triples = list(combinations(range(n), 3))
+    return build_incidence(n, rng.sample(triples, rng.randint(1, len(triples))))
+
+
+def _singleton_cuts(g, p, v):
+    """How the singleton splitter {v} cuts the cells of p it touches in part: below, at or
+    above half of the cell (v's own cell counted without v)."""
+    cuts = set()
+    for cell in p.cells():
+        rest, hit = len(cell) - (v in cell), len(set(cell) & set(g.adjacency[v]))
+        if 0 < hit < rest:
+            cuts.add("less" if 2 * hit < rest else "half" if 2 * hit == rest else "more")
+    return cuts
+
+
 def test_refine_kernel_matches_the_reference_order_on_random_graphs():
-    # every vertex of the first target cell starts a walk, as the descents do
+    # every vertex of the first target cell starts a walk, as the descents do; with the
+    # random triple systems (C3-like graphs) the first paths' singleton splitters cut cells
+    # below, at and above half, so the queue takes either part of a one-fragment split
     rng = random.Random(27)
-    for _ in range(300):
-        g = _random_graph(rng, 14)
+    graphs = [_random_graph(rng, 14) for _ in range(300)]
+    cuts = set()
+    for g in graphs + [_random_triple_system(rng, 8) for _ in range(300)]:
         _assert_kernel_matches_the_reference(g)
         p = graphauto._Partition(g, initial_partition(g))
         target = p.target()
         for v in p.cell(target) if target is not None else ():
             _assert_kernel_matches_the_reference(g, v)
+        while (target := p.target()) is not None:
+            v = min(p.cell(target))
+            cuts |= _singleton_cuts(g, p, v)
+            p.individualize(target, v)
+    assert cuts == {"less", "half", "more"}
 
 
 @pytest.mark.parametrize("sid", ["F4", "E8", "B9", "H4+H3+A1"])

@@ -10,7 +10,7 @@ def test_star():
     assert g.num_vertices == 4
     assert g.num_edges == 3
     assert g.colors == (0, 0, 0, 1)
-    assert g.adjacency[3] == frozenset({0, 1, 2})
+    assert set(g.adjacency[3]) == {0, 1, 2}
 
 
 def test_a3_incidence_counts():
@@ -32,14 +32,25 @@ def test_i2_5_incidence_counts():
     assert g.num_edges == 30
 
 
+def test_adjacency_is_ascending_int_tuples():
+    # a line's neighbours are the ids of the sets through it, a set's its sorted members;
+    # repeated members collapse
+    g = build_incidence(4, [(2, 0, 1), [3, 1, 1], (0, 3, 2)])
+    assert g.adjacency == ((4, 6), (4, 5), (4, 6), (5, 6), (0, 1, 2), (1, 3), (0, 2, 3))
+    assert g.num_edges == 8
+
+
 def test_duplicate_set_rejected():
-    with pytest.raises(ValueError):
-        build_incidence(4, [{0, 1, 2}, {2, 1, 0}])
+    # sets given as tuples in another member order, or with a repeated member, are one set
+    for family in ([{0, 1, 2}, {2, 1, 0}], [(0, 1, 3), [3, 1, 0]], [(1, 2, 3), (3, 3, 2, 1)]):
+        with pytest.raises(ValueError, match=r"duplicate set \[\d, \d, \d\] in family"):
+            build_incidence(4, family)
 
 
 def test_member_out_of_range():
-    with pytest.raises(IndexError):
-        build_incidence(3, [{0, 5}])
+    for family in ([{0, 5}], [(0, 1, 2), (3, 1, 2)], [(-1, 0, 1)], [(0, 1, 2, 7)]):
+        with pytest.raises(IndexError, match="out of range"):
+            build_incidence(3, family)
 
 
 def test_restriction_identity():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from math import factorial, prod
 from pathlib import Path
 
@@ -390,6 +391,29 @@ def test_squeeze_checks_before_it_counts(sid, monkeypatch):
     assert counts == ["check"] + (["path_bound"] if sid == "E6" else []) + ["bsgs"]
 
 
+@pytest.mark.parametrize("sid", ["E8", "B9"])
+def test_c3_graph_is_gone_before_the_known_group_bsgs(sid, monkeypatch):
+    # one graph serves the preservation check and the first-path bound, and is
+    # dropped before K(R)'s BSGS, which sets the peak memory
+    graphs, calls = [], []
+    build_graph, full_bsgs = verify.build_incidence, permgrp.bsgs
+
+    def build(*args):
+        g = build_graph(*args)
+        graphs.append(weakref.ref(g))
+        return g
+
+    def k_bsgs(*args, **kwargs):
+        assert len(graphs) == 1 and graphs[0]() is None
+        calls.append("bsgs")
+        return full_bsgs(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "build_incidence", build)
+    monkeypatch.setattr(permgrp, "bsgs", k_bsgs)
+    assert verify_theorem(sid).status == PASS
+    assert calls == ["bsgs"]
+
+
 def _bogus_generator_cases():
     for sid in ["E6", "H4", "D5", "F4"]:
         for i in range(len(known_group_generators(parse_system_id(sid)))):
@@ -438,12 +462,13 @@ def test_preserves_c3_rejects_merges_and_transpositions(sid):
     s = parse_system_id(sid)
     n, gens = s.num_lines, known_group_generators(s)
     c3 = linmatroid.circuits3(s.lines, gens)
-    assert verify._preserves_c3(gens, c3, n)
+    g = build_incidence(n, c3)
+    assert verify._preserves_c3(gens, g, n)
     a, b, _ = c3[0]
     merge = list(range(n))
     merge[a] = b
-    assert not verify._preserves_c3(gens + [tuple(merge)], c3, n)
-    assert not verify._preserves_c3(gens + [(1, 0) + tuple(range(2, n))], c3, n)
+    assert not verify._preserves_c3(gens + [tuple(merge)], g, n)
+    assert not verify._preserves_c3(gens + [(1, 0) + tuple(range(2, n))], g, n)
 
 
 def test_preserves_c3_is_the_sorted_triple_lookup_on_every_tuple():
@@ -451,10 +476,10 @@ def test_preserves_c3_is_the_sorted_triple_lookup_on_every_tuple():
     # of each image triple's sorted tuple, on several families of triples
     triples = list(itertools.combinations(range(5), 3))
     for c3 in (triples, triples[:4], triples[::3], [triples[0], triples[-1]]):
-        family = set(c3)
+        family, g = set(c3), build_incidence(5, c3)
         for gen in itertools.product(range(5), repeat=5):
             expected = all(tuple(sorted(gen[i] for i in c)) in family for c in c3)
-            assert verify._preserves_c3([gen], c3, 5) == expected
+            assert verify._preserves_c3([gen], g, 5) == expected
 
 
 def test_preserves_c3_keys_tell_every_image_multiset_apart():
@@ -462,11 +487,12 @@ def test_preserves_c3_keys_tell_every_image_multiset_apart():
     # 3 of 8 lines: preserved exactly when m is t, so no two multisets share a key
     n = 8
     for t in itertools.combinations(range(n), 3):
+        g = build_incidence(n, [t])
         for m in itertools.product(range(n), repeat=3):
             gen = list(range(n))
             for i, j in zip(t, m):
                 gen[i] = j
-            assert verify._preserves_c3([tuple(gen)], [t], n) == (tuple(sorted(m)) == t)
+            assert verify._preserves_c3([tuple(gen)], g, n) == (tuple(sorted(m)) == t)
 
 
 def test_preserves_family_rejects_a_tuple_that_merges_lines():
