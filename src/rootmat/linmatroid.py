@@ -130,7 +130,8 @@ def circuits3(lines, gens=()):
     when g(x) is their least member, so each once (orbit-stabilizer).  Only
     the BFS frontier holds its pairs.  The line maps of (semi)linear
     bijections of the line set (`perm_from_linear_map`) preserve C3; a bare
-    index map need not.
+    index map need not: `known_group_generators`' Sym(X) at rank <= 2 does
+    only once C3 is every triple, so `verify_theorem` passes it none there.
     """
     if not gens:
         return sorted([t for i in range(len(lines))

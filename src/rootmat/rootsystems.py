@@ -12,14 +12,14 @@ convenience: the half-integer roots of E8 and D'4 are doubled, and the
 golden-ratio coordinates of H3/H4 are doubled into Z[sqrt 5], e.g.
 2*phi = 1 + sqrt(5) is the pair (1, 1).
 
-A family is one row of FAMILIES (see Family), which build and the id
-parsers read; a row's matroid names the class of systems that
-expected_aut_order and wreath_order share (D'4 is in D4's).
+A family is one row of FAMILIES (see Family), which build, the id
+parsers, K(R) and expected_aut_order read.
 
 K(R) is generated by the reflections in the simple roots of the positive
-system the stored lines form, plus the extra symmetries.  I2(m) is stored
-as the lines (1, k), k < m, which realize its matroid U_{2,m} but are not
-its roots; its K(R) is the dihedral group on indices.
+system the stored lines form, plus the row's extra maps.  At rank <= 2 it
+is Sym(X) on line indices, as the matroid is uniform once C3 is every
+triple; I2(m)'s stored lines (1, k), k < m, realize its matroid U_{2,m}
+but are not its roots.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import cached_property
-from math import gcd
+from math import factorial, gcd
 from operator import mul
 
 class RootSystem:
@@ -146,8 +146,35 @@ def _h4_roots():
     return roots
 
 
+F4_DUALITY_MATRIX = ((1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1))
+
+
+def _d_extra(n):
+    """D_n (n >= 5): the sign flip e1 -> -e1, in B_n the reflection in e1.  D4:
+    the reflections in D'4's lines, the short roots of F4 (triality comes for free)."""
+    if n >= 5:
+        return [lambda x: (-x[0],) + x[1:n] + (-x[n],) + x[n + 1:]]
+    return [reflection(v) for v in build("Dprime4").lines]
+
+
+def _f4_duality(x):
+    """F4_DUALITY_MATRIX on both halves of x = (a | b): it swaps F4's two D4 copies."""
+    return [_dot(row, half) for half in (x[:4], x[4:]) for row in F4_DUALITY_MATRIX]
+
+
+def _conj_swap(x):
+    """H3/H4: Galois conjugation, b -> -b on x = (a | b), then a swap of the last two coordinates.
+
+    Both preserve linear dependence.  Conjugation reverses the golden-ratio
+    pattern, an odd permutation, so alone it maps the line set to its mirror
+    image in these coordinates; the swap brings it back."""
+    n = len(x) // 2
+    order = [*range(n - 2), n - 1, n - 2]
+    return [x[k] for k in order] + [-x[n + k] for k in order]
+
+
 class Family:
-    """One row of FAMILIES: how a family's systems are built, and the matroid each has.
+    """One row of FAMILIES: how a family's systems are built, their K(R) and their matroid.
 
     least is the least parameter n of a series, or None for a family of one
     system, whose parameter is its rank.  dim(n), roots(n) and lines(n) are
@@ -155,31 +182,39 @@ class Family:
     rational) and the line count |R|/2.  rank is the rank, None when it is
     n.  matroid(n), when given, is the id of the system whose matroid R(n)
     has (D'4 has D4's), the class that `expected_aut_order` and
-    `wreath_order` go by; a system with none is its own class.
+    `wreath_order` go by; a system with none is its own class.  extra(n) lists
+    the (semi)linear maps on vectors (a | b) that K(R(n)) has beyond the
+    reflections (none if not given), and order(n) is the closed-form
+    |Aut(M(R(n)))| of a system of rank >= 3 that is its own class.
     """
 
-    def __init__(self, least, dim, roots, lines, rank=None, matroid=None):
+    def __init__(self, least, dim, roots, lines, rank=None, matroid=None, extra=None, order=None):
         self.least, self.dim, self.roots, self.lines = least, dim, roots, lines
-        self.rank, self.matroid = rank, matroid
+        self.rank, self.matroid, self.extra, self.order = rank, matroid, extra, order
 
 
 #: family -> its row; registering a family is adding a row
 FAMILIES = {
     # A_n: the roots e_i - e_j of D_{n+1}; B_n: the e_i and D_n's
     "A": Family(1, lambda n: n + 1, lambda n: [r for r in _d_roots(n + 1) if sum(r) == 0],
-                lambda n: n * (n + 1) // 2),
+                lambda n: n * (n + 1) // 2, order=lambda n: factorial(n + 1)),
     "B": Family(2, lambda n: n, lambda n: [_e(i, n) for i in range(n)] + _d_roots(n),
-                lambda n: n * n),
-    "D": Family(4, lambda n: n, _d_roots, lambda n: n * (n - 1)),
+                lambda n: n * n, order=lambda n: 2 ** (n - 1) * factorial(n)),
+    "D": Family(4, lambda n: n, _d_roots, lambda n: n * (n - 1), extra=_d_extra,
+                order=lambda n: 576 if n == 4 else 2 ** (n - 1) * factorial(n)),
     "I2": Family(5, lambda m: 2, lambda m: [(1, k) for k in range(m)], lambda m: m, rank=2),
     "Dprime4": Family(None, lambda n: 4, lambda n: _dprime4_roots(), lambda n: 12, rank=4,
-                      matroid=lambda n: "D4"),
-    "E6": Family(None, lambda n: 8, _e_roots, lambda n: 36, rank=6),
-    "E7": Family(None, lambda n: 8, _e_roots, lambda n: 63, rank=7),
-    "E8": Family(None, lambda n: 8, _e_roots, lambda n: 120, rank=8),
-    "F4": Family(None, lambda n: 4, lambda n: _d_roots(4) + _dprime4_roots(), lambda n: 24, rank=4),
-    "H3": Family(None, lambda n: 3, lambda n: _h3_roots(), lambda n: 15, rank=3),
-    "H4": Family(None, lambda n: 4, lambda n: _h4_roots(), lambda n: 60, rank=4),
+                      matroid=lambda n: "D4",
+                      extra=lambda n: [reflection(v) for v in build("D", 4).lines]),
+    "E6": Family(None, lambda n: 8, _e_roots, lambda n: 36, rank=6, order=lambda n: 51840),
+    "E7": Family(None, lambda n: 8, _e_roots, lambda n: 63, rank=7, order=lambda n: 1451520),
+    "E8": Family(None, lambda n: 8, _e_roots, lambda n: 120, rank=8, order=lambda n: 348364800),
+    "F4": Family(None, lambda n: 4, lambda n: _d_roots(4) + _dprime4_roots(), lambda n: 24, rank=4,
+                 extra=lambda n: [_f4_duality], order=lambda n: 1152),
+    "H3": Family(None, lambda n: 3, lambda n: _h3_roots(), lambda n: 15, rank=3,
+                 extra=lambda n: [_conj_swap], order=lambda n: 120),
+    "H4": Family(None, lambda n: 4, lambda n: _h4_roots(), lambda n: 60, rank=4,
+                 extra=lambda n: [_conj_swap], order=lambda n: 14400),
 }
 
 
@@ -300,43 +335,10 @@ def reflection(v):
     return lambda x: combine(vv, x, dot(x, v2), v)
 
 
-F4_DUALITY_MATRIX = (
-    (1, 1, 0, 0),
-    (1, -1, 0, 0),
-    (0, 0, 1, 1),
-    (0, 0, 1, -1),
-)
-
-
 def extra_symmetry_perms(system: RootSystem):
-    """Generators of the known symmetries beyond the reflections.
-
-    D_n (n >= 5): the sign flip e1 -> -e1, which in B_n is the reflection in
-    e1.  D4: the reflections in the short roots of F4 (triality comes for
-    free).  F4: the integer duality matrix swapping the two D4 copies.
-    H3/H4: coordinatewise Galois conjugation.  Everything else needs none.
-    """
-    fam, n = system.family, system.ambient_dim
-    if fam == "D" and system.rank_param >= 5:
-        flip = lambda x: (-x[0],) + x[1:n] + (-x[n],) + x[n + 1:]
-        return [perm_from_linear_map(system, flip)]
-    if fam in ("D", "Dprime4"):
-        other = build("Dprime4") if fam == "D" else build("D", 4)
-        return [perm_from_linear_map(system, reflection(v)) for v in other.lines]
-    if fam == "F4":
-        duality = lambda x: [sum(m * c for m, c in zip(row, half))
-                             for half in (x[:4], x[4:]) for row in F4_DUALITY_MATRIX]
-        return [perm_from_linear_map(system, duality)]
-    if fam in ("H3", "H4"):
-        # Galois conjugation, b -> -b on (a | b), maps the line set to its
-        # mirror image in these coordinates (conjugation reverses the
-        # golden-ratio pattern, an odd permutation); swapping the last two
-        # coordinates brings it back.  Both steps preserve linear dependence,
-        # and perm_from_linear_map verifies the line set is actually preserved.
-        order = list(range(n - 2)) + [n - 1, n - 2]
-        conj_swap = lambda x: [x[k] for k in order] + [-x[n + k] for k in order]
-        return [perm_from_linear_map(system, conj_swap)]
-    return []
+    """The line permutations of the row's extra maps (Family.extra), none by default."""
+    extra = FAMILIES[system.family].extra
+    return [perm_from_linear_map(system, f) for f in extra(system.rank_param)] if extra else []
 
 
 def _positive(x):
@@ -395,24 +397,24 @@ def simple_reflections(system: RootSystem):
 def known_group_generators(system: RootSystem):
     """Generators of K(R) on lines: the simple reflections, then the extra symmetries.
 
-    The simple reflections generate the reflection group (I2: the dihedral
-    pair k -> k + 1, k -> -k, since its lines are not roots).  A direct sum
-    gets each component's generators, acting on that component's lines.
+    At rank <= 2 they are Sym(X) instead, an n-cycle and a transposition (none
+    for one line).  These are index maps, not the line maps of linear
+    bijections: they preserve C3 only once C3 is checked to be every triple,
+    which makes the matroid uniform.  A direct sum gets each component's
+    generators, acting on that component's lines.
     """
+    n = system.num_lines
     if system.family == "DirectSum":
-        gens, start, n = [], 0, system.num_lines
+        gens, start = [], 0
         for c in system.components:
             stop = start + c.num_lines
             gens += [tuple(range(start)) + tuple(start + i for i in g) + tuple(range(stop, n))
                      for g in known_group_generators(c)]
             start = stop
         return gens
-    if system.family == "I2":
-        m = system.num_lines
-        return [tuple((k + 1) % m for k in range(m)), tuple(-k % m for k in range(m))]
-    gens = [perm for _, perm in simple_reflections(system)]
-    gens.extend(extra_symmetry_perms(system))
-    return gens
+    if system.rank <= 2:
+        return [(*range(1, n), 0), (1, 0, *range(2, n))] if n > 1 else []
+    return [perm for _, perm in simple_reflections(system)] + extra_symmetry_perms(system)
 
 
 # -- string ids -----------------------------------------------------------

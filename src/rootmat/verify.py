@@ -11,8 +11,8 @@ generators come first, so at rank >= 3 C3 is built from one line per K(R)-orbit,
 and K(R)'s BSGS is built only until its basic orbits multiply to the bound.
 
 A matroid of rank <= 2 is uniform once C3 is every triple, so there both
-ends are Sym(X), certified with no first-path bound.  verify_theorem runs these
-steps top to bottom and searches no graph.
+ends are Sym(X): known = aut = n!, certified with no K(R), graph or BSGS.
+verify_theorem runs these steps top to bottom and searches no graph.
 
 oracle_crosscheck and verify_wreath share one check instead: C3's graph
 is searched once, each generator of its group must map the circuits up to the rank,
@@ -53,27 +53,19 @@ class VerificationReport:
         return {k: str(v) if k in _ORDER_FIELDS else v for k, v in vars(self).items()}
 
 
-_EXCEPTIONAL_ORDERS = {"D4": 576, "E6": 51840, "E7": 1451520, "E8": 348364800, "F4": 1152,
-                       "H3": 120, "H4": 14400}
-
-
 def expected_aut_order(system: rootsystems.RootSystem) -> int:
-    """Closed-form classification-table order of Aut(M(R)) on lines, that of R's matroid."""
-    fam, n = system.family, system.rank_param
-    if fam == "DirectSum":
+    """Closed-form table order of Aut(M(R)) on lines, that of R's matroid: a sum's
+    `wreath_order`, n! at rank <= 2 (the matroid is uniform), else the row's order."""
+    if system.family == "DirectSum":
         return wreath_order(system)
     if system.matroid != system.system_id:
         return expected_aut_order(rootsystems.parse_system_id(system.matroid))
     if system.rank <= 2:
-        # the matroid is uniform, so all of Sym(X) acts
         return factorial(system.num_lines)
-    if system.system_id in _EXCEPTIONAL_ORDERS:
-        return _EXCEPTIONAL_ORDERS[system.system_id]
-    if fam == "A":
-        return factorial(n + 1)
-    if fam in ("B", "D"):
-        return 2 ** (n - 1) * factorial(n)
-    raise ValueError(f"no closed-form order for {fam}")
+    order = rootsystems.FAMILIES[system.family].order
+    if order is None:
+        raise ValueError(f"no closed-form order for {system.system_id}")
+    return order(system.rank_param)
 
 
 def wreath_order(system: rootsystems.RootSystem) -> int:
@@ -147,35 +139,38 @@ def verify_theorem(system_id: str) -> VerificationReport:
 
     The squeeze covers irreducible systems; a direct sum raises ValueError.
     Checks come before counts; a failed one reports both orders as 0.  At
-    rank <= 2 C3 must be every triple; the matroid is then uniform and both
-    ends are Sym(X).  Above, C3 is built from K(R)'s orbits (each generator
-    is the line map of a (semi)linear bijection), so each generator must be
-    checked to preserve it (`_preserves_c3`, on the triples meeting its
-    support): that catches one that is no automorphism (a transposition of
-    two lines) and puts K(R) in Aut(G(X, C3)).  Then K(R), built up to the
-    first-path bound, proves K(R) = Aut(M(R)) = Aut(G(X, C3)) by reaching
-    it, with no graph search at any rank.  C3's graph, built once for the
-    check and the bound, is gone before K(R)'s BSGS.
+    rank <= 2 C3, built with no generators, must be every triple: the
+    matroid is then uniform, both ends are Sym(X) and aut = known = n!.
+    Above, C3 is built from K(R)'s orbits (each generator is the line map
+    of a (semi)linear bijection), so each generator must be checked to
+    preserve it (`_preserves_c3`, on the triples meeting its support): that
+    catches one that is no automorphism (a transposition of two lines) and
+    puts K(R) in Aut(G(X, C3)).  Then K(R), built up to the first-path
+    bound, proves K(R) = Aut(M(R)) = Aut(G(X, C3)) by reaching it.  C3's
+    graph, built once for the check and the bound, is gone before K's BSGS.
     """
     start = time.perf_counter()
     system = rootsystems.parse_system_id(system_id)
     if system.family == "DirectSum":
         raise ValueError(f"{system.system_id} is a direct sum; "
                          f"use rootmat wreath --spec {system.system_id}")
-    n, uniform = system.num_lines, system.rank <= 2
-    gens = rootsystems.known_group_generators(system)
-    c3 = linmatroid.circuits3(system.lines, () if uniform else gens)
-    expected = expected_aut_order(system)
-    if uniform and len(c3) != comb(n, 3):
-        return _report(system, c3, 0, expected, 0, FAIL, start, "C3 is not the full triple set")
-    g = build_incidence(n, c3)
-    if not _preserves_c3(gens, g, n):
-        return _report(system, c3, 0, expected, 0, FAIL, start,
-                       "known generator does not preserve C3")
-    bound = factorial(n) if uniform else graphauto.path_bound(g)
-    del g  # K's BSGS sets the peak memory, so the graph does not live through it
-    known_order = permgrp.bsgs(gens, degree=n, bound=None if uniform else bound).order()
-    ok = (uniform or known_order == bound) and bound == expected
+    n, expected = system.num_lines, expected_aut_order(system)
+    if system.rank <= 2:
+        c3 = linmatroid.circuits3(system.lines)
+        if len(c3) != comb(n, 3):
+            return _report(system, c3, 0, expected, 0, FAIL, start, "C3 is not the full triple set")
+        bound = known_order = factorial(n)
+    else:
+        gens = rootsystems.known_group_generators(system)
+        c3 = linmatroid.circuits3(system.lines, gens)
+        g = build_incidence(n, c3)
+        if not _preserves_c3(gens, g, n):
+            return _report(system, c3, 0, expected, 0, FAIL, start,
+                           "known generator does not preserve C3")
+        bound = graphauto.path_bound(g)
+        del g  # K's BSGS sets the peak memory, so the graph does not live through it
+        known_order = permgrp.bsgs(gens, degree=n, bound=bound).order()
+    ok = known_order == bound == expected
     return _report(system, c3, bound, expected, known_order, PASS if ok else FAIL, start,
                    "" if ok else "order mismatch")
 

@@ -6,6 +6,7 @@ system id), so a table row must reproduce each of them exactly.
 """
 
 import contextlib
+import copy
 import csv
 import hashlib
 import io
@@ -16,6 +17,7 @@ from rootmat import rootsystems
 from rootmat.cli import build_parser, main
 from rootmat.rootsystems import Family, _d_roots, _e, parse_system_id
 from rootmat.verify import (
+    FAIL,
     PASS,
     TABLE_FAMILIES,
     default_table_ids,
@@ -220,3 +222,32 @@ def test_help_reads_the_ids_and_the_default_table_from_the_code(c_and_g2, capsys
 def test_unregistered_families_are_no_ids(sid):
     with pytest.raises(ValueError, match="unrecognized system id"):
         parse_system_id(sid)
+
+
+def test_a_family_with_extra_symmetries_is_one_row(monkeypatch, capsys):
+    # a copy of F4's row under a new key brings its duality map and its order along
+    monkeypatch.setitem(rootsystems.FAMILIES, "F4copy", copy.copy(rootsystems.FAMILIES["F4"]))
+    r = verify_theorem("F4copy")
+    assert (r.status, r.aut_order, r.known_group_order) == (PASS, 1152, 1152)
+    assert main(["table", "--families", "F4copy", "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [(row["system_id"], row["status"]) for row in rows] == [("F4copy", PASS)]
+
+
+def test_the_row_extra_is_what_k_reads(monkeypatch, capsys):
+    # without the duality map K(F4) is W(F4) on lines, half of Aut(M(F4))
+    monkeypatch.setattr(rootsystems.FAMILIES["F4"], "extra", None)
+    r = verify_theorem("F4")
+    assert (r.status, r.detail, r.aut_order, r.known_group_order) == (
+        FAIL, "order mismatch", 1152, 576)
+    assert main(["verify", "--system", "F4"]) == 1
+    assert "known=576 " in capsys.readouterr().out
+
+
+def test_a_row_with_no_order_fails_in_one_line(monkeypatch, capsys):
+    # a system of rank >= 3 that is its own class needs its row's order
+    monkeypatch.setattr(rootsystems.FAMILIES["H3"], "order", None)
+    with pytest.raises(ValueError, match="no closed-form order for H3"):
+        expected_aut_order(parse_system_id("H3"))
+    assert main(["verify", "--system", "H3"]) == 2
+    assert capsys.readouterr() == ("", "rootmat: error: no closed-form order for H3\n")

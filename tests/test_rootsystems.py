@@ -2,13 +2,14 @@ import hashlib
 import itertools
 import json
 import random
+from math import factorial
 
 import pytest
 
 from perm_helpers import reflection_perm
 from reference_field import ONE, PHI, canonical_line, field_vectors
 from rootmat.linmatroid import circuits3, matroid_of, rank
-from rootmat.permgrp import bsgs, compose, equal, is_identity
+from rootmat.permgrp import bsgs, compose, is_identity
 from rootmat.rootsystems import (
     F4_DUALITY_MATRIX,
     RootSystem,
@@ -249,13 +250,26 @@ def test_known_group_orders(sid, order):
     assert bsgs(known_group_generators(s)).order() == order
 
 
+def _dihedral(m):
+    """The dihedral pair k -> k + 1, k -> -k on the m line indices of I2(m)."""
+    return [tuple((k + 1) % m for k in range(m)), tuple(-k % m for k in range(m))]
+
+
 @pytest.mark.parametrize("m", range(5, 13))
 def test_i2_known_group_is_dihedral(m):
+    # the dihedral group lies in K(I2(m)), which at rank 2 is all of Sym(X)
     group = bsgs(known_group_generators(build("I2", m)), degree=m)
-    rotation = tuple((k + 1) % m for k in range(m))
-    reflection = tuple(-k % m for k in range(m))
-    assert group.order() == 2 * m
-    assert equal(group, bsgs([rotation, reflection], degree=m))
+    assert group.order() == factorial(m)
+    assert all(group.contains(g) for g in _dihedral(m))
+
+
+@pytest.mark.parametrize("sid", ["A1", "A2", "B2"])
+def test_rank_two_known_group_is_symmetric(sid):
+    # an n-cycle and a transposition on the line indices, none for one line
+    s = parse_system_id(sid)
+    gens = known_group_generators(s)
+    assert len(gens) == (2 if s.num_lines > 1 else 0)
+    assert bsgs(gens, degree=s.num_lines).order() == factorial(s.num_lines)
 
 
 def test_known_generators_are_bijections():
@@ -336,10 +350,51 @@ def test_reflections_match_reference(sid):
         assert reflection_perm(s, i) == _ref_perm(s, lambda w: _ref_reflect(w, v))
 
 
-@pytest.mark.parametrize("sid", ["D4", "Dprime4", "B5", "D5", "F4", "H3", "H4"])
+# every table id of rank >= 3, and some beyond the table
+ROW_MAP_IDS = [sid for sid in default_table_ids() if parse_system_id(sid).rank >= 3]
+ROW_MAP_IDS += ["Dprime4", "B9", "D10", "D16"]
+
+
+@pytest.mark.parametrize("sid", ROW_MAP_IDS)
 def test_extra_symmetries_match_reference(sid):
     s = parse_system_id(sid)
     assert extra_symmetry_perms(s) == _ref_extra_symmetries(s)
+
+
+# sha256 prefix of json.dumps(known_group_generators(R), separators=(",", ":")),
+# recorded when the extra symmetries were branches on the family name
+PINNED_KNOWN_GENERATORS = {
+    "A3": "892a0e84b87e00d1",
+    "A4": "7cbd6741f597f93e",
+    "A5": "7e523fcadda415c9",
+    "A6": "1952c08b49b5c0a7",
+    "A7": "632b9f0cf65d95ae",
+    "B3": "53dadb8372eb803b",
+    "B4": "9501b24f333ce485",
+    "B5": "0a9633439045f3e9",
+    "B6": "f266b51781352051",
+    "B7": "5944709dacb7012c",
+    "D4": "326e05b7bdbd657e",
+    "D5": "88d9ab31f875badc",
+    "D6": "d0d4254671419ab8",
+    "D7": "8ea0cb4604865358",
+    "E6": "96e5561aec213d18",
+    "E7": "131e06d19e329b0d",
+    "E8": "fc13854d80c58c55",
+    "F4": "3db4000431bb7c39",
+    "H3": "79af0a962ef0e1fa",
+    "H4": "8d796abe0d1226bd",
+    "Dprime4": "10d5a78993dfefc8",
+    "B9": "c6bcd7de4c2b93fe",
+    "D10": "ed6e3d7cf4756954",
+    "D16": "8cd7bff9c539f44d",
+}
+
+
+@pytest.mark.parametrize("sid", ROW_MAP_IDS)
+def test_known_group_generators_match_the_pinned_lists(sid):
+    blob = json.dumps(known_group_generators(parse_system_id(sid)), separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == PINNED_KNOWN_GENERATORS[sid]
 
 
 def test_line_key_is_invariant_under_field_scaling():
@@ -422,7 +477,7 @@ def test_build_matches_the_pinned_fraction_build(sid):
     if s.family == "DirectSum":
         gens = []
     elif s.family == "I2":
-        gens = known_group_generators(s)
+        gens = _dihedral(s.num_lines)
     else:
         gens = [reflection_perm(s, i) for i in range(s.num_lines)] + extra_symmetry_perms(s)
     if s.family == "B":  # pinned with the sign flip e1 -> -e1 as B's extra: the reflection in e1

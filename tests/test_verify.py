@@ -52,10 +52,10 @@ def test_verify_theorem(sid, order):
 
 
 def test_verify_theorem_i2_known_group_is_dihedral():
+    # K(I2_6) contains the dihedral group and, at rank 2, is all of Sym(X)
     r = verify_theorem("I2_6")
     assert r.status == PASS
-    assert r.known_group_order == 12  # 2m; the squeeze is replaced by U_{2,m}
-    assert r.aut_order == 720
+    assert r.known_group_order == r.aut_order == 720
 
 
 def test_expected_orders():
@@ -329,12 +329,14 @@ KNOWN_GROUP_IDS += ["B9", "D10", "Dprime4"]
 
 @pytest.mark.parametrize("sid", KNOWN_GROUP_IDS)
 def test_simple_reflections_generate_the_known_group(sid):
-    # K(R) from the simple reflections is K(R) from every reflection
+    # K(R) from the simple reflections is K(R) from every reflection; at rank
+    # <= 2, where K(R) is Sym(X), the simple reflections still generate W(R)
     system = parse_system_id(sid)
     every = [reflection_perm(system, i) for i in range(system.num_lines)]
     every += extra_symmetry_perms(system)
-    assert equal(bsgs(known_group_generators(system), degree=system.num_lines),
-                 bsgs(every, degree=system.num_lines))
+    gens = (known_group_generators(system) if system.rank >= 3
+            else [perm for _, perm in simple_reflections(system)])
+    assert equal(bsgs(gens, degree=system.num_lines), bsgs(every, degree=system.num_lines))
 
 
 @pytest.mark.parametrize("sid", KNOWN_GROUP_IDS + ["B16", "D16", "A20"])
@@ -343,8 +345,9 @@ def test_known_group_has_rank_reflection_generators(sid):
     system = parse_system_id(sid)
     simple = [i for i, _ in simple_reflections(system)]
     assert len(simple) == system.rank
-    assert known_group_generators(system) == (
-        [reflection_perm(system, i) for i in simple] + extra_symmetry_perms(system))
+    if system.rank >= 3:
+        assert known_group_generators(system) == (
+            [reflection_perm(system, i) for i in simple] + extra_symmetry_perms(system))
 
 
 @pytest.mark.parametrize("dropped", range(6))
@@ -388,7 +391,7 @@ def test_squeeze_checks_before_it_counts(sid, monkeypatch):
     counts, preserves = _record_counts(monkeypatch), verify._preserves_c3
     monkeypatch.setattr(verify, "_preserves_c3", lambda *a: counts.append("check") or preserves(*a))
     assert verify_theorem(sid).status == PASS
-    assert counts == ["check"] + (["path_bound"] if sid == "E6" else []) + ["bsgs"]
+    assert counts == (["check", "path_bound", "bsgs"] if sid == "E6" else [])
 
 
 @pytest.mark.parametrize("sid", ["E8", "B9"])
@@ -516,12 +519,14 @@ def _record_calls(monkeypatch):
 
 @pytest.mark.parametrize("sid", ["A3", "E6", "H4", "B9", "I2_7", "A2"])
 def test_verify_theorem_builds_known_generators_once(sid, monkeypatch):
-    # one list of K(R)'s generators per verdict: C3 takes it at rank >= 3
+    # one list of K(R)'s generators per verdict at rank >= 3, which C3 takes; none below
     calls, c3_gens = _record_calls(monkeypatch)
     assert verify_theorem(sid).status == PASS
-    assert calls == [sid]
-    rank = parse_system_id(sid).rank
-    assert c3_gens == [(known_group_generators(parse_system_id(sid)),) if rank >= 3 else ((),)]
+    if parse_system_id(sid).rank >= 3:
+        assert calls == [sid]
+        assert c3_gens == [(known_group_generators(parse_system_id(sid)),)]
+    else:
+        assert (calls, c3_gens) == ([], [()])
 
 
 def test_crosscheck_and_wreath_build_no_known_group(monkeypatch):
@@ -659,7 +664,7 @@ def _untimed(report):
 
 def test_crosscheck_checks_the_table_order(monkeypatch, capsys):
     # a C3 group that preserves the circuits but contradicts the table is a FAIL
-    monkeypatch.setitem(verify._EXCEPTIONAL_ORDERS, "H3", 121)
+    monkeypatch.setattr(rootsystems.FAMILIES["H3"], "order", lambda n: 121)
     r = oracle_crosscheck("H3")
     assert (r.status, r.detail) == (FAIL, "order mismatch")
     assert (r.aut_order, r.expected_order, r.known_group_order) == (120, 121, 0)
@@ -834,6 +839,18 @@ def test_squeeze_builds_no_matroid(sid, monkeypatch):
     monkeypatch.setattr(linmatroid, "matroid_of", lambda *a: calls.append(a))
     assert verify_theorem(sid).status == PASS
     assert calls == []
+
+
+@pytest.mark.parametrize("sid", ["A1", "A2", "B2", "I2_7", "I2_20"])
+def test_rank_two_builds_no_known_group_graph_or_bsgs(sid, monkeypatch):
+    # every triple is a circuit, so both ends are Sym(X): nothing is generated, built or counted
+    calls = []
+    for owner, name in [(rootsystems, "known_group_generators"), (verify, "build_incidence"),
+                        (verify, "_preserves_c3"), (graphauto, "path_bound"), (permgrp, "bsgs")]:
+        monkeypatch.setattr(owner, name, lambda *a, name=name, **k: calls.append(name))
+    r = verify_theorem(sid)
+    assert (r.status, calls) == (PASS, [])
+    assert r.aut_order == r.known_group_order == r.expected_order == factorial(r.num_lines)
 
 
 def test_rank_two_missing_triple_fails(monkeypatch):
