@@ -15,16 +15,10 @@ so a rank over Q(sqrt 5) is the integer rank divided by the degree 2.
 Both reduce rows by fraction-free (Bareiss) steps, `_reduce`: each one
 divides exactly by the previous pivot, so entries stay small with no gcd.
 
-The circuit enumeration asks the rank oracle only for the matroid's rank:
-each search node carries its candidates' rows reduced against the current
-independent set, with coefficient columns that record which members' rows
-they combine, so a dependent candidate is a circuit exactly when no
-member's coefficient is zero.  Its last level is keyed as C3 is:
-S + t + u can be a circuit only when u lies in span(S + t), that is when
-the reduced vector parts of t and u span one line over Q, or one rational
-plane over Q(sqrt 5).  So the candidates are bucketed by the primitive
-vector of that line or the primitive Pluecker vector of that plane, and u
-is reduced against t only within a bucket.
+The circuit enumeration keeps every dependency on a basis's pivot columns,
+and carries each search node's candidates reduced against the node with
+the combination of rows that produced them; its last two levels are keyed
+as C3 is, and only parallel pairs and coplanar triples get that formed.
 
 Circuits are emitted as sorted index tuples in lexicographic order, so all
 dumps are byte-reproducible.
@@ -34,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
+from operator import or_
 
 from .errors import BudgetExceededError
 from .rootsystems import combine, line_key
@@ -48,10 +43,10 @@ class LinearMatroid:
     @staticmethod
     def from_vectors(vectors) -> "LinearMatroid":
         """The matroid of integer vectors (a | b), each the line a + b*sqrt(5)."""
-        parts = [(list(v[:len(v) // 2]), list(v[len(v) // 2:])) for v in vectors]
-        degree = 2 if any(any(b) for _, b in parts) else 1
-        rows = tuple((_primitive(a),) if degree == 1
-                     else (_primitive(a + b), _primitive([5 * y for y in b] + a)) for a, b in parts)
+        h = len(vectors[0]) // 2 if vectors else 0
+        degree = 2 if any(any(v[h:]) for v in vectors) else 1
+        rows = [_primitive(v[:h * degree]) for v in vectors]  # a, or (a | b) and then (5b | a)
+        rows = tuple((r,) if degree == 1 else (r, tuple([5 * y for y in r[h:]]) + r[:h]) for r in rows)
         return LinearMatroid(len(rows), rows, degree)
 
 
@@ -94,26 +89,35 @@ def _step(row, prev):
     return row, row.index(p), p, prev
 
 
-def _steps(rows, prev=1):
-    """The steps of independent rows, each reduced by those before it, from pivot prev."""
+def _steps(rows, prev, dim):
+    """The steps of an element's rows, each reduced by those before it, from pivot prev.
+
+    Over Q(sqrt 5) row 1, sqrt(5) times row 0, pivots on the partner column dim
+    away from row 0's pivot (its entry a nonzero multiple of a norm a^2 - 5b^2),
+    so pivots come in partner pairs, and row 1 stays sqrt(5) times row 0.
+    """
     steps = [_step(rows[0], prev)]
     for v in rows[1:]:
-        steps.append(_step(_reduce(v, steps), steps[-1][2]))
+        v, c = _reduce(v, steps), (steps[0][1] + dim) % (2 * dim)
+        steps.append((v, c, v[c], steps[0][2]))
     return steps
 
 
-def rank(m: LinearMatroid, subset) -> int:
+def _basis(m: LinearMatroid, subset):
+    """The steps of the elements of subset independent of those before them."""
     steps = []
     for i in subset:
         if not 0 <= i < m.ground_size:
             raise IndexError(f"element {i} out of range")
         # the span so far is closed under sqrt(5): the first row of i decides
-        for row in m.rows[i]:
-            row = _reduce(row, steps)
-            if not any(row):
-                break
-            steps.append(_step(row, steps[-1][2] if steps else 1))
-    return len(steps) // m.degree
+        rows = [_reduce(v, steps) for v in m.rows[i]]
+        if any(rows[0]):
+            steps += _steps(rows, steps[-1][2] if steps else 1, len(rows[0]) // 2)
+    return steps
+
+
+def rank(m: LinearMatroid, subset) -> int:
+    return len(_basis(m, subset)) // m.degree
 
 
 # -- order-3 circuits -----------------------------------------------------
@@ -177,21 +181,6 @@ def _triples(lines, i, others):
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
-def _span_key(rows, n):
-    """A key of the rational span of the vector parts rows[r][:n] of one or two rows.
-
-    One row spans a line, keyed by its primitive vector; two independent
-    rows span a plane, keyed by the primitive vector of their 2 x 2 minors
-    (Pluecker coordinates); the sign makes the first nonzero entry positive.
-    """
-    v = rows[0][:n]
-    if len(rows) == 2:
-        w = rows[1]
-        v = [a * w[j] - v[j] * w[i] for i, a in enumerate(v) for j in range(i + 1, n)]
-    g = gcd(*v) if next(filter(None, v)) > 0 else -gcd(*v)
-    return tuple(map(g.__rfloordiv__, v))  # each c // g
-
-
 def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
     """All circuits of order <= kmax, lexicographically sorted.
 
@@ -202,54 +191,96 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
     every element after the last member of S.
 
     A node carries its candidates' rows (the elements after S not in
-    span(S)) reduced against S: pushing a member j is one level, j's
-    `degree` rows reducing the candidates after j by one `_reduce` step
-    each.  A row is n vector columns, one block of `degree` coefficient
-    columns per depth and a last block for the candidate (a unit in column
-    r of row r at the start), moved to block d when it is pushed at depth
-    d, so a reduced row is its vector part next to the integer combination
-    of rows that produced it.  A candidate whose first row is zero in the
-    vector columns lies in span(S); its blocks hold the dependency of S
-    plus it, unique up to a scalar as S is independent, and the set is a
-    circuit exactly when every member's block is nonzero.  Over Q(sqrt 5)
-    a block (alpha, beta) is the coefficient alpha + beta*sqrt(5) (row 1 is
-    sqrt(5) times row 0); span(S) is closed under sqrt(5), so the first row
-    alone decides.  Such a candidate is dropped: below a further member j
-    its dependency is the same, 0 at j, so it closes no circuit through j.
+    span(S)) reduced against S by each member's `degree` steps (`_steps`).
+    A row is the vector columns, a block of `degree` coefficient columns per
+    depth and a last block for the candidate (a unit in column r of row r at
+    first), moved to block d when it is pushed at depth d.  A candidate whose
+    first row is zero in the vector columns lies in span(S), closed under
+    sqrt(5); its blocks hold the dependency of S plus it, unique up to a
+    scalar, so it closes a circuit exactly when every member's block, over
+    Q(sqrt 5) alpha + beta*sqrt(5), is nonzero, and none below a further member.
 
-    The nodes of kmax - 1 members are not entered.  Such a node S + t
-    could only close the circuits S + t + u with u a later candidate in
-    span(S + t), which holds exactly when the reduced vector parts of t and
-    u span one space (`_span_key`; a space, not a vector, since span(S) is
-    closed under sqrt(5)).  So S buckets its candidates by that key, or
-    puts them in one bucket when S + t spans the matroid, and reduces u
-    against t only within a bucket (`close_pairs`); each S + t is still
-    counted, so the budget is spent as if it were entered.
+    A node S of kmax - 3 members enters no node below it (`last_two`), but
+    counts each S + t, and S + t + u for u not parallel to t modulo S, so the
+    budget is spent as if they were entered.
     """
     if kmax < 1 or not m.ground_size:
         return []
-    out, nodes, deg, n = [], 0, m.degree, len(m.rows[0][0])
-    full = rank(m, range(m.ground_size))
-    # no set of more than dim = n // deg members is extended, so a huge
-    # kmax needs no more blocks; the candidate's own block comes last
-    own = n + (min(kmax, n // deg + 1) - 1) * deg
+    out, nodes, deg, last = [], 0, m.degree, m.ground_size - 1
+    # the rows keep every dependency on the pivot columns of a basis
+    cols = sorted(c for _, c, _, _ in _basis(m, range(m.ground_size)))
+    n, full = len(cols), len(cols) // deg
+    # blocks of kmax - 3 members (kmax - 1 below order 3), at most full; then the candidate's
+    own = n + min(kmax - 3 if kmax > 2 else kmax - 1, full) * deg
     units = [[0] * (own - n) + [int(c == r) for c in range(deg)] for r in range(deg)]
 
-    def closes(blocks):  # every member's block nonzero; over Q(sqrt 5) a block is a pair
-        return all(blocks if deg == 1 else map(any, zip(blocks[::2], blocks[1::2])))
+    def last_two(members, ks, live):
+        """The circuits S + t + u and S + t + u + v below S, from the live first rows.
 
-    def close_pairs(members, at, ks, live, bucket):
-        # the bucket's vector parts span one space, met independently by the
-        # pivot columns of its first candidate's rows: each candidate is cut
-        # once to its rows on those columns and its member blocks, and u's
-        # first row reduced by t's cut rows leaves the blocks of S + t + u
-        cols = [c for _, c, _, _ in _steps([v[:n] for v in live[bucket[0]]])]
-        cut = [[[v[c] for c in cols] + v[n:at] for v in live[t]] for t in bucket]
-        for i in range(len(cut) - 1):
-            steps = _steps(cut[i])
-            for j in range(i + 1, len(cut)):
-                if closes(_reduce(cut[j][0], steps)[deg:]):
-                    out.append(tuple(members + [ks[bucket[i]], ks[bucket[j]]]))
+        Cut off S's pivots (partner pairs: `_steps`), over Z[sqrt 5] as (a | b) or
+        over Z, rows stand for the quotient by span(S).  u's image x[p] u - u[p] x
+        (x t's vector, p its first nonzero coordinate) is 0 when u is parallel to t,
+        else its line_key keys the plane of t and u.  Images u', v' in a plane, with
+        entries r_u, r_v on its first nonzero coordinate, give r_u v' - r_v u' = 0,
+        so lam = r_u v[p] - r_v u[p] on t (0 when u, v are parallel).  A circuit needs
+        nonzero member blocks: x[p] b_u - u[p] b_t, or x[p] (r_u b_v - r_v b_u) - lam b_t.
+        """
+        nonlocal nodes
+        nz = list(map(any, zip(*[rows[0][:n] for rows in live]))) or [0] * n  # off S's pivots
+        cols = [c for c in range(n) if nz[c] or nz[(c + full) % n]]
+        d, k, rest = len(members), len(cols) // deg, [last - j for j in ks]
+        bcols = [n + j * deg + r for r in range(deg) for j in range(d)]
+        five = any(rows[0][c] for rows in live for c in cols[k:] + bcols[d:])
+        if not five:  # no sqrt(5) part left: the a and alpha columns alone
+            cols, bcols = cols[:k], bcols[:d]
+        vecs = [[rows[0][c] for c in cols] for rows in live]
+        blocks = [[rows[0][c] for c in bcols] for rows in live]
+
+        def at(v, i):  # the scalar a + b*sqrt(5) on coordinate i, as (a, b)
+            return v[i], v[k + i] if five else 0
+
+        def nonzero(b):  # every member block of (alpha | beta) nonzero; over Z, b is alpha
+            return all(map(or_, b[:d], b[-d:]))
+
+        spans, after = d + 2 == full, 0  # spans: one plane, all of the quotient
+        for t in reversed(range(len(ks))):
+            x, bt, planes = vecs[t], blocks[t], {}
+            p = next(i for i in range(k) if x[i] or five and x[k + i])
+            p0, _ = xp = at(x, p)
+            nodes += rest[t] + after  # S + t and each S + t + u; a parallel u is taken back
+            after += rest[t]
+            for u in range(t + 1, len(ks)):
+                y = vecs[u]
+                if five:
+                    w = combine(xp, y, at(y, p), x)
+                    key = any(w) and (spans or line_key(w))
+                else:  # combine and line_key over Z
+                    w = [p0 * a - y[p] * c for a, c in zip(y, x)]
+                    g = gcd(*w)
+                    key = g and (spans or tuple(map((g if next(filter(None, w)) > 0 else -g)
+                                                    .__rfloordiv__, w)))  # first entry positive
+                if key:
+                    planes.setdefault(key, []).append((u, w))
+                else:
+                    nodes -= rest[u]
+                    if nonzero(combine(xp, blocks[u], at(y, p), bt)):
+                        out.append(tuple(members + [ks[t], ks[u]]))
+            if nodes > node_budget:
+                raise BudgetExceededError("all_circuits_upto", node_budget)
+            for plane in filter(lambda plane: len(plane) > 1, planes.values()):
+                w = plane[0][1]
+                q = next(i for i in range(k) if w[i] or five and w[k + i])
+                plane = [(u, at(w, q), at(vecs[u], p)) for u, w in plane]
+                for (u, ru, up), (v, rv, vp) in itertools.combinations(plane, 2):
+                    if five:
+                        lam = combine(ru, vp, rv, up)
+                        ok = any(lam) and nonzero(combine(xp, combine(ru, blocks[v], rv, blocks[u]), lam, bt))
+                    else:  # the same over Z
+                        (r, _), (s, _), lam = ru, rv, ru[0] * vp[0] - rv[0] * up[0]
+                        ok = lam and all([p0 * (r * a - s * c) - lam * e
+                                          for a, c, e in zip(blocks[v], blocks[u], bt)])
+                    if ok:
+                        out.append(tuple(members + [ks[t], ks[u], ks[v]]))
 
     def extend(members, ks, carried, prev):
         nonlocal nodes
@@ -259,34 +290,23 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
             if any(rows[0][:n]):
                 live_ks.append(k)
                 live.append(rows)
-            elif closes(rows[0][n:at]):
+            elif all(map(any, zip(*[iter(rows[0][n:at])] * deg))):  # every member's block nonzero
                 out.append(tuple(members + [k]))
         nodes += m.ground_size - (members[-1] + 1 if members else 0)
-        if d + 2 == kmax:  # the last level: its children S + t are counted, not entered
-            nodes += len(live_ks) * (m.ground_size - 1) - sum(live_ks)
         if nodes > node_budget:
             raise BudgetExceededError("all_circuits_upto", node_budget)
-        if d + 2 == kmax:
-            if d + 1 == full:  # S + t spans the matroid: one bucket
-                buckets = [range(len(live))]
-            else:
-                buckets = {}
-                for t, rows in enumerate(live):
-                    buckets.setdefault(_span_key(rows, n), []).append(t)
-                buckets = buckets.values()
-            for bucket in buckets:
-                if len(bucket) > 1:
-                    close_pairs(members, at, live_ks, live, bucket)
+        if d + 3 == kmax:
+            last_two(members, live_ks, live)
         elif d + 1 < kmax:
             for t, rows in enumerate(live):
                 later, pivot = live[t + 1:], prev
                 if later:  # else the node below only counts its nodes
                     moved = [v[:at] + v[own:] + v[at + deg:own] + [0] * deg for v in rows]
-                    steps = _steps(moved, prev)  # with t's last block moved to block d
+                    steps = _steps(moved, prev, full)  # with t's last block moved to block d
                     later, pivot = [[_reduce(v, steps) for v in vs] for vs in later], steps[-1][2]
                 extend(members + [live_ks[t]], live_ks[t + 1:], later, pivot)
 
     extend([], range(m.ground_size),
-           [[list(row) + units[r] for r, row in enumerate(rows)] for rows in m.rows], 1)
+           [[[row[c] for c in cols] + units[r] for r, row in enumerate(rows)] for rows in m.rows], 1)
     del extend  # it refers to itself: break the cycle, so the search is freed now, not by gc
     return sorted(out)

@@ -1,9 +1,10 @@
 """Reference circuit enumeration that reduces every pair at the last level.
 
 A test-side copy of `linmatroid.all_circuits_upto` as it was before its
-last level bucketed the candidates by span: every child node S + t of the
-last level is entered, counted and closed by reducing each later candidate
-against t.  It shares the Bareiss kernel (`_reduce`, `_step`) and the node
+last level bucketed the candidates by span, and before its last two levels
+were fused into planes keyed per pair of candidates: every child node S + t
+of the last level is entered, counted and closed by reducing each later
+candidate against t.  It shares the Bareiss kernel (`_reduce`, `_step`) and the node
 count, so it must return the same circuits and exceed the same budgets.
 """
 

@@ -285,6 +285,43 @@ def test_all_circuits_match_reference_field_elimination(seed, irrational):
         assert pairwise_circuits(m, kmax) == all_circuits_upto(m, kmax), kmax
 
 
+def _embedded_vectors(rng, dim, rank, irrational):
+    """`_random_vectors` in rank coordinates, mapped into dim coordinates by a
+    random integer (Z[sqrt 5] if irrational) matrix of rank rank."""
+    vecs = _random_vectors(rng, rank, irrational)
+    while True:
+        embed = [[(rng.randint(-2, 2), rng.randint(-1, 1) if irrational else 0) for _ in range(dim)]
+                 for _ in range(rank)]
+        if _reference_rank(field_vectors([tuple(a for a, _ in r) + tuple(b for _, b in r)
+                                          for r in embed])) == rank:
+            break
+    out = []
+    for v in vecs:
+        x = list(zip(v[:rank], v[rank:]))  # the entries a + b*sqrt(5) as (a, b)
+        image = [(sum(a * c + 5 * b * d for (a, b), (c, d) in zip(x, col)),
+                  sum(a * d + b * c for (a, b), (c, d) in zip(x, col))) for col in zip(*embed)]
+        out.append(tuple(a for a, _ in image) + tuple(b for _, b in image))
+    return out
+
+
+# a rank-3 or rank-4 span in 5 or 6 coordinates, as E6 and E7 sit in 8: redundant
+# columns, planes keyed on more than three coordinates, and kmax below the rank
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("irrational", [False, True], ids=["Q", "Q(sqrt5)"])
+def test_all_circuits_in_more_coordinates_than_rank(seed, irrational):
+    rng = random.Random(100 + seed)
+    vectors = _embedded_vectors(rng, rng.choice([5, 6]), rng.choice([3, 4]), irrational)
+    m = LinearMatroid.from_vectors(vectors)
+    assert m.degree == (2 if irrational else 1)
+    exact = field_vectors(vectors)
+    full_rank = _reference_rank(exact)
+    assert full_rank < len(vectors[0]) // 2
+    want = _reference_circuits(exact, full_rank + 2)
+    for kmax in range(1, full_rank + 3):
+        assert all_circuits_upto(m, kmax) == [c for c in sorted(want) if len(c) <= kmax], kmax
+        assert pairwise_circuits(m, kmax) == all_circuits_upto(m, kmax), kmax
+
+
 @pytest.mark.parametrize("irrational", [False, True], ids=["Q", "Q(sqrt5)"])
 def test_circuits_up_to_the_rank_give_the_group_of_all_circuits(irrational):
     # exhaustively over every permutation of 5-6 random vectors: a permutation
@@ -348,7 +385,7 @@ def test_span_buckets_match_pairwise_on_h4_up_to_order_4():
 
 
 @pytest.mark.parametrize("sid,kmax", [("B4", 5), ("B4", 4), ("D4", 4), ("A4", 3),
-                                      ("H3", 3), ("H3", 4), ("I2_6", 2)])
+                                      ("H3", 3), ("H3", 4), ("I2_6", 2), ("D5", 5), ("A5", 5)])
 def test_span_buckets_exceed_the_same_budgets(sid, kmax):
     # the last level still counts every child it no longer enters, so the
     # smallest budget that passes is the pairwise enumeration's
@@ -365,6 +402,16 @@ def test_span_buckets_exceed_the_same_budgets(sid, kmax):
     assert all_circuits_upto(m, kmax, node_budget=high) == pairwise_circuits(m, kmax)
     with pytest.raises(BudgetExceededError):
         all_circuits_upto(m, kmax, node_budget=high - 1)
+
+
+# crosscheck's two heaviest enumerations: the smallest budget that passes is
+# their node count, the same as when every last-level node was entered
+@pytest.mark.parametrize("sid,kmax,budget", [("D5", 5, 18_869), ("A5", 5, 4_223)])
+def test_crosscheck_budgets_are_pinned(sid, kmax, budget):
+    m = matroid_of(parse_system_id(sid))
+    assert len(all_circuits_upto(m, kmax, node_budget=budget)) > 0
+    with pytest.raises(BudgetExceededError):
+        all_circuits_upto(m, kmax, node_budget=budget - 1)
 
 
 @pytest.mark.parametrize("sid", ["A3", "H3"])
