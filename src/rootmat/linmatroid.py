@@ -15,10 +15,16 @@ so a rank over Q(sqrt 5) is the integer rank divided by the degree 2.
 Both reduce rows by fraction-free (Bareiss) steps, `_reduce`: each one
 divides exactly by the previous pivot, so entries stay small with no gcd.
 
-The circuit enumeration keeps every dependency on a basis's pivot columns,
-and carries each search node's candidates reduced against the node with
-the combination of rows that produced them; its last two levels are keyed
-as C3 is, and only parallel pairs and coplanar triples get that formed.
+The circuit enumeration asks the rank oracle only for the matroid's rank:
+each search node carries its candidates' rows reduced against the current
+independent set, with coefficient columns that record which members' rows
+they combine, so a dependent candidate is a circuit exactly when no
+member's coefficient is zero.  The reduction is Q(sqrt 5)-linear, so over
+Q(sqrt 5) a first row reads as a vector (a | b).  The last two levels are
+fused and keyed as C3 is: below a node S, each pair of candidates is keyed
+by the plane it spans modulo span(S), the line_key of one's image modulo
+the other, and coefficients are formed only for parallel pairs and for
+triples in one plane.
 
 Circuits are emitted as sorted index tuples in lexicographic order, so all
 dumps are byte-reproducible.
@@ -89,35 +95,32 @@ def _step(row, prev):
     return row, row.index(p), p, prev
 
 
-def _steps(rows, prev, dim):
+def _steps(rows, prev, n):
     """The steps of an element's rows, each reduced by those before it, from pivot prev.
 
-    Over Q(sqrt 5) row 1, sqrt(5) times row 0, pivots on the partner column dim
-    away from row 0's pivot (its entry a nonzero multiple of a norm a^2 - 5b^2),
-    so pivots come in partner pairs, and row 1 stays sqrt(5) times row 0.
+    Over Q(sqrt 5) row 1, sqrt(5) times row 0, pivots on the partner column n/2
+    away (of n vector columns) from row 0's pivot, its entry a nonzero multiple of
+    a norm a^2 - 5b^2: pivots come in partner pairs, and row 1 stays sqrt(5) times row 0.
     """
     steps = [_step(rows[0], prev)]
     for v in rows[1:]:
-        v, c = _reduce(v, steps), (steps[0][1] + dim) % (2 * dim)
+        v, c = _reduce(v, steps), (steps[0][1] + n // 2) % n
         steps.append((v, c, v[c], steps[0][2]))
     return steps
 
 
-def _basis(m: LinearMatroid, subset):
-    """The steps of the elements of subset independent of those before them."""
+def rank(m: LinearMatroid, subset) -> int:
     steps = []
     for i in subset:
         if not 0 <= i < m.ground_size:
             raise IndexError(f"element {i} out of range")
         # the span so far is closed under sqrt(5): the first row of i decides
-        rows = [_reduce(v, steps) for v in m.rows[i]]
-        if any(rows[0]):
-            steps += _steps(rows, steps[-1][2] if steps else 1, len(rows[0]) // 2)
-    return steps
-
-
-def rank(m: LinearMatroid, subset) -> int:
-    return len(_basis(m, subset)) // m.degree
+        for row in m.rows[i]:
+            row = _reduce(row, steps)
+            if not any(row):
+                break
+            steps.append(_step(row, steps[-1][2] if steps else 1))
+    return len(steps) // m.degree
 
 
 # -- order-3 circuits -----------------------------------------------------
@@ -200,16 +203,16 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
     scalar, so it closes a circuit exactly when every member's block, over
     Q(sqrt 5) alpha + beta*sqrt(5), is nonzero, and none below a further member.
 
-    A node S of kmax - 3 members enters no node below it (`last_two`), but
-    counts each S + t, and S + t + u for u not parallel to t modulo S, so the
-    budget is spent as if they were entered.
+    A node S of kmax - 3 members enters no node below it (`last_two`): the
+    circuits S + t + u and S + t + u + v come from its candidates' first rows
+    alone, by one code path over Q and Q(sqrt 5).  It still counts each S + t,
+    and S + t + u for u not parallel to t modulo S, so the budget is spent as
+    if they were entered.
     """
     if kmax < 1 or not m.ground_size:
         return []
     out, nodes, deg, last = [], 0, m.degree, m.ground_size - 1
-    # the rows keep every dependency on the pivot columns of a basis
-    cols = sorted(c for _, c, _, _ in _basis(m, range(m.ground_size)))
-    n, full = len(cols), len(cols) // deg
+    n, full = len(m.rows[0][0]), rank(m, range(m.ground_size))
     # blocks of kmax - 3 members (kmax - 1 below order 3), at most full; then the candidate's
     own = n + min(kmax - 3 if kmax > 2 else kmax - 1, full) * deg
     units = [[0] * (own - n) + [int(c == r) for c in range(deg)] for r in range(deg)]
@@ -217,70 +220,55 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
     def last_two(members, ks, live):
         """The circuits S + t + u and S + t + u + v below S, from the live first rows.
 
-        Cut off S's pivots (partner pairs: `_steps`), over Z[sqrt 5] as (a | b) or
-        over Z, rows stand for the quotient by span(S).  u's image x[p] u - u[p] x
-        (x t's vector, p its first nonzero coordinate) is 0 when u is parallel to t,
-        else its line_key keys the plane of t and u.  Images u', v' in a plane, with
-        entries r_u, r_v on its first nonzero coordinate, give r_u v' - r_v u' = 0,
-        so lam = r_u v[p] - r_v u[p] on t (0 when u, v are parallel).  A circuit needs
-        nonzero member blocks: x[p] b_u - u[p] b_t, or x[p] (r_u b_v - r_v b_u) - lam b_t.
+        Off S's pivots (partner pairs: `_steps`) the first rows stand for the quotient
+        by span(S): vectors (a | b) and member blocks (alpha | beta) over Z[sqrt 5], b
+        and beta 0 over Q.  u's image x[p] u - u[p] x (x t's vector, p its first nonzero
+        coordinate) is 0 when u is parallel to t, and S + t + u is then a circuit when
+        the blocks b_u' = x[p] b_u - u[p] b_t are nonzero; else its line_key keys the
+        plane of t and u.  Images u', v' in a plane, with entries r_u, r_v on its first
+        nonzero coordinate, give r_u v' - r_v u' = 0: S + t + u + v is a circuit when
+        u, v are not parallel (t's coefficient r_u v[p] - r_v u[p] is then nonzero) and
+        the blocks r_u b_v' - r_v b_u' are nonzero.
         """
         nonlocal nodes
-        nz = list(map(any, zip(*[rows[0][:n] for rows in live]))) or [0] * n  # off S's pivots
-        cols = [c for c in range(n) if nz[c] or nz[(c + full) % n]]
-        d, k, rest = len(members), len(cols) // deg, [last - j for j in ks]
+        # S's pivots are zero in every row; the rest of a partner pair is kept whole
+        cols = list(itertools.compress(range(n), map(any, zip(*[v[:n] for vs in live for v in vs]))))
+        d, k = len(members), len(cols) // deg
         bcols = [n + j * deg + r for r in range(deg) for j in range(d)]
-        five = any(rows[0][c] for rows in live for c in cols[k:] + bcols[d:])
-        if not five:  # no sqrt(5) part left: the a and alpha columns alone
-            cols, bcols = cols[:k], bcols[:d]
-        vecs = [[rows[0][c] for c in cols] for rows in live]
-        blocks = [[rows[0][c] for c in bcols] for rows in live]
+        vecs = [[vs[0][c] for c in cols] + [0] * (2 * k - len(cols)) for vs in live]
+        blocks = [[vs[0][c] for c in bcols] + [0] * (2 * d - len(bcols)) for vs in live]
 
-        def at(v, i):  # the scalar a + b*sqrt(5) on coordinate i, as (a, b)
-            return v[i], v[k + i] if five else 0
+        def nonzero(b):  # every member block (alpha | beta) nonzero
+            return all(map(or_, b[:d], b[d:]))
 
-        def nonzero(b):  # every member block of (alpha | beta) nonzero; over Z, b is alpha
-            return all(map(or_, b[:d], b[-d:]))
-
-        spans, after = d + 2 == full, 0  # spans: one plane, all of the quotient
+        # spans: one plane, all of the quotient; par[u]: u's class of parallels
+        spans, after, par = d + 2 == full, 0, list(range(len(ks)))
         for t in reversed(range(len(ks))):
             x, bt, planes = vecs[t], blocks[t], {}
-            p = next(i for i in range(k) if x[i] or five and x[k + i])
-            p0, _ = xp = at(x, p)
-            nodes += rest[t] + after  # S + t and each S + t + u; a parallel u is taken back
-            after += rest[t]
-            for u in range(t + 1, len(ks)):
-                y = vecs[u]
-                if five:
-                    w = combine(xp, y, at(y, p), x)
-                    key = any(w) and (spans or line_key(w))
-                else:  # combine and line_key over Z
-                    w = [p0 * a - y[p] * c for a, c in zip(y, x)]
-                    g = gcd(*w)
-                    key = g and (spans or tuple(map((g if next(filter(None, w)) > 0 else -g)
-                                                    .__rfloordiv__, w)))  # first entry positive
-                if key:
-                    planes.setdefault(key, []).append((u, w))
+            p = next(itertools.compress(range(k), map(or_, x, x[k:])))
+            xp = x[p], x[k + p]
+            nodes += last - ks[t] + after  # S + t and each S + t + u; a parallel u is taken back
+            after += last - ks[t]
+            for u, y in enumerate(vecs[t + 1:], t + 1):
+                up = y[p], y[k + p]
+                w = combine(xp, y, up, x)
+                if any(w):
+                    planes.setdefault(spans or line_key(w), []).append((u, w, up))
                 else:
-                    nodes -= rest[u]
-                    if nonzero(combine(xp, blocks[u], at(y, p), bt)):
+                    nodes -= last - ks[u]
+                    par[t] = par[u]
+                    if nonzero(combine(xp, blocks[u], up, bt)):
                         out.append(tuple(members + [ks[t], ks[u]]))
             if nodes > node_budget:
                 raise BudgetExceededError("all_circuits_upto", node_budget)
-            for plane in filter(lambda plane: len(plane) > 1, planes.values()):
-                w = plane[0][1]
-                q = next(i for i in range(k) if w[i] or five and w[k + i])
-                plane = [(u, at(w, q), at(vecs[u], p)) for u, w in plane]
-                for (u, ru, up), (v, rv, vp) in itertools.combinations(plane, 2):
-                    if five:
-                        lam = combine(ru, vp, rv, up)
-                        ok = any(lam) and nonzero(combine(xp, combine(ru, blocks[v], rv, blocks[u]), lam, bt))
-                    else:  # the same over Z
-                        (r, _), (s, _), lam = ru, rv, ru[0] * vp[0] - rv[0] * up[0]
-                        ok = lam and all([p0 * (r * a - s * c) - lam * e
-                                          for a, c, e in zip(blocks[v], blocks[u], bt)])
-                    if ok:
-                        out.append(tuple(members + [ks[t], ks[u], ks[v]]))
+            for plane in planes.values():
+                if len(plane) > 1:
+                    w = plane[0][1]
+                    q = next(itertools.compress(range(k), map(or_, w, w[k:])))
+                    plane = [(u, (w[q], w[k + q]), combine(xp, blocks[u], up, bt)) for u, w, up in plane]
+                    for (u, ru, bu), (v, rv, bv) in itertools.combinations(plane, 2):
+                        if par[u] != par[v] and nonzero(combine(ru, bv, rv, bu)):
+                            out.append(tuple(members + [ks[t], ks[u], ks[v]]))
 
     def extend(members, ks, carried, prev):
         nonlocal nodes
@@ -302,11 +290,11 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
                 later, pivot = live[t + 1:], prev
                 if later:  # else the node below only counts its nodes
                     moved = [v[:at] + v[own:] + v[at + deg:own] + [0] * deg for v in rows]
-                    steps = _steps(moved, prev, full)  # with t's last block moved to block d
+                    steps = _steps(moved, prev, n)  # with t's last block moved to block d
                     later, pivot = [[_reduce(v, steps) for v in vs] for vs in later], steps[-1][2]
                 extend(members + [live_ks[t]], live_ks[t + 1:], later, pivot)
 
     extend([], range(m.ground_size),
-           [[[row[c] for c in cols] + units[r] for r, row in enumerate(rows)] for rows in m.rows], 1)
+           [[list(row) + units[r] for r, row in enumerate(rows)] for rows in m.rows], 1)
     del extend  # it refers to itself: break the cycle, so the search is freed now, not by gc
     return sorted(out)

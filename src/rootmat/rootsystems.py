@@ -277,15 +277,17 @@ def line_key(x):
     that makes it positive, so every nonzero Q(sqrt 5)-multiple gets one key.
     """
     n = len(x) // 2
-    i = next((k for k in range(n) if x[k] or x[n + k]), None)
-    if i is None:
+    for i in range(n):
+        if x[i] or x[n + i]:
+            break
+    else:
         raise ValueError("zero vector spans no line")
     p, q = x[i], x[n + i]
     if q:
         x = ([s * p - 5 * t * q for s, t in zip(x[:n], x[n:])]
              + [t * p - s * q for s, t in zip(x[:n], x[n:])])
     g = gcd(*x) if x[i] > 0 else -gcd(*x)
-    return tuple(x) if g == 1 else tuple([c // g for c in x])
+    return tuple(x) if g == 1 else tuple(map(g.__rfloordiv__, x))
 
 
 def perm_from_linear_map(system, image_of_line):

@@ -384,10 +384,15 @@ def test_span_buckets_match_pairwise_on_h4_up_to_order_4():
         assert all_circuits_upto(m, kmax) == pairwise_circuits(m, kmax), kmax
 
 
-@pytest.mark.parametrize("sid,kmax", [("B4", 5), ("B4", 4), ("D4", 4), ("A4", 3),
-                                      ("H3", 3), ("H3", 4), ("I2_6", 2), ("D5", 5), ("A5", 5)])
-def test_span_buckets_exceed_the_same_budgets(sid, kmax):
-    # the last level still counts every child it no longer enters, so the
+# the smallest passing budget of each case, pinned (B4/5's is also pinned by
+# itself above); D5/5 and A5/5 are crosscheck's two heaviest enumerations
+_BUDGETS = [("B4", 5, 4_904), ("B4", 4, 2_358), ("D4", 4, 761), ("A4", 3, 175), ("H3", 3, 575),
+            ("H3", 4, 1_731), ("I2_6", 2, 21), ("D5", 5, 18_869), ("A5", 5, 4_223)]
+
+
+@pytest.mark.parametrize("sid,kmax,budget", _BUDGETS, ids=[f"{s}-{k}" for s, k, _ in _BUDGETS])
+def test_span_buckets_exceed_the_same_budgets(sid, kmax, budget):
+    # the last two levels still count every node they no longer enter, so the
     # smallest budget that passes is the pairwise enumeration's
     m = matroid_of(parse_system_id(sid))
     low, high = 0, 1
@@ -399,19 +404,10 @@ def test_span_buckets_exceed_the_same_budgets(sid, kmax):
             low = mid
         else:
             high = mid
+    assert high == budget
     assert all_circuits_upto(m, kmax, node_budget=high) == pairwise_circuits(m, kmax)
     with pytest.raises(BudgetExceededError):
         all_circuits_upto(m, kmax, node_budget=high - 1)
-
-
-# crosscheck's two heaviest enumerations: the smallest budget that passes is
-# their node count, the same as when every last-level node was entered
-@pytest.mark.parametrize("sid,kmax,budget", [("D5", 5, 18_869), ("A5", 5, 4_223)])
-def test_crosscheck_budgets_are_pinned(sid, kmax, budget):
-    m = matroid_of(parse_system_id(sid))
-    assert len(all_circuits_upto(m, kmax, node_budget=budget)) > 0
-    with pytest.raises(BudgetExceededError):
-        all_circuits_upto(m, kmax, node_budget=budget - 1)
 
 
 @pytest.mark.parametrize("sid", ["A3", "H3"])
