@@ -3,8 +3,9 @@
 Each command prints its output and returns its reports, and `main` alone
 turns them into the exit code: 0 exactly when every report is PASS (always
 for `circuits` and `aut`, which make none), 1 when one is not, and 2 when
-the input is bad, a graph's first-path bound does not close, or a circuit
-enumeration budget runs out before a report is made (one line on stderr).
+the input is bad, a graph's first-path bound does not close, a circuit
+enumeration budget runs out before a report is made, or memory runs out
+(one line on stderr).
 A closed standard output (say, `rootmat circuits ... | head -1`) ends the
 command quietly with exit code 141, as a shell reports a SIGPIPE death.
 
@@ -148,8 +149,8 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         reports = COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
-    except (ValueError, BudgetExceededError) as exc:
-        print(f"rootmat: error: {exc}", file=sys.stderr)
+    except (ValueError, BudgetExceededError, MemoryError) as exc:
+        print(f"rootmat: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # nobody reads the rest; send it to devnull so the flush at exit stays quiet

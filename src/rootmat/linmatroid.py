@@ -231,8 +231,10 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
         the blocks r_u b_v' - r_v b_u' are nonzero.
         """
         nonlocal nodes
-        # S's pivots are zero in every row; the rest of a partner pair is kept whole
-        cols = list(itertools.compress(range(n), map(any, zip(*[v[:n] for vs in live for v in vs]))))
+        # S's pivots are zero in every row; the rest of a partner pair, n/2 apart, is kept whole
+        # (a second row, sqrt(5) times the first, is nonzero on the partners of its nonzero columns)
+        used, h = list(map(any, zip(*[vs[0][:n] for vs in live]))), n // deg
+        cols = list(itertools.compress(range(n), map(or_, used, used[h:] + used[:h])))
         d, k = len(members), len(cols) // deg
         bcols = [n + j * deg + r for r in range(deg) for j in range(d)]
         vecs = [[vs[0][c] for c in cols] + [0] * (2 * k - len(cols)) for vs in live]
@@ -291,7 +293,8 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
                 if later:  # else the node below only counts its nodes
                     moved = [v[:at] + v[own:] + v[at + deg:own] + [0] * deg for v in rows]
                     steps = _steps(moved, prev, n)  # with t's last block moved to block d
-                    later, pivot = [[_reduce(v, steps) for v in vs] for vs in later], steps[-1][2]
+                    keep = 1 if d + 4 == kmax else deg  # last_two reads first rows only
+                    later, pivot = [[_reduce(v, steps) for v in vs[:keep]] for vs in later], steps[-1][2]
                 extend(members + [live_ks[t]], live_ks[t + 1:], later, pivot)
 
     extend([], range(m.ground_size),

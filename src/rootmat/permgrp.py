@@ -1,13 +1,12 @@
-"""Permutation groups via Schreier-Sims, optionally stopped at a known order bound.
+"""Permutation groups: a base and strong generators built up to a known order bound.
 
 Permutations are tuples ``p`` of length ``degree`` acting on points
 ``0..degree-1`` by ``x -> p[x]``.  Composition ``compose(p, q)`` means
-"q first, then p".  The BSGS gives exact (big integer) group order,
-membership, subgroup and equality tests.  The random phase of a bounded
-build and the deterministic completion add strong generators by the same
-sift-and-insert step.  Every build repeats exactly: base points are the
-smallest moved point, orbits are extended in FIFO order, and the random
-phase draws from a fixed seed.
+"q first, then p".  The bounded builder's order is a lower bound on the
+group's (big integer) order, exact once it reaches a bound no lower than
+it.  Every build repeats exactly: base points are the smallest moved point,
+orbits are extended in FIFO order, and the random phase draws from a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -56,31 +55,26 @@ def cycle_notation(p) -> str:
 
 
 class PermGroup:
-    """A permutation group with a base and strong generating set.
+    """A permutation group's base and strong generators, built up to an order bound.
 
-    Every strong generator enters by one step, `_add`: a residue that a
-    sift left at level j becomes a strong generator at the levels up to j
-    whose base prefix it fixes (a residue that passed every level first gets
-    a new base point, its smallest moved point), and those orbits are closed
-    at once.  Transversals are extend-only, so coset representatives never
-    change once computed.  A transversal maps each orbit point x, in
-    insertion order, to the inverse of its coset representative u_x, the
-    factor a sift applies.
+    A seeded random phase (Seress 2003, ch. 4) sifts product-replacement
+    elements.  The residue that a sift leaves at level j becomes a strong
+    generator at the levels up to j, whose base prefix it fixes (a residue
+    that passed every level first gets a new base point, its smallest moved
+    point), and those orbits are closed at once.  Transversals are
+    extend-only, so coset representatives never change once computed.  A
+    transversal maps each orbit point x, in insertion order, to the inverse
+    of its coset representative u_x, the factor a sift applies.
 
-    Given a bound on the order, a seeded random phase (Seress 2003, ch. 4)
-    adds the residue of each sifted product-replacement element.  Each
-    level's generators fix the earlier base points, so the basic orbits
-    multiply to at most the order: reaching a bound no lower than it proves
-    both equal.  Product replacement mixes its pool for 10*|pool| steps
-    before a trivial run counts (Celler et al. 1995); then 60 trivial sifts
-    in a row hand over to the deterministic Schreier-Sims loop.  From the
-    deepest level, it adds the residue of the first Schreier generator that
-    does not sift and goes to the level that residue reached, or goes up a
-    level when none is left.  Each (orbit point, generator) pair is sifted
-    at most once per level.
+    Each level's generators fix the earlier base points, so the basic orbits
+    multiply to at most the order: `order()` is a lower bound, and reaching
+    a bound no lower than the group's order proves both equal.  Product
+    replacement mixes its pool for 10*|pool| steps before a trivial run
+    counts (Celler et al. 1995); the build stops at the bound, or after 60
+    trivial sifts in a row short of it.
     """
 
-    def __init__(self, degree, generators, bound=None):
+    def __init__(self, degree, generators, bound):
         self.degree = degree
         self.generators = [tuple(g) for g in generators]
         if any(len(g) != degree for g in self.generators):
@@ -88,7 +82,6 @@ class PermGroup:
         self.base = []
         self._gens = []  # _gens[i]: strong generators fixing base[:i]
         self._trans = []  # orbit of base[i] in insertion order, x -> u_x^-1
-        self._done = []  # sifted (point, gen index) Schreier pairs
         gens = [g for g in self.generators if not is_identity(g)]
         if not gens:
             return  # the trivial group; an empty pool would make rng.sample raise
@@ -98,19 +91,21 @@ class PermGroup:
         for i in range(len(self.base)):
             self._gens[i] = [g for g in gens if all(g[b] == b for b in self.base[:i])]
             self._extend_transversal(i)
-        if bound is not None and self._reaches(gens, bound):
-            return
-        level = len(self.base) - 1
-        while level >= 0:
-            residue = self._residue(level)
-            if residue is None:
-                level -= 1
-                continue
-            h, reached = residue
-            self._add(h, range(level + 1, reached + 1))
-            level = reached
-
-    # -- construction ----------------------------------------------------
+        rng, x, trivial, steps = random.Random(0), identity(degree), 0, 0
+        pool = (gens * 10)[:max(10, len(gens))]  # product replacement
+        while (trivial < 60 or steps < 10 * len(pool)) and self.order() < bound:
+            steps += 1
+            i, j = rng.sample(range(len(pool)), 2)
+            pool[i] = compose(pool[i], pool[j])
+            x = compose(x, pool[i])
+            h, level = self._strip(x)
+            trivial = trivial + 1 if is_identity(h) else 0
+            if not trivial:  # h fixes base[:level]
+                if level == len(self.base):
+                    self._append_level(h)
+                for l in range(level + 1):
+                    self._gens[l].append(h)
+                    self._extend_transversal(l, len(self._gens[l]) - 1)
 
     def _append_level(self, g):
         """A new last level whose base point is the smallest point g moves."""
@@ -118,15 +113,6 @@ class PermGroup:
         self.base.append(point)
         self._gens.append([])
         self._trans.append({point: identity(self.degree)})
-        self._done.append(set())
-
-    def _add(self, h, levels):
-        """Make the residue h a strong generator at levels, which end where its sift stopped."""
-        if levels[-1] == len(self.base):
-            self._append_level(h)
-        for l in levels:
-            self._gens[l].append(h)
-            self._extend_transversal(l, len(self._gens[l]) - 1)
 
     def _extend_transversal(self, i, new=0):
         """Close orbit i under its generators; the points it has need only _gens[i][new:]."""
@@ -143,27 +129,8 @@ class PermGroup:
                     trans[y] = compose(trans[x], gens_inv[k])
                     orbit.append(y)
 
-    def _residue(self, level):
-        """The first unsifted Schreier pair at level that sifts to a non-identity: (residue, its level)."""
-        trans, gens, done = self._trans[level], self._gens[level], self._done[level]
-        for x, ux_inv in trans.items():
-            ux = None  # formed when a Schreier generator needs it
-            for si, s in enumerate(gens):
-                if (x, si) in done:
-                    continue
-                done.add((x, si))
-                if ux is None:
-                    ux = inverse(ux_inv)
-                schreier = compose(trans[s[x]], compose(s, ux))
-                if is_identity(schreier):
-                    continue
-                h, reached = self._strip(schreier, level + 1)
-                if not is_identity(h):
-                    return h, reached
-        return None
-
-    def _strip(self, p, start=0):
-        for i in range(start, len(self.base)):
+    def _strip(self, p):
+        for i in range(len(self.base)):
             x = p[self.base[i]]
             trans = self._trans[i]
             if x not in trans:
@@ -171,27 +138,13 @@ class PermGroup:
             p = compose(trans[x], p)
         return p, len(self.base)
 
-    def _reaches(self, gens, bound):
-        """The random phase: True once the basic orbits multiply to bound."""
-        rng, x, trivial, steps = random.Random(0), identity(self.degree), 0, 0
-        pool = (gens * 10)[:max(10, len(gens))]  # product replacement
-        while (trivial < 60 or steps < 10 * len(pool)) and self.order() < bound:
-            steps += 1
-            i, j = rng.sample(range(len(pool)), 2)
-            pool[i] = compose(pool[i], pool[j])
-            x = compose(x, pool[i])
-            h, level = self._strip(x)
-            trivial = trivial + 1 if is_identity(h) else 0
-            if not trivial:
-                self._add(h, range(level + 1))  # h fixes base[:level]
-        return self.order() >= bound
-
-    # -- queries ---------------------------------------------------------
-
     def order(self) -> int:
+        """The product of the basic orbits: at most |G|, equal once a bound >= |G| was reached."""
         return prod(map(len, self._trans))
 
     def contains(self, p) -> bool:
+        """Membership, exact only once the build reached a bound >= |G| (a shorter chain may
+        reject a member); kept for the perfbench tracer's wraps until ROADMAP item 2."""
         p = tuple(p)
         if len(p) != self.degree:
             raise ValueError("degree mismatch")
@@ -199,23 +152,22 @@ class PermGroup:
         return i == len(self.base) and is_identity(h)
 
 
-def bsgs(generators, degree=None, bound=None) -> PermGroup:
-    """A PermGroup of a generator list; a bound below the order may leave order() short of it."""
-    gens = [tuple(g) for g in generators]
-    if degree is None:
-        if not gens:
-            raise ValueError("degree required for an empty generator list")
-        degree = len(gens[0])
-    return PermGroup(degree, gens, bound)
+def bsgs(generators, degree, bound) -> PermGroup:
+    """A PermGroup of a generator list built up to bound; a bound above |G| leaves order() short."""
+    return PermGroup(degree, generators, bound)
 
 
 def is_subgroup(h: PermGroup, g: PermGroup) -> bool:
+    """Whether h's generators lie in g, exact only when g reached a bound >= |g|; kept,
+    like `contains`, for the perfbench tracer's wraps until ROADMAP item 2."""
     if h.degree != g.degree:
         raise ValueError("degree mismatch")
     return all(g.contains(x) for x in h.generators)
 
 
 def equal(g: PermGroup, h: PermGroup) -> bool:
+    """Group equality, exact only when both reached a bound >= their order; kept, like
+    `contains`, for the perfbench tracer's wraps until ROADMAP item 2."""
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
     if g.order() != h.order():

@@ -13,7 +13,8 @@ def perm_from_cycles(degree, cycles):
 
 
 def basic_orbit_lengths(group):
-    """The basic orbit lengths of a PermGroup, one per base point (its transversal sizes)."""
+    """The basic orbit lengths of a bounded or reference PermGroup, one per base point (its
+    transversal sizes)."""
     return [len(t) for t in group._trans]
 
 

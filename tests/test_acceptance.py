@@ -24,10 +24,10 @@ import pytest
 
 from classical_shapes import classical_circuits
 from perm_helpers import perm_from_cycles, reflection_perm
-from rootmat import graphauto, linmatroid, permgrp
+from reference_permgrp import bsgs, equal, is_subgroup
+from rootmat import graphauto, linmatroid
 from rootmat.incidencegraph import build_incidence, restrict_to_ground
 from rootmat.linmatroid import all_circuits_upto, circuits3, matroid_of
-from rootmat.permgrp import bsgs, is_subgroup
 from rootmat.rootsystems import known_group_generators, parse_system_id
 from rootmat.verify import aut_group_from_family, default_table_ids, verify_wreath
 
@@ -147,7 +147,7 @@ def test_criterion_3_oracle_equivalence(pipeline, classical_ground_truth, capsys
         from_all, returned = _graph_group(system, circuits)
         from_c3 = (pipeline[sid]["aut"] if sid in pipeline
                    else _graph_group(system, circuits3(system.lines))[0])
-        if not permgrp.equal(from_c3, from_all):
+        if not equal(from_c3, from_all):
             failures.append(f"{sid}: C3 group differs from all-circuits group")
         if returned != from_all.order():
             failures.append(f"{sid}: returned order {returned} != BSGS order {from_all.order()}")

@@ -239,7 +239,7 @@ def test_the_row_extra_is_what_k_reads(monkeypatch, capsys):
     monkeypatch.setattr(rootsystems.FAMILIES["F4"], "extra", None)
     r = verify_theorem("F4")
     assert (r.status, r.detail, r.aut_order, r.known_group_order) == (
-        FAIL, "order mismatch", 1152, 576)
+        FAIL, "K(R) >= 576, short of the bound 1152", 1152, 576)
     assert main(["verify", "--system", "F4"]) == 1
     assert "known=576 " in capsys.readouterr().out
 

@@ -5,13 +5,13 @@ from math import prod
 
 import pytest
 
+from reference_permgrp import bsgs
 from reference_refine import ReferencePartition
 from rootmat import graphauto, permgrp
 from rootmat.cli import main
 from rootmat.graphauto import automorphism_group, initial_partition, path_bound, refine
 from rootmat.incidencegraph import ColoredGraph, build_incidence, restrict_to_ground
 from rootmat.linmatroid import circuits3
-from rootmat.permgrp import bsgs
 from rootmat.rootsystems import build, parse_system_id
 from rootmat.verify import circuits_upto, default_table_ids
 

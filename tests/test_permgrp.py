@@ -3,22 +3,18 @@ from math import factorial
 
 import pytest
 
+import reference_permgrp as reference
 from perm_helpers import basic_orbit_lengths, perm_from_cycles, reflection_perm
+from reference_permgrp import bsgs
+from rootmat import permgrp
 from rootmat.graphauto import _first_path, automorphism_group, path_bound
 from rootmat.incidencegraph import build_incidence
 from rootmat.linmatroid import circuits3
-from rootmat.permgrp import (
-    bsgs,
-    compose,
-    cycle_notation,
-    equal,
-    identity,
-    inverse,
-    is_identity,
-    is_subgroup,
-)
+from rootmat.permgrp import compose, cycle_notation, equal, identity, inverse, is_identity, is_subgroup
 from rootmat.rootsystems import build, known_group_generators, parse_system_id
 from rootmat.verify import default_table_ids, expected_aut_order
+
+# `bsgs` is the complete reference builder; `permgrp.bsgs` is the bounded one under test
 
 
 def _sym_gens(n):
@@ -27,17 +23,21 @@ def _sym_gens(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_symmetric_group_orders(n):
-    assert bsgs(_sym_gens(n)).order() == factorial(n)
+    gens = _sym_gens(n)
+    assert bsgs(gens).order() == permgrp.bsgs(gens, n, factorial(n)).order() == factorial(n)
 
 
 def test_trivial_group():
-    assert bsgs([], degree=5).order() == 1
-    assert bsgs([identity(4)], degree=4).order() == 1
+    assert bsgs([], degree=5).order() == permgrp.bsgs([], 5, 1).order() == 1
+    assert bsgs([identity(4)], degree=4).order() == permgrp.bsgs([identity(4)], 4, 1).order() == 1
 
 
 def test_empty_generators_need_degree():
+    # the reference infers the degree from the first generator; the bounded builder takes it
     with pytest.raises(ValueError):
         bsgs([])
+    with pytest.raises(TypeError):
+        permgrp.bsgs([], bound=1)
 
 
 def test_order_multiplicative_on_disjoint_support():
@@ -52,7 +52,7 @@ def test_order_multiplicative_on_disjoint_support():
 
 def test_contains_identity_and_random_words():
     rng = random.Random(11)
-    G = bsgs(_sym_gens(6))
+    G = permgrp.bsgs(_sym_gens(6), 6, 720)  # membership is exact once the build reaches |G|
     assert G.contains(identity(6))
     for _ in range(50):
         w = identity(6)
@@ -63,26 +63,31 @@ def test_contains_identity_and_random_words():
 
 def test_contains_rejects_outsiders():
     # A4 inside S4: odd permutations are not members
-    a4 = bsgs([perm_from_cycles(4, [[0, 1, 2]]), perm_from_cycles(4, [[1, 2, 3]])])
+    a4 = permgrp.bsgs([perm_from_cycles(4, [[0, 1, 2]]), perm_from_cycles(4, [[1, 2, 3]])], 4, 12)
     assert a4.order() == 12
     assert not a4.contains(perm_from_cycles(4, [[0, 1]]))
 
 
 def test_subgroup_and_equal():
-    s3 = bsgs(_sym_gens(3))
-    h = bsgs([perm_from_cycles(3, [[0, 1]])])
-    assert is_subgroup(h, s3)
-    assert not is_subgroup(s3, h)
-    other = bsgs([perm_from_cycles(3, [[1, 2]]), perm_from_cycles(3, [[0, 2]])])
-    assert equal(s3, other)
-    assert not equal(s3, h)
+    # the bounded builder's tests are exact on groups built to their order, the reference's on any
+    for is_sub, eq, build in [(is_subgroup, equal, lambda gens, order: permgrp.bsgs(gens, 3, order)),
+                              (reference.is_subgroup, reference.equal, lambda gens, _: bsgs(gens))]:
+        s3 = build(_sym_gens(3), 6)
+        h = build([perm_from_cycles(3, [[0, 1]])], 2)
+        assert is_sub(h, s3)
+        assert not is_sub(s3, h)
+        other = build([perm_from_cycles(3, [[1, 2]]), perm_from_cycles(3, [[0, 2]])], 6)
+        assert eq(s3, other)
+        assert not eq(s3, h)
 
 
 def test_degree_mismatch_errors():
     with pytest.raises(ValueError):
-        is_subgroup(bsgs(_sym_gens(3)), bsgs(_sym_gens(4)))
+        is_subgroup(permgrp.bsgs(_sym_gens(3), 3, 6), permgrp.bsgs(_sym_gens(4), 4, 24))
     with pytest.raises(ValueError):
-        bsgs(_sym_gens(3)).contains(identity(4))
+        permgrp.bsgs(_sym_gens(3), 3, 6).contains(identity(4))
+    with pytest.raises(ValueError):
+        permgrp.bsgs([identity(3), identity(4)], 3, 1)
     with pytest.raises(ValueError):
         bsgs([identity(3), identity(4)])
 
@@ -123,7 +128,7 @@ def test_degree_one_and_zero():
     assert inverse((0,)) == (0,)
     assert is_identity((0,)) and is_identity(())
     a1 = build("A", 1)
-    g = bsgs(known_group_generators(a1), degree=a1.num_lines)
+    g = permgrp.bsgs(known_group_generators(a1), a1.num_lines, 1)
     assert g.order() == 1 and g.contains((0,))
 
 
@@ -162,40 +167,55 @@ def _k_and_bound(sid):
 @pytest.mark.parametrize("sid", BOUNDED_IDS)
 def test_bounded_k_has_the_unbounded_order(sid):
     gens, n, bound = _k_and_bound(sid)
-    assert bsgs(gens, n, bound=bound).order() == bsgs(gens, n).order() == bound
+    assert permgrp.bsgs(gens, n, bound).order() == bsgs(gens, n).order() == bound
+
+
+def _random_group(rng):
+    """1-3 generators on 2-12 points, each a random permutation of a random subset."""
+    degree = rng.randint(2, 12)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        points = rng.sample(range(degree), rng.randint(1, degree))
+        p = list(range(degree))
+        for x, y in zip(points, rng.sample(points, len(points))):
+            p[x] = y
+        gens.append(tuple(p))
+    return gens, degree
+
+
+def test_bounded_build_on_random_groups():
+    # bound |G| is reached; bound 2|G| leaves a lower bound, never above the reference order
+    for seed in range(300):
+        gens, degree = _random_group(random.Random(seed))
+        order = bsgs(gens, degree).order()
+        assert permgrp.bsgs(gens, degree, order).order() == order, seed
+        assert permgrp.bsgs(gens, degree, 2 * order).order() <= order, seed
 
 
 @pytest.mark.parametrize("sid", ["E6", "F4", "H3"])
-def test_bound_above_the_order_completes_deterministically(sid):
-    # the random phase never reaches 2|K|; the deterministic loop then finishes an exact BSGS
+def test_bound_above_the_order_stops_at_the_reference_order(sid):
+    # no build can reach 2|K|; the seeded random phase still reaches |K| before it stops
     gens, n, _ = _k_and_bound(sid)
     order = bsgs(gens, n).order()
-    g = bsgs(gens, n, bound=2 * order)
-    assert g.order() == order
-    assert any(g._done)  # Schreier pairs were sifted
+    assert permgrp.bsgs(gens, n, 2 * order).order() == order
 
 
-def test_bounded_e8_sifts_no_schreier_pair():
-    # the seeded random phase reaches |K(E8)| alone
+def test_bounded_e8_reaches_the_reference_order():
     gens, n, bound = _k_and_bound("E8")
-    g = bsgs(gens, n, bound=bound)
-    assert g.order() == bound == 348364800
-    assert not any(g._done)
+    assert permgrp.bsgs(gens, n, bound).order() == bound == bsgs(gens, n).order() == 348364800
 
 
-def test_bounded_b30_sifts_no_schreier_pair():
+def test_bounded_b30_reaches_the_closed_form_order():
     # the random phase mixes its pool before a run of trivial sifts may stop it
     system = parse_system_id("B30")
     bound = expected_aut_order(system)
-    g = bsgs(known_group_generators(system), system.num_lines, bound=bound)
-    assert g.order() == bound
-    assert not any(g._done)
+    assert permgrp.bsgs(known_group_generators(system), system.num_lines, bound).order() == bound
 
 
 @pytest.mark.parametrize("gens, degree, bound", [([], 5, 1), ([identity(4)], 4, 2)])
 def test_bounded_build_without_a_moving_generator_is_trivial(gens, degree, bound):
     # no generator moves a point, so there is no pool to draw from
-    g = bsgs(gens, degree=degree, bound=bound)
+    g = permgrp.bsgs(gens, degree, bound)
     assert g.order() == 1
     assert g.base == []
 
@@ -203,7 +223,7 @@ def test_bounded_build_without_a_moving_generator_is_trivial(gens, degree, bound
 @pytest.mark.parametrize("sid", ["E8", "H4", "D10", "B9"])
 def test_bounded_contains_agrees_with_unbounded(sid):
     gens, n, bound = _k_and_bound(sid)
-    bounded, full = bsgs(gens, n, bound=bound), bsgs(gens, n)
+    bounded, full = permgrp.bsgs(gens, n, bound), bsgs(gens, n)
     outsider = perm_from_cycles(n, [[0, 1]])  # no line map swaps just two lines
     for p in gens + [compose(gens[0], gens[-1]), outsider]:
         assert bounded.contains(p) == full.contains(p)
@@ -212,6 +232,6 @@ def test_bounded_contains_agrees_with_unbounded(sid):
 
 def test_bounded_build_repeats():
     gens, n, bound = _k_and_bound("D10")
-    g1, g2 = bsgs(gens, n, bound=bound), bsgs(gens, n, bound=bound)
+    g1, g2 = permgrp.bsgs(gens, n, bound), permgrp.bsgs(gens, n, bound)
     assert g1.base == g2.base
     assert basic_orbit_lengths(g1) == basic_orbit_lengths(g2)

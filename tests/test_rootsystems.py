@@ -8,8 +8,9 @@ import pytest
 
 from perm_helpers import reflection_perm
 from reference_field import ONE, PHI, canonical_line, field_vectors
+from reference_permgrp import bsgs
 from rootmat.linmatroid import circuits3, matroid_of, rank
-from rootmat.permgrp import bsgs, compose, is_identity
+from rootmat.permgrp import compose, is_identity
 from rootmat.rootsystems import (
     F4_DUALITY_MATRIX,
     RootSystem,

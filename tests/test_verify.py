@@ -11,12 +11,12 @@ from pathlib import Path
 import pytest
 
 from perm_helpers import reflection_perm
+from reference_permgrp import bsgs, equal
 import rootmat
 from rootmat import graphauto, linmatroid, permgrp, rootsystems, verify
 from rootmat.cli import build_parser, main
 from rootmat.errors import BudgetExceededError
 from rootmat.incidencegraph import build_incidence
-from rootmat.permgrp import bsgs, equal
 from rootmat.verify import (
     FAIL,
     PASS,
@@ -273,6 +273,16 @@ def test_cli_errors_are_one_line(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_cli_reports_running_out_of_memory_in_one_line(monkeypatch, capsys):
+    # a huge system id (say B999999999999) runs out of memory building its roots
+    def exhausted(system_id):
+        raise MemoryError
+
+    monkeypatch.setattr(verify, "verify_theorem", exhausted)
+    assert main(["verify", "--system", "B3"]) == 2
+    assert capsys.readouterr() == ("", "rootmat: error: MemoryError\n")
+
+
 def test_crosscheck_default_order_covers_a1():
     assert oracle_crosscheck("A1").status == PASS
 
@@ -361,11 +371,19 @@ def test_known_group_missing_a_simple_reflection_fails(dropped, monkeypatch):
 
     monkeypatch.setattr(rootsystems, "known_group_generators", short)
     r = verify_theorem("E6")
-    assert (r.status, r.detail) == (FAIL, "order mismatch")
-    assert r.known_group_order < r.aut_order == 51840
-    # K(R) stops short of the bound, so its BSGS is completed: the exact order is reported
+    # K(R) stops short of the bound: the report gives what its chain proves, a lower bound
+    assert (r.status, r.detail) == (
+        FAIL, f"K(R) >= {r.known_group_order}, short of the bound 51840")
+    assert r.aut_order == 51840
     e6 = parse_system_id("E6")
-    assert r.known_group_order == bsgs(short(e6), degree=e6.num_lines).order()
+    assert 0 < r.known_group_order <= bsgs(short(e6), degree=e6.num_lines).order() < 51840
+
+
+def test_known_group_reaching_a_bound_off_the_table_is_an_order_mismatch(monkeypatch):
+    monkeypatch.setattr(rootsystems.FAMILIES["E6"], "order", lambda n: 51841)
+    r = verify_theorem("E6")
+    assert (r.status, r.detail) == (FAIL, "order mismatch")
+    assert (r.aut_order, r.expected_order, r.known_group_order) == (51840, 51841, 51840)
 
 
 def _record_counts(monkeypatch):
