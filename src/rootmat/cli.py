@@ -78,11 +78,13 @@ def build_parser():
 
 def _print_report(r, label="known"):
     """Print one report line, return r; `label` names known_group_order, left out if 0: "known"
-    for |K(R)|, "all-circuits" for the order a `crosscheck` or `wreath` PASS reports."""
+    for |K(R)|, "all-circuits" for the order a `crosscheck` or `wreath` PASS reports.  A
+    nonempty detail (why a verdict is not PASS) follows the status."""
     known = f"{label}={r.known_group_order:<12} " if r.known_group_order else ""
+    detail = f": {r.detail}" if r.detail else ""
     print(f"{r.system_id:>10}  lines={r.num_lines:<4} |C3|={r.c3_count:<5} "
           f"aut={r.aut_order:<12} expected={r.expected_order:<12} "
-          f"{known}{r.status}  ({r.timing_ms} ms)")
+          f"{known}{r.status}{detail}  ({r.timing_ms} ms)")
     return r
 
 

@@ -1,26 +1,22 @@
 """The linear matroid of a root system: C3, rank oracle and circuit enumeration.
 
-C3 comes straight from the integer line vectors (a | b), coordinate k
-being a_k + b_k*sqrt(5): a plane through a line v is keyed by the line_key
-of any other of its lines reduced modulo v, one Z[sqrt 5] elimination step.
-Given generators of a group that preserves C3, only one line per orbit is
-keyed, and a transversal maps its triples to the rest of the orbit.
+A line is an integer vector (a | b), coordinate k being a_k + b_k*sqrt(5),
+with every b zero over Q.  C3, the rank oracle and the circuit enumeration
+share one Z[sqrt 5] elimination step: with p the first nonzero coordinate
+of v, the map x -> v[p] x - x[p] v (`rootsystems.combine`) is
+Q(sqrt 5)-linear, clears coordinate p and has kernel the line of v.
 
-The rank oracle and the circuit enumeration hold the matroid as integer
-rows, built once from the same vectors.  When every b is zero the matroid
-is over Q and a line becomes the one row a.  Otherwise it is over
-Q(sqrt 5) and a line becomes the two rows [a | b] and [5b | a]; their
-rational span is the Q(sqrt 5)-span of the line (restriction of scalars),
-so a rank over Q(sqrt 5) is the integer rank divided by the degree 2.
-Both reduce rows by fraction-free (Bareiss) steps, `_reduce`: each one
-divides exactly by the previous pivot, so entries stay small with no gcd.
+C3 keys a plane through a line v by the line_key of any other of its lines
+reduced modulo v.  Given generators of a group that preserves C3, only one
+line per orbit is keyed, and a transversal maps its triples to the rest of
+the orbit.  The rank oracle clears each vector by the rows kept before it,
+each result made primitive; the rank is the number of rows that stay nonzero.
 
 The circuit enumeration asks the rank oracle only for the matroid's rank:
-each search node carries its candidates' rows reduced against the current
-independent set, with coefficient columns that record which members' rows
-they combine, so a dependent candidate is a circuit exactly when no
-member's coefficient is zero.  The reduction is Q(sqrt 5)-linear, so over
-Q(sqrt 5) a first row reads as a vector (a | b).  The last two levels are
+each search node carries its candidates' rows cleared the same way against
+the current independent set, with coefficient slots that record which
+members' vectors they combine, so a dependent candidate is a circuit
+exactly when no member's coefficient is zero.  The last two levels are
 fused and keyed as C3 is: below a node S, each pair of candidates is keyed
 by the plane it spans modulo span(S), the line_key of one's image modulo
 the other, and coefficients are formed only for parallel pairs and for
@@ -41,19 +37,14 @@ from .rootsystems import combine, line_key
 
 
 class LinearMatroid:
-    def __init__(self, ground_size, rows, degree):
-        self.ground_size = ground_size
-        self.rows = rows  # rows[i]: the `degree` integer rows of element i
-        self.degree = degree  # 1 over Q, 2 over Q(sqrt 5)
+    def __init__(self, vectors):
+        self.ground_size = len(vectors)
+        self.vectors = vectors  # vectors[i]: element i's primitive integer vector (a | b)
 
     @staticmethod
     def from_vectors(vectors) -> "LinearMatroid":
         """The matroid of integer vectors (a | b), each the line a + b*sqrt(5)."""
-        h = len(vectors[0]) // 2 if vectors else 0
-        degree = 2 if any(any(v[h:]) for v in vectors) else 1
-        rows = [_primitive(v[:h * degree]) for v in vectors]  # a, or (a | b) and then (5b | a)
-        rows = tuple((r,) if degree == 1 else (r, tuple([5 * y for y in r[h:]]) + r[:h]) for r in rows)
-        return LinearMatroid(len(rows), rows, degree)
+        return LinearMatroid(tuple(_primitive(v) for v in vectors))
 
 
 def matroid_of(system) -> LinearMatroid:
@@ -72,55 +63,32 @@ def _primitive(vec):
     return tuple([c // g for c in vec]) if g > 1 else tuple(vec)
 
 
-def _reduce(row, steps):
-    """row after each fraction-free (Bareiss) elimination step in turn.
-
-    A step (pivot row, column c, pivot p, previous pivot) maps v to
-    (p*v - v[c]*pivot row) // previous pivot, clearing column c.  Entries
-    stay minors of the original rows, so it divides exactly with no gcd;
-    every row takes every step, also one with v[c] == 0, or a later one would not.
-    """
-    for pivot, c, p, prev in steps:
-        f = row[c]
-        if f:
-            row = [(p * a - f * b) // prev for a, b in zip(row, pivot)]
-        elif p != prev:
-            row = [p * a // prev for a in row]
-    return row
+def _pivot(v, h):
+    """(v, p, v[p]) for p the first of the first h coordinates of row v = (a | b) that is nonzero."""
+    n = len(v) // 2
+    p = next(itertools.compress(range(h), map(or_, v[:h], v[n:n + h])))
+    return v, p, (v[p], v[n + p])
 
 
-def _step(row, prev):
-    """The step that clears the first nonzero column of row with row itself."""
-    p = next(filter(None, row))
-    return row, row.index(p), p, prev
-
-
-def _steps(rows, prev, n):
-    """The steps of an element's rows, each reduced by those before it, from pivot prev.
-
-    Over Q(sqrt 5) row 1, sqrt(5) times row 0, pivots on the partner column n/2
-    away (of n vector columns) from row 0's pivot, its entry a nonzero multiple of
-    a norm a^2 - 5b^2: pivots come in partner pairs, and row 1 stays sqrt(5) times row 0.
-    """
-    steps = [_step(rows[0], prev)]
-    for v in rows[1:]:
-        v, c = _reduce(v, steps), (steps[0][1] + n // 2) % n
-        steps.append((v, c, v[c], steps[0][2]))
-    return steps
+def _clear(x, pivot):
+    """Row x with the pivot's coordinate p cleared: v[p] x - x[p] v made primitive, or x
+    itself if x[p] is zero (a row stands for its Q(sqrt 5)-multiples: no scaling by v[p])."""
+    v, p, vp = pivot
+    xp = x[p], x[len(x) // 2 + p]
+    return _primitive(combine(vp, x, xp, v)) if xp[0] or xp[1] else x
 
 
 def rank(m: LinearMatroid, subset) -> int:
-    steps = []
+    pivots = []
     for i in subset:
         if not 0 <= i < m.ground_size:
             raise IndexError(f"element {i} out of range")
-        # the span so far is closed under sqrt(5): the first row of i decides
-        for row in m.rows[i]:
-            row = _reduce(row, steps)
-            if not any(row):
-                break
-            steps.append(_step(row, steps[-1][2] if steps else 1))
-    return len(steps) // m.degree
+        x = m.vectors[i]
+        for pivot in pivots:
+            x = _clear(x, pivot)
+        if any(x):
+            pivots.append(_pivot(x, len(x) // 2))
+    return len(pivots)
 
 
 # -- order-3 circuits -----------------------------------------------------
@@ -194,61 +162,59 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
     every element after the last member of S.
 
     A node carries its candidates' rows (the elements after S not in
-    span(S)) reduced against S by each member's `degree` steps (`_steps`).
-    A row is the vector columns, a block of `degree` coefficient columns per
-    depth and a last block for the candidate (a unit in column r of row r at
-    first), moved to block d when it is pushed at depth d.  A candidate whose
-    first row is zero in the vector columns lies in span(S), closed under
-    sqrt(5); its blocks hold the dependency of S plus it, unique up to a
-    scalar, so it closes a circuit exactly when every member's block, over
-    Q(sqrt 5) alpha + beta*sqrt(5), is nonzero, and none below a further member.
+    span(S)) cleared against each member in turn (`_clear`).  Each half of a
+    row holds a vector half, a coefficient slot per depth and a last slot for
+    the candidate (1 at first), moved to slot d when it is pushed at depth
+    d; over Z[sqrt 5] a row is one vector (a | b) whose coefficients are
+    (alpha | beta).  A candidate whose vector is zero lies in span(S); its
+    slots hold the dependency of S plus it, unique up to a scalar, so it
+    closes a circuit exactly when every member's coefficient is nonzero,
+    and none below a further member.
 
     A node S of kmax - 3 members enters no node below it (`last_two`): the
-    circuits S + t + u and S + t + u + v come from its candidates' first rows
-    alone, by one code path over Q and Q(sqrt 5).  It still counts each S + t,
+    circuits S + t + u and S + t + u + v come from its candidates' rows, by
+    the same code path over Q and Q(sqrt 5).  It still counts each S + t,
     and S + t + u for u not parallel to t modulo S, so the budget is spent as
     if they were entered.
     """
     if kmax < 1 or not m.ground_size:
         return []
-    out, nodes, deg, last = [], 0, m.degree, m.ground_size - 1
-    n, full = len(m.rows[0][0]), rank(m, range(m.ground_size))
-    # blocks of kmax - 3 members (kmax - 1 below order 3), at most full; then the candidate's
-    own = n + min(kmax - 3 if kmax > 2 else kmax - 1, full) * deg
-    units = [[0] * (own - n) + [int(c == r) for c in range(deg)] for r in range(deg)]
+    out, nodes, last = [], 0, m.ground_size - 1
+    h, full = len(m.vectors[0]) // 2, rank(m, range(m.ground_size))
+    # slots of kmax - 3 members (kmax - 1 below order 3), at most full; then the candidate's
+    own = h + min(kmax - 3 if kmax > 2 else kmax - 1, full)
+    n, pad = own + 1, (0,) * (own - h)  # n: a row's half
 
     def last_two(members, ks, live):
-        """The circuits S + t + u and S + t + u + v below S, from the live first rows.
+        """The circuits S + t + u and S + t + u + v below S, from the live rows.
 
-        Off S's pivots (partner pairs: `_steps`) the first rows stand for the quotient
-        by span(S): vectors (a | b) and member blocks (alpha | beta) over Z[sqrt 5], b
-        and beta 0 over Q.  u's image x[p] u - u[p] x (x t's vector, p its first nonzero
-        coordinate) is 0 when u is parallel to t, and S + t + u is then a circuit when
-        the blocks b_u' = x[p] b_u - u[p] b_t are nonzero; else its line_key keys the
-        plane of t and u.  Images u', v' in a plane, with entries r_u, r_v on its first
-        nonzero coordinate, give r_u v' - r_v u' = 0: S + t + u + v is a circuit when
-        u, v are not parallel (t's coefficient r_u v[p] - r_v u[p] is then nonzero) and
-        the blocks r_u b_v' - r_v b_u' are nonzero.
+        The rows stand for the quotient by span(S): vectors (a | b) and member
+        coefficients (alpha | beta) over Z[sqrt 5].  u's image x[p] u - u[p] x (x t's
+        vector, p its first nonzero coordinate) is 0 when u is parallel to t, and
+        S + t + u is then a circuit when the coefficients b_u' = x[p] b_u - u[p] b_t are
+        nonzero; else its line_key keys the plane of t and u.  Images u', v' in a plane,
+        with entries r_u, r_v on its first nonzero coordinate, give r_u v' - r_v u' = 0:
+        S + t + u + v is a circuit when u, v are not parallel (t's coefficient
+        r_u v[p] - r_v u[p] is then nonzero) and the coefficients r_u b_v' - r_v b_u' are
+        nonzero.
         """
         nonlocal nodes
-        # S's pivots are zero in every row; the rest of a partner pair, n/2 apart, is kept whole
-        # (a second row, sqrt(5) times the first, is nonzero on the partners of its nonzero columns)
-        used, h = list(map(any, zip(*[vs[0][:n] for vs in live]))), n // deg
-        cols = list(itertools.compress(range(n), map(or_, used, used[h:] + used[:h])))
-        d, k = len(members), len(cols) // deg
-        bcols = [n + j * deg + r for r in range(deg) for j in range(d)]
-        vecs = [[vs[0][c] for c in cols] + [0] * (2 * k - len(cols)) for vs in live]
-        blocks = [[vs[0][c] for c in bcols] + [0] * (2 * d - len(bcols)) for vs in live]
+        d = len(members)
+        # coordinates zero in every row (S's pivots among them) are left out
+        used = list(map(any, zip(*[x[:h] + x[n:n + h] for x in live])))
+        cols = list(itertools.compress(range(h), map(or_, used, used[h:])))
+        k = len(cols)
+        vecs = [[x[c] for c in cols] + [x[n + c] for c in cols] for x in live]
+        blocks = [x[h:h + d] + x[n + h:n + h + d] for x in live]
 
-        def nonzero(b):  # every member block (alpha | beta) nonzero
+        def nonzero(b):  # every member coefficient (alpha | beta) nonzero
             return all(map(or_, b[:d], b[d:]))
 
         # spans: one plane, all of the quotient; par[u]: u's class of parallels
         spans, after, par = d + 2 == full, 0, list(range(len(ks)))
         for t in reversed(range(len(ks))):
             x, bt, planes = vecs[t], blocks[t], {}
-            p = next(itertools.compress(range(k), map(or_, x, x[k:])))
-            xp = x[p], x[k + p]
+            _, p, xp = _pivot(x, k)
             nodes += last - ks[t] + after  # S + t and each S + t + u; a parallel u is taken back
             after += last - ks[t]
             for u, y in enumerate(vecs[t + 1:], t + 1):
@@ -265,22 +231,21 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
                 raise BudgetExceededError("all_circuits_upto", node_budget)
             for plane in planes.values():
                 if len(plane) > 1:
-                    w = plane[0][1]
-                    q = next(itertools.compress(range(k), map(or_, w, w[k:])))
+                    _, q, _ = _pivot(plane[0][1], k)  # the plane's images are parallel: one q
                     plane = [(u, (w[q], w[k + q]), combine(xp, blocks[u], up, bt)) for u, w, up in plane]
                     for (u, ru, bu), (v, rv, bv) in itertools.combinations(plane, 2):
                         if par[u] != par[v] and nonzero(combine(ru, bv, rv, bu)):
                             out.append(tuple(members + [ks[t], ks[u], ks[v]]))
 
-    def extend(members, ks, carried, prev):
+    def extend(members, ks, carried):
         nonlocal nodes
-        d, at = len(members), n + len(members) * deg
+        d, at = len(members), h + len(members)
         live_ks, live = [], []
-        for k, rows in zip(ks, carried):
-            if any(rows[0][:n]):
+        for k, x in zip(ks, carried):
+            if any(x[:h]) or any(x[n:n + h]):
                 live_ks.append(k)
-                live.append(rows)
-            elif all(map(any, zip(*[iter(rows[0][n:at])] * deg))):  # every member's block nonzero
+                live.append(x)
+            elif all(map(or_, x[h:at], x[n + h:n + at])):  # every member's coefficient nonzero
                 out.append(tuple(members + [k]))
         nodes += m.ground_size - (members[-1] + 1 if members else 0)
         if nodes > node_budget:
@@ -288,16 +253,15 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
         if d + 3 == kmax:
             last_two(members, live_ks, live)
         elif d + 1 < kmax:
-            for t, rows in enumerate(live):
-                later, pivot = live[t + 1:], prev
+            for t, x in enumerate(live):
+                later = live[t + 1:]
                 if later:  # else the node below only counts its nodes
-                    moved = [v[:at] + v[own:] + v[at + deg:own] + [0] * deg for v in rows]
-                    steps = _steps(moved, prev, n)  # with t's last block moved to block d
-                    keep = 1 if d + 4 == kmax else deg  # last_two reads first rows only
-                    later, pivot = [[_reduce(v, steps) for v in vs[:keep]] for vs in later], steps[-1][2]
-                extend(members + [live_ks[t]], live_ks[t + 1:], later, pivot)
+                    x = list(x)  # t's coefficient moves from the last slot to slot d
+                    x[at], x[own], x[n + at], x[n + own] = x[own], 0, x[n + own], 0
+                    pivot = _pivot(x, h)
+                    later = [_clear(y, pivot) for y in later]
+                extend(members + [live_ks[t]], live_ks[t + 1:], later)
 
-    extend([], range(m.ground_size),
-           [[list(row) + units[r] for r, row in enumerate(rows)] for rows in m.rows], 1)
+    extend([], range(m.ground_size), [v[:h] + pad + (1,) + v[h:] + pad + (0,) for v in m.vectors])
     del extend  # it refers to itself: break the cycle, so the search is freed now, not by gc
     return sorted(out)

@@ -4,19 +4,67 @@ A test-side copy of `linmatroid.all_circuits_upto` as it was before its
 last level bucketed the candidates by span, and before its last two levels
 were fused into planes keyed per pair of candidates: every child node S + t
 of the last level is entered, counted and closed by reducing each later
-candidate against t.  It shares the Bareiss kernel (`_reduce`, `_step`) and the node
-count, so it must return the same circuits and exceed the same budgets.
+candidate against t.  It counts nodes as the enumeration does, so it must
+return the same circuits and exceed the same budgets.
+
+It also keeps the rank kernel the enumeration had before its one Z[sqrt 5]
+elimination, so the two share no arithmetic: a line over Q(sqrt 5) is
+restricted to Q as the two integer rows [a | b] and [5b | a], and rows are
+reduced by fraction-free (Bareiss) steps, `_reduce`.
 """
 
+from math import gcd
+
 from rootmat.errors import BudgetExceededError
-from rootmat.linmatroid import DEFAULT_NODE_BUDGET, _reduce, _step
+from rootmat.linmatroid import DEFAULT_NODE_BUDGET
+
+
+def _primitive(vec):
+    """The integer vector divided by the gcd of its entries."""
+    g = gcd(*vec)
+    # tuple() of a list, not of a generator: a generator's tuple is grown by
+    # reallocation, and each one freed would park in its size's free list
+    return tuple([c // g for c in vec]) if g > 1 else tuple(vec)
+
+
+def restricted_rows(vectors):
+    """(degree, rows): each vector (a | b)'s integer rows, a over Q, [a | b] and [5b | a] over Q(sqrt 5)."""
+    h = len(vectors[0]) // 2 if vectors else 0
+    degree = 2 if any(any(v[h:]) for v in vectors) else 1
+    rows = [_primitive(v[:h * degree]) for v in vectors]  # a, or (a | b) and then (5b | a)
+    rows = tuple((r,) if degree == 1 else (r, tuple([5 * y for y in r[h:]]) + r[:h]) for r in rows)
+    return degree, rows
+
+
+def _reduce(row, steps):
+    """row after each fraction-free (Bareiss) elimination step in turn.
+
+    A step (pivot row, column c, pivot p, previous pivot) maps v to
+    (p*v - v[c]*pivot row) // previous pivot, clearing column c.  Entries
+    stay minors of the original rows, so it divides exactly with no gcd;
+    every row takes every step, also one with v[c] == 0, or a later one would not.
+    """
+    for pivot, c, p, prev in steps:
+        f = row[c]
+        if f:
+            row = [(p * a - f * b) // prev for a, b in zip(row, pivot)]
+        elif p != prev:
+            row = [p * a // prev for a in row]
+    return row
+
+
+def _step(row, prev):
+    """The step that clears the first nonzero column of row with row itself."""
+    p = next(filter(None, row))
+    return row, row.index(p), p, prev
 
 
 def pairwise_circuits(m, kmax, node_budget=DEFAULT_NODE_BUDGET):
     """All circuits of order <= kmax, lexicographically sorted, one child node at a time."""
     if kmax < 1 or not m.ground_size:
         return []
-    out, nodes, deg, n = [], 0, m.degree, len(m.rows[0][0])
+    deg, element_rows = restricted_rows(m.vectors)
+    out, nodes, n = [], 0, len(element_rows[0][0])
     own = n + (min(kmax, n // deg + 1) - 1) * deg
     units = [[0] * (own - n) + [int(c == r) for c in range(deg)] for r in range(deg)]
 
@@ -46,6 +94,6 @@ def pairwise_circuits(m, kmax, node_budget=DEFAULT_NODE_BUDGET):
                 extend(members + [live_ks[t]], live_ks[t + 1:], later, pivot)
 
     extend([], range(m.ground_size),
-           [[list(row) + units[r] for r, row in enumerate(rows)] for rows in m.rows], 1)
+           [[list(row) + units[r] for r, row in enumerate(rows)] for rows in element_rows], 1)
     del extend
     return sorted(out)

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from pairwise_circuits import restricted_rows
 from perm_helpers import reflection_perm
 from reference_field import ONE, PHI, canonical_line, field_vectors
 from reference_permgrp import bsgs
@@ -483,7 +484,8 @@ def test_build_matches_the_pinned_fraction_build(sid):
         gens = [reflection_perm(s, i) for i in range(s.num_lines)] + extra_symmetry_perms(s)
     if s.family == "B":  # pinned with the sign flip e1 -> -e1 as B's extra: the reflection in e1
         gens.append(reflection_perm(s, s.line_index[_key(1, *[0] * (s.rank_param - 1))]))
-    blob = json.dumps([m.degree, m.rows, circuits3(s.lines), gens], separators=(",", ":"))
+    # pinned with the matroid's restriction-of-scalars rows: [degree, rows]
+    blob = json.dumps([*restricted_rows(m.vectors), circuits3(s.lines), gens], separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_BUILD_SHA256[sid]
 
 

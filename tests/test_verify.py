@@ -167,10 +167,12 @@ def test_cli_verify_and_table_exit_1_on_a_fail(fmt, monkeypatch, capsys):
     full = rootsystems.known_group_generators
     monkeypatch.setattr(rootsystems, "known_group_generators", lambda s: full(s)[1:])
     assert main(["verify", "--system", "A3"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    detail = "K(R) >= 6, short of the bound 24"
+    assert f"known=6            FAIL: {detail}  (" in capsys.readouterr().out
     assert main(["table", "--families", "A:2..3", "--format", fmt]) == 1
     out = capsys.readouterr().out
     assert out.count("PASS") == out.count("FAIL") == 1
+    assert detail in out  # the text line, or the CSV and JSON detail field
 
 
 def test_cli_verify_and_table_take_no_budget(capsys):
