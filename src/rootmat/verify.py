@@ -15,24 +15,25 @@ A matroid of rank <= 2 is uniform once C3 is every triple, so there both
 ends are Sym(X): known = aut = n!, certified with no K(R), graph or BSGS.
 verify_theorem runs these steps top to bottom and searches no graph.
 
-oracle_crosscheck and verify_wreath share one check instead: C3's graph
-is searched once, each generator of its group must map the circuits up to the rank,
-enumerated one component at a time, onto themselves, and its order must equal
-`expected_aut_order` (the wreath-product formula for a sum).
+oracle_crosscheck and verify_wreath share one check instead, with no K(R)
+and no circuit enumeration: C3's graph is searched once, each generator of
+its group must be induced by (semi)linear bijections between component
+spans, which puts it in Aut(M(R)) <= Aut(G(X, C3)), and the group's order
+must equal `expected_aut_order` (the wreath-product formula for a sum).
+`circuits_upto` serves `rootmat circuits` only.
 """
 
 from __future__ import annotations
 
 import time
 from math import comb, factorial, prod
+from operator import or_
 
 from . import graphauto, linmatroid, permgrp, rootsystems
-from .errors import BudgetExceededError
 from .incidencegraph import build_incidence, restrict_to_ground
 
 PASS = "PASS"
 FAIL = "FAIL"
-BUDGET_EXCEEDED = "BUDGET_EXCEEDED"
 _ORDER_FIELDS = ("aut_order", "expected_order", "known_group_order")
 
 
@@ -44,7 +45,7 @@ class VerificationReport:
         self.c3_count = c3_count
         self.aut_order = aut_order  # the squeeze's bound or the C3 group's order; 0 if not computed
         self.expected_order = expected_order
-        # |K(R)| (a lower bound on a FAIL short of aut_order) or the all-circuits order (PASS) or 0
+        # |K(R)| (a lower bound on a FAIL short of aut_order) or the realized order (PASS) or 0
         self.known_group_order = known_group_order
         self.status = status
         self.timing_ms = timing_ms
@@ -77,24 +78,6 @@ def wreath_order(system: rootsystems.RootSystem) -> int:
         classes.setdefault(c.matroid, []).append(c)
     return prod(factorial(len(members)) * expected_aut_order(members[0]) ** len(members)
                 for members in classes.values())
-
-
-def _by_mask(sets):
-    """{the bitmask of its lines: the set} for sets of lines."""
-    return {sum(map((1).__lshift__, c)): c for c in sets}
-
-
-def _preserves_family(perm, family):
-    """Whether perm maps a set family, keyed `_by_mask`, onto itself.
-
-    A tuple that is no bijection fails first: the bits of a set it merges
-    could add up to another set's mask.  A bijection maps each set to the
-    set whose mask is the sum of its images' bits.
-    """
-    if len(set(perm)) < len(perm):
-        return False
-    bit = [1 << p for p in perm].__getitem__
-    return all(sum(map(bit, c)) in family for c in family.values())
 
 
 def _preserves_c3(gens, g, num_lines):
@@ -208,49 +191,179 @@ def verify_wreath(sum_spec: str) -> VerificationReport:
     system = rootsystems.parse_system_id(sum_spec)
     if system.family != "DirectSum":
         raise ValueError(f"{sum_spec!r} is not a direct sum")
-    return _c3_group_check(system, None, start)
+    return _c3_group_check(system, start)
 
 
-def oracle_crosscheck(system_id: str, kmax=None) -> VerificationReport:
-    """Direct check: the C3 graph group is that of the circuits of order <= kmax, of table order.
+def oracle_crosscheck(system_id: str) -> VerificationReport:
+    """Direct check with no K(R): the C3 graph group is Aut(M(R)), of the table order.
 
-    kmax < 3 (no C3) is a ValueError; the default max(rank, 3) gives the group of all circuits,
-    and the table order is `expected_aut_order`, so a PASS also certifies the table row.
+    The table order is `expected_aut_order`, so a PASS also certifies the table row.
     """
-    if kmax is not None and kmax < 3:
-        raise ValueError(f"crosscheck needs a maximum circuit order of at least 3, got {kmax}")
     start = time.perf_counter()
-    system = rootsystems.parse_system_id(system_id)
-    return _c3_group_check(system, kmax, start)
+    return _c3_group_check(rootsystems.parse_system_id(system_id), start)
 
 
-def _c3_group_check(system, kmax, start):
-    """One search of C3's graph, its group's generators checked against the circuits.
+def _c3_group_check(system, start):
+    """One search of C3's graph, each generator of its group realized by (semi)linear maps.
 
-    A permutation preserving every circuit of order <= kmax (kmax >= 3)
-    preserves C3, so the group of those circuits lies in the C3 group; it
-    is all of it exactly when each generator of the C3 group maps the
-    circuits onto themselves.  kmax None is max(rank, 3), since a set is independent
-    iff it has <= rank elements and no circuit of <= rank elements (Oxley 1.1).
-    A full pass over the circuits beats `_preserves_c3`'s index, as these generators
-    move most lines.  The order must then be `expected_aut_order`: PASS reports it twice;
-    FAIL names the first generator that moves a circuit off the set, or "order mismatch",
-    with known_group_order 0.  An exhausted enumeration gives BUDGET_EXCEEDED.
+    Aut(M) lies in the C3 group.  A generator that `_realizes` accepts lies in
+    Aut(M) too: a tau-semilinear bijection maps dependent sets to dependent
+    sets and back (tau a field automorphism; Artin, Geometric Algebra, 1957,
+    ch. II); M(R) is the direct sum of its components' matroids, as their
+    spans are independent; and a component of rank <= 2 is uniform (no two
+    lines are parallel), so any bijection onto one of its class is an
+    isomorphism.  Once every generator is accepted the two groups are equal,
+    and the first-path bound, exact by `automorphism_group`'s orbit check, is
+    |Aut(M)|.  It must then be `expected_aut_order`: PASS reports it twice;
+    FAIL names the first generator not realized, or "order mismatch", with
+    known_group_order 0.
     """
     c3 = linmatroid.circuits3(system.lines)
     expected = expected_aut_order(system)
-    try:
-        order, gens = aut_group_from_family(system, c3)
-        circuits = _by_mask(circuits_upto(system, kmax or max(system.rank, 3)))
-    except BudgetExceededError as exc:
-        return _report(system, c3, 0, expected, 0, BUDGET_EXCEEDED, start, str(exc))
+    order, gens = aut_group_from_family(system, c3)
+    frames = _frames(system)
     for gen in gens:
-        if not _preserves_family(gen, circuits):
+        if not _realizes(frames, gen):
             return _report(system, c3, order, expected, 0, FAIL, start, f"C3 group generator "
-                           f"{permgrp.cycle_notation(gen)} does not preserve the circuits")
+                           f"{permgrp.cycle_notation(gen)} is not induced by a (semi)linear map")
     if order != expected:
         return _report(system, c3, order, expected, 0, FAIL, start, "order mismatch")
     return _report(system, c3, order, expected, order, PASS, start)
+
+
+def _conjugate(x):
+    """b -> -b on x = (a | b), a vector or a scalar (a, b): the Galois conjugation of Q(sqrt 5)."""
+    h = len(x) // 2
+    return (*x[:h], *[-b for b in x[h:]])
+
+
+#: the field automorphisms tau a semilinear map may twist by: the identity (a copy), then,
+#: over Q(sqrt 5) only, conjugation
+_TAUS = (tuple, _conjugate)
+
+
+class _Frame:
+    """A component, its lines placed from start on among the system's.
+
+    At rank >= 3: basis B, its simple lines; coords[i], line i's coordinates
+    (a | b) in B up to a scalar; f, the first line with no coordinate zero
+    (the highest root); taus, the tau to try.
+    """
+
+    def __init__(self, c, start):
+        self.start, self.lines, self.matroid, self.rank = start, c.lines, c.matroid, c.rank
+        if c.rank >= 3:
+            self.basis = [i for i, _ in rootsystems.simple_reflections(c)]
+            self.coords = _coordinates([c.lines[i] for i in self.basis], c.lines)
+            self.f = next((i for i, x in enumerate(self.coords or ()) if _no_zero(x)), None)
+            if self.f is None:
+                raise ValueError(f"{c.system_id}: no frame of simple lines and a line off "
+                                 "their coordinate hyperplanes")
+            self.taus = _TAUS if any(any(x[c.ambient_dim:]) for x in c.lines) else _TAUS[:1]
+
+
+def _frames(system):
+    """One `_Frame` per component, in line order (the system itself if it is no sum)."""
+    frames, start = [], 0
+    for c in system.components or (system,):
+        frames.append(_Frame(c, start))
+        start += c.num_lines
+    return frames
+
+
+def _no_zero(x):
+    """Whether no coordinate a + b*sqrt(5) of x = (a | b) is zero."""
+    h = len(x) // 2
+    return all(map(or_, x[:h], x[h:]))
+
+
+def _coordinates(basis, vectors):
+    """Each vector's coordinates (a | b) in the basis, up to a Z[sqrt 5] scalar; None if the
+    basis is dependent, ValueError if a vector is outside its span.
+
+    Rows are laid out as `linmatroid.all_circuits_upto`'s: a vector half, a
+    coefficient slot per basis vector, then the vector's own slot.  Clearing
+    (`linmatroid._clear`) keeps a row's vector the combination its slots
+    record, so x's row cleared to a zero vector holds sum_j s_j b_j + s x = 0:
+    its slots s_j are x's coordinates times -s.
+    """
+    h, r = len(vectors[0]) // 2, len(basis)
+    n, pivots, out = h + r + 1, [], []
+
+    def cleared(v, slot):
+        slots = [0] * (r + 1)
+        slots[slot] = 1
+        x = (*v[:h], *slots, *v[h:], *[0] * (r + 1))
+        for pivot in pivots:
+            x = linmatroid._clear(x, pivot)
+        return x, any(x[:h]) or any(x[n:n + h])
+
+    for j, b in enumerate(basis):
+        x, independent = cleared(b, j)
+        if not independent:
+            return None
+        pivots.append(linmatroid._pivot(x, h))
+    for v in vectors:
+        x, outside = cleared(v, r)
+        if outside:
+            raise ValueError("a vector outside the span of the basis")
+        out.append(x[h:h + r] + x[n + h:n + h + r])
+    return out
+
+
+def _scale(s, v):
+    """s v for a scalar s = (a, b) of Z[sqrt 5] and a vector v = (a | b), or a scalar."""
+    return rootsystems.combine(s, v, (0, 0), v)
+
+
+def _realizes(frames, gen):
+    """Whether the line permutation gen maps each component onto one of its matroid class,
+    at rank >= 3 by the map a (semi)linear bijection of their spans induces."""
+    frame_of = [fr for fr in frames for _ in fr.lines]
+    for fr in frames:
+        n = len(fr.lines)
+        to = frame_of[gen[fr.start]]
+        sigma = [i - to.start for i in gen[fr.start:fr.start + n]]
+        if (to.matroid, len(to.lines)) != (fr.matroid, n) or not all(0 <= i < n for i in sigma):
+            return False
+        if fr.rank >= 3 and not _induced(fr, to, sigma):
+            return False
+    return True
+
+
+def _induced(fr, to, sigma):
+    """Whether a tau-semilinear bijection L of fr's span onto to's maps line i to sigma[i].
+
+    The frame B + f forces L: with sigma(f) = sum_j mu_j sigma(b_j) and
+    lambda_j = mu_j / tau(c_j(f)), L(x) = sum_j tau(c_j(x)) lambda_j sigma(b_j).
+    sigma(B) must be a basis and no mu_j zero.  Each lambda_j is taken times
+    prod_k tau(c_k(f)), which scales L and so moves no line.
+    """
+    r = fr.rank
+    rows = [to.lines[sigma[i]] for i in fr.basis]
+    mu = _coordinates(rows, [to.lines[sigma[fr.f]]])
+    if mu is None or not _no_zero(mu[0]):
+        return False
+    for tau in fr.taus:
+        cf = tau(fr.coords[fr.f])
+        images = []
+        for j in range(r):
+            lam = (mu[0][j], mu[0][r + j])
+            for k in range(r):
+                if k != j:
+                    lam = _scale((cf[k], cf[r + k]), lam)
+            images.append(_scale(lam, rows[j]))
+        if all(rootsystems.line_key(_combination(tau(x), images)) == to.lines[i]
+               for x, i in zip(fr.coords, sigma)):
+            return True
+    return False
+
+
+def _combination(coeffs, vectors):
+    """sum_j c_j vectors[j] for coefficients coeffs = (a | b), not all zero, over Z[sqrt 5]."""
+    r = len(vectors)
+    terms = [_scale((a, b), w) for a, b, w in zip(coeffs[:r], coeffs[r:], vectors) if a or b]
+    return [sum(col) for col in zip(*terms)]
 
 
 def circuits_upto(system, kmax, node_budget=linmatroid.DEFAULT_NODE_BUDGET):

@@ -6,6 +6,7 @@ import pytest
 
 from classical_shapes import classical_circuits
 from pairwise_circuits import pairwise_circuits
+from perm_helpers import by_mask, preserves_family
 from reference_field import field_vectors
 from rootmat.errors import BudgetExceededError
 from rootmat.linmatroid import (
@@ -16,7 +17,7 @@ from rootmat.linmatroid import (
     rank,
 )
 from rootmat.rootsystems import build, known_group_generators, line_key, parse_system_id
-from rootmat.verify import _by_mask, _preserves_family, default_table_ids
+from rootmat.verify import default_table_ids
 
 
 def is_independent(m, subset):
@@ -326,19 +327,19 @@ def test_all_circuits_in_more_coordinates_than_rank(seed, irrational):
 def test_circuits_up_to_the_rank_give_the_group_of_all_circuits(irrational):
     # exhaustively over every permutation of 5-6 random vectors: a permutation
     # preserves the circuits of order <= rank exactly when it preserves them all,
-    # the fact that lets crosscheck stop below the spanning (rank + 1)-circuits
+    # the fact behind the circuit oracle's order, the rank, in test_verify
     rng = random.Random(24)
     spanning = automorphisms = 0
     for _ in range(30):
         vectors = rng.sample(_random_vectors(rng, rng.choice([3, 4]), irrational), rng.choice([5, 6]))
         m = LinearMatroid.from_vectors(vectors)
         r = rank(m, range(m.ground_size))
-        every = _by_mask(all_circuits_upto(m, m.ground_size))
+        every = by_mask(all_circuits_upto(m, m.ground_size))
         low = {mask: c for mask, c in every.items() if len(c) <= r}
         spanning += len(every) > len(low)
         for perm in itertools.permutations(range(m.ground_size)):
-            assert _preserves_family(perm, low) == _preserves_family(perm, every), (vectors, perm)
-            automorphisms += _preserves_family(perm, every)
+            assert preserves_family(perm, low) == preserves_family(perm, every), (vectors, perm)
+            automorphisms += preserves_family(perm, every)
     # the check is not vacuous: spanning circuits occur, and some non-identity permutations pass
     assert spanning > 0
     assert automorphisms > 30

@@ -1,7 +1,7 @@
 import itertools
 import json
 import os
-import re
+import random
 import subprocess
 import sys
 import weakref
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from perm_helpers import reflection_perm
+from perm_helpers import by_mask, preserves_family, reflection_perm
 from reference_permgrp import bsgs, equal
 import rootmat
 from rootmat import graphauto, linmatroid, permgrp, rootsystems, verify
@@ -130,34 +130,21 @@ def test_verify_table_subset():
     assert [r.aut_order for r in reports] == [6, 24, 120]
 
 
-def _enumerate_under_budget(monkeypatch, budget):
-    """Run every all-circuits enumeration under the given node budget, whatever it is passed."""
-    full = linmatroid.all_circuits_upto
-    monkeypatch.setattr(linmatroid, "all_circuits_upto",
-                        lambda m, kmax, node_budget=None: full(m, kmax, node_budget=budget))
-
-
 def test_budget_exceeded_status(monkeypatch):
-    # a wreath check can run out of budget only in its circuit enumeration
-    _enumerate_under_budget(monkeypatch, 3)
-    r = verify_wreath("A3+A3")
-    assert (r.status, r.aut_order, r.known_group_order) == ("BUDGET_EXCEEDED", 0, 0)
-    assert r.detail == "all_circuits_upto: node budget of 3 exceeded"
-
-
-def test_crosscheck_enumeration_budget_gives_budget_exceeded(monkeypatch):
+    # no verdict enumerates circuits, so none can run out of a budget: the status is gone, and
+    # crosscheck and wreath PASS with every enumeration exhausted at once
     def exhausted(*args, **kwargs):
         raise BudgetExceededError("all_circuits_upto", 10)
 
     monkeypatch.setattr(linmatroid, "all_circuits_upto", exhausted)
-    r = oracle_crosscheck("A4")
-    assert (r.status, r.aut_order, r.known_group_order) == ("BUDGET_EXCEEDED", 0, 0)
-    assert r.detail == "all_circuits_upto: node budget of 10 exceeded"
+    assert not hasattr(verify, "BUDGET_EXCEEDED")
+    assert verify_wreath("A3+A3").status == oracle_crosscheck("A4").status == PASS
 
 
 def test_cli_verify_exit_codes(monkeypatch):
     assert main(["verify", "--system", "A3"]) == 0
-    _enumerate_under_budget(monkeypatch, 3)
+    full = verify.wreath_order
+    monkeypatch.setattr(verify, "wreath_order", lambda system: full(system) + 1)
     assert main(["wreath", "--spec", "A3+A3"]) == 1
 
 
@@ -211,9 +198,10 @@ def test_cli_wreath_and_crosscheck():
 
 
 def test_cli_crosscheck_labels_the_all_circuits_order(capsys):
+    # the order of the group of all circuits, which a PASS proves by realizing its generators
     assert main(["crosscheck", "--system", "A3"]) == 0
     out = capsys.readouterr().out
-    assert "all-circuits=24" in out
+    assert "realized=24" in out
     assert "known=" not in out
 
 
@@ -520,10 +508,10 @@ def test_preserves_c3_keys_tell_every_image_multiset_apart():
 
 def test_preserves_family_rejects_a_tuple_that_merges_lines():
     # (0, 0) maps {0} and {1} to {0}, and the bits of {0, 1} add up to {1}'s mask
-    family = verify._by_mask([(0,), (1,), (0, 1)])
-    assert verify._preserves_family((1, 0), family)
-    assert not verify._preserves_family((0, 0), family)
-    assert not verify._preserves_family((1, 0), verify._by_mask([(0,), (0, 1)]))
+    family = by_mask([(0,), (1,), (0, 1)])
+    assert preserves_family((1, 0), family)
+    assert not preserves_family((0, 0), family)
+    assert not preserves_family((1, 0), by_mask([(0,), (0, 1)]))
 
 
 def _record_calls(monkeypatch):
@@ -577,22 +565,20 @@ def test_wreath_order_mismatch_fails(monkeypatch):
     assert (r.aut_order, r.expected_order, r.known_group_order) == (144, 145, 0)
 
 
-@pytest.mark.parametrize("spec", ["A1+A2+B3", "A3+A3"])
-def test_wreath_fails_on_a_missing_circuit(spec, monkeypatch):
-    # drop each component's first 4-circuit: some generator of the C3 group moves a circuit onto it
-    full = linmatroid.all_circuits_upto
-
-    def dropped(*args, **kwargs):
-        circuits = full(*args, **kwargs)
-        first = next((c for c in circuits if len(c) == 4), None)
-        return [c for c in circuits if c != first]
-
-    monkeypatch.setattr(linmatroid, "all_circuits_upto", dropped)
+@pytest.mark.parametrize("spec,order,detail", [
+    # A2's one triple dropped: A1's and A2's lines are then alike, and a generator mixing them
+    # is no map between components
+    ("A1+A2+B3", 576, "C3 group generator (0 1) is not induced by a (semi)linear map"),
+    # a triple of the first A3 dropped: the group shrinks, and its generators still realize
+    ("A3+A3", 144, "order mismatch"),
+], ids=["A1+A2+B3", "A3+A3"])
+def test_wreath_fails_on_a_missing_circuit(spec, order, detail, monkeypatch):
+    # a C3 missing its first 3-circuit is no matroid's C3: the check must FAIL, never PASS
+    full = linmatroid.circuits3
+    monkeypatch.setattr(linmatroid, "circuits3", lambda lines, *a: full(lines, *a)[1:])
     r = verify_wreath(spec)
-    assert (r.status, r.known_group_order) == (FAIL, 0)
-    assert r.aut_order == r.expected_order
-    assert re.fullmatch(r"C3 group generator (\(\d+( \d+)+\))+ does not preserve the circuits",
-                        r.detail), r.detail
+    assert (r.status, r.known_group_order, r.detail) == (FAIL, 0, detail)
+    assert (r.aut_order, r.c3_count) == (order, len(full(parse_system_id(spec).lines)) - 1)
 
 
 @pytest.mark.parametrize("spec", ["A2+A2", "H3+A1"])
@@ -610,7 +596,8 @@ def test_cli_verify_direct_sum_is_a_usage_error(capsys):
 @pytest.mark.parametrize("sid,kmax", [("I2_7", None), ("A3", 3), ("A3", None), ("D5", None),
                                       ("A2+A2", None)])
 def test_crosscheck_makes_one_search_on_the_c3_graph(sid, kmax, monkeypatch):
-    # the all-circuits family is checked against the C3 group's generators, never searched
+    # C3's graph is searched once and no circuit is enumerated; the circuits of order <= kmax
+    # (default: the rank), enumerated here afterwards, are preserved by the group it found
     searched, built, calls = [], [], []
     search, build_graph = graphauto.automorphism_group, verify.build_incidence
 
@@ -625,11 +612,17 @@ def test_crosscheck_makes_one_search_on_the_c3_graph(sid, kmax, monkeypatch):
     monkeypatch.setattr(graphauto, "automorphism_group", counted_search)
     monkeypatch.setattr(verify, "build_incidence", counted_build)
     monkeypatch.setattr(permgrp, "equal", lambda *a: calls.append("equal"))
-    r = oracle_crosscheck(sid, kmax=kmax)
+    monkeypatch.setattr(linmatroid, "all_circuits_upto", lambda *a: calls.append("enumerate"))
+    r = oracle_crosscheck(sid)
     assert r.status == PASS
     assert searched == [r.num_lines + r.c3_count]
     assert len(built) == 1
     assert calls == []
+    monkeypatch.undo()
+    system = parse_system_id(sid)
+    family = _circuit_oracle(system, kmax)
+    gens = verify.aut_group_from_family(system, linmatroid.circuits3(system.lines))[1]
+    assert all(preserves_family(g, family) for g in gens)
 
 
 @pytest.mark.parametrize("sid,kmax", [("A3", 3), ("A3", None), ("A4", None), ("A5", None),
@@ -642,38 +635,10 @@ def test_crosscheck_orders_match_the_all_circuits_search(sid, kmax):
     k = kmax or max(system.rank + 1, 3)
     circuits = linmatroid.all_circuits_upto(linmatroid.matroid_of(system), k)
     order, gens = verify.aut_group_from_family(system, circuits)
-    r = oracle_crosscheck(sid, kmax=kmax)
+    r = oracle_crosscheck(sid)
     assert r.status == PASS
     assert r.aut_order == r.known_group_order == order == bsgs(
         gens, degree=system.num_lines).order()
-
-
-def _drop_one_circuit(monkeypatch, size):
-    """Make each all-circuits enumeration leave out its first circuit of the given size."""
-    full = linmatroid.all_circuits_upto
-
-    def dropped(*args, **kwargs):
-        circuits = full(*args, **kwargs)
-        first = next(i for i, c in enumerate(circuits) if len(c) == size)
-        return circuits[:first] + circuits[first + 1:]
-
-    monkeypatch.setattr(linmatroid, "all_circuits_upto", dropped)
-
-
-@pytest.mark.parametrize("sid", ["A4", "D4"])
-def test_crosscheck_fails_on_a_missing_four_circuit(sid, monkeypatch, capsys):
-    # drop one 4-circuit: the C3 group moves it, so some generator maps the family off itself
-    _drop_one_circuit(monkeypatch, 4)
-    r = oracle_crosscheck(sid)
-    assert r.status == FAIL
-    assert r.known_group_order == 0
-    assert r.aut_order == r.expected_order
-    assert re.fullmatch(r"C3 group generator (\(\d+( \d+)+\))+ does not preserve the circuits",
-                        r.detail), r.detail
-    assert main(["crosscheck", "--system", sid]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert "all-circuits=" not in out
 
 
 def _untimed(report):
@@ -710,64 +675,127 @@ def test_wreath_report_is_the_crosscheck_report(spec):
 
 def test_cli_wreath_prints_the_all_circuits_order(capsys):
     assert main(["wreath", "--spec", "A3+A3"]) == 0
-    assert "all-circuits=1152" in capsys.readouterr().out
+    assert "realized=1152" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("sid", ["A1", "A3", "A4", "A5", "B3", "B4", "B5", "D4", "D5", "Dprime4",
                                  "F4", "H3", "I2_7"])
 def test_crosscheck_default_order_reports_as_rank_plus_one(sid):
-    # the spanning (rank + 1)-circuits add nothing: the report is the same without them
-    old_default = max(parse_system_id(sid).rank + 1, 3)
-    assert _untimed(oracle_crosscheck(sid)) == _untimed(oracle_crosscheck(sid, kmax=old_default))
-
-
-def _record_orders(monkeypatch):
-    """Record (ground size, kmax) of each all-circuits enumeration."""
-    calls, full = [], linmatroid.all_circuits_upto
-    monkeypatch.setattr(linmatroid, "all_circuits_upto",
-                        lambda m, kmax, *a: calls.append((m.ground_size, kmax)) or full(m, kmax, *a))
-    return calls
-
-
-@pytest.mark.parametrize("sid", ["A1", "A2", "I2_7", "A3", "H3", "A4", "B4", "D5", "F4"])
-def test_crosscheck_enumerates_up_to_the_rank(sid, monkeypatch):
-    calls = _record_orders(monkeypatch)
+    # the report is the one the check against every circuit of order <= rank + 1 made: the group
+    # of all circuits, its order reported twice
     system = parse_system_id(sid)
+    circuits = linmatroid.all_circuits_upto(linmatroid.matroid_of(system), max(system.rank + 1, 3))
+    order = verify.aut_group_from_family(system, circuits)[0]
+    r = oracle_crosscheck(sid)
+    assert (r.status, r.aut_order, r.known_group_order, r.detail) == (PASS, order, order, "")
+
+
+def _circuit_oracle(system, kmax=None):
+    """The circuits of order <= kmax (default: max(rank, 3)), keyed `by_mask`.
+
+    A permutation preserving them preserves every circuit, since a set is
+    independent iff it has <= rank elements and no circuit of <= rank
+    elements (Oxley 1.1).
+    """
+    return by_mask(verify.circuits_upto(system, kmax or max(system.rank, 3)))
+
+
+@pytest.mark.parametrize("sid", ["A1", "A2", "I2_7", "A3", "H3", "A4", "B4", "D5", "F4",
+                                 "A1+A2+B3", "A3+A3"])
+def test_crosscheck_enumerates_no_circuits(sid, monkeypatch):
+    calls = []
+    monkeypatch.setattr(linmatroid, "all_circuits_upto", lambda *a: calls.append(a))
     assert oracle_crosscheck(sid).status == PASS
-    # max(rank, 3), and no further than a component's rank + 1 (A1's one line stops at 2)
-    assert calls == [(system.num_lines, min(max(system.rank, 3), system.rank + 1))]
+    if "+" in sid:
+        assert verify_wreath(sid).status == PASS
+    assert calls == []
 
 
-@pytest.mark.parametrize("spec,orders", [("A1+A2+B3", [(1, 2), (3, 3), (9, 4)]),
-                                         ("A3+A3", [(6, 4), (6, 4)])])
-def test_sum_checks_enumerate_each_component_to_its_rank_plus_one(spec, orders, monkeypatch):
-    # a component's rank + 1 is at most the sum's rank, so a sum does the same work as before
-    calls = _record_orders(monkeypatch)
-    assert oracle_crosscheck(spec).status == PASS
-    assert verify_wreath(spec).status == PASS
-    assert calls == orders + orders
+# CI's crosscheck systems: on each, the circuits of order <= rank can still be enumerated
+@pytest.mark.parametrize("sid", ["D5", "H3", "A3+A3", "F4", "B5", "D6", "E6", "H4"])
+def test_generators_realize_and_preserve_the_circuits_up_to_the_rank(sid):
+    system = parse_system_id(sid)
+    order, gens = verify.aut_group_from_family(system, linmatroid.circuits3(system.lines))
+    frames, family = verify._frames(system), _circuit_oracle(system)
+    assert gens
+    for gen in gens:
+        assert verify._realizes(frames, gen)
+        assert preserves_family(gen, family)
+    assert oracle_crosscheck(sid).aut_order == order
 
 
-@pytest.mark.parametrize("sid,size", [("D5", 5), ("B4", 4)])
-def test_crosscheck_fails_on_a_missing_circuit_of_rank_size(sid, size, monkeypatch):
-    # the default order keeps the circuits of exactly rank elements in the check
-    assert parse_system_id(sid).rank == size
-    _drop_one_circuit(monkeypatch, size)
+def _transposed(gen, i, j):
+    """gen composed with the transposition (i j): an automorphism exactly when (i j) is one."""
+    perm = list(gen)
+    perm[i], perm[j] = perm[j], perm[i]
+    return tuple(perm)
+
+
+@pytest.mark.parametrize("sid", ["E6", "F4", "H4", "D4", "B5"])
+def test_generator_composed_with_a_transposition_is_not_realized(sid, monkeypatch):
+    system = parse_system_id(sid)
+    gens = verify.aut_group_from_family(system, linmatroid.circuits3(system.lines))[1]
+    frames, rng = verify._frames(system), random.Random(sid)
+    for _ in range(20):
+        i, j = rng.sample(range(system.num_lines), 2)
+        assert not verify._realizes(frames, _transposed(rng.choice(gens), i, j)), (i, j)
+    # end to end: the report names the generator, and keeps the searched order
+    full = verify.aut_group_from_family
+    monkeypatch.setattr(verify, "aut_group_from_family",
+                        lambda *a: (lambda order, g: (order, [_transposed(g[0], 0, 1)] + g[1:]))(
+                            *full(*a)))
+    r = oracle_crosscheck(sid)
+    bad = permgrp.cycle_notation(_transposed(gens[0], 0, 1))
+    assert (r.status, r.known_group_order) == (FAIL, 0)
+    assert r.detail == f"C3 group generator {bad} is not induced by a (semi)linear map"
+
+
+@pytest.mark.parametrize("sid,unrealized", [("H3", 1), ("H4", 3)])
+def test_golden_systems_need_conjugation(sid, unrealized, monkeypatch):
+    # linear maps alone realize only some generators of H3's and H4's groups: the rest are
+    # semilinear, twisted by Galois conjugation
+    system = parse_system_id(sid)
+    gens = verify.aut_group_from_family(system, linmatroid.circuits3(system.lines))[1]
+    monkeypatch.setattr(verify, "_TAUS", verify._TAUS[:1])
+    frames = verify._frames(system)
+    assert sum(not verify._realizes(frames, g) for g in gens) == unrealized
     r = oracle_crosscheck(sid)
     assert (r.status, r.known_group_order) == (FAIL, 0)
-    assert r.detail.endswith("does not preserve the circuits")
+    assert r.detail.endswith("is not induced by a (semi)linear map")
 
 
-@pytest.mark.parametrize("argv,largest", [(["--max-order", "6"], 6), ([], 5)])
-def test_cli_crosscheck_max_order_rank_plus_one_checks_spanning_circuits(argv, largest,
-                                                                         monkeypatch):
-    # D5 has rank 5: --max-order 6 keeps the old path, spanning 6-circuits included
-    sizes, preserves = [], verify._preserves_family
-    monkeypatch.setattr(verify, "_preserves_family",
-                        lambda perm, family: sizes.append(max(map(len, family.values())))
-                        or preserves(perm, family))
-    assert main(["crosscheck", "--system", "D5", *argv]) == 0
-    assert sizes and set(sizes) == {largest}
+def _block_swap(system, image_of_line):
+    """The involution of a two-component sum mapping the first component's line i to the
+    second's image_of_line(i)."""
+    n = system.components[0].num_lines
+    perm = list(range(system.num_lines))
+    for i in range(n):
+        j = n + image_of_line(i)
+        perm[i], perm[j] = j, i
+    return tuple(perm)
+
+
+def test_d4_block_swap_is_realized_through_the_f4_duality_only():
+    system = parse_system_id("D4+Dprime4")
+    d4, dprime4 = system.components
+    frames = verify._frames(system)
+    duality = [dprime4.line_index[rootsystems.line_key(rootsystems._f4_duality(x))]
+               for x in d4.lines]
+    assert verify._realizes(frames, _block_swap(system, duality.__getitem__))
+    assert not verify._realizes(frames, _block_swap(system, lambda i: i))
+
+
+@pytest.mark.parametrize("spec", ["A5+H3", "A3+I2_6"])
+def test_swap_onto_another_matroid_class_is_not_realized(spec):
+    # same line count, other matroid: A5 and H3 have 15 lines, A3 and I2_6 six
+    system = parse_system_id(spec)
+    assert not verify._realizes(verify._frames(system), _block_swap(system, lambda i: i))
+
+
+def test_cli_crosscheck_takes_no_max_order(capsys):
+    # the realization check enumerates no circuits, so there is no order to set
+    assert main(["crosscheck", "--system", "D5", "--max-order", "6"]) == 2
+    assert capsys.readouterr().err == "rootmat: error: unrecognized arguments: --max-order 6\n"
 
 
 @pytest.mark.parametrize("families", ["A:1..2..3", "A:x", "A:", "A:3..1", "A:3..1,B:2"])
