@@ -130,15 +130,25 @@ def test_verify_table_subset():
     assert [r.aut_order for r in reports] == [6, 24, 120]
 
 
-def test_budget_exceeded_status(monkeypatch):
-    # no verdict enumerates circuits, so none can run out of a budget: the status is gone, and
-    # crosscheck and wreath PASS with every enumeration exhausted at once
+def _exhaust_every_enumeration(monkeypatch):
     def exhausted(*args, **kwargs):
         raise BudgetExceededError("all_circuits_upto", 10)
 
     monkeypatch.setattr(linmatroid, "all_circuits_upto", exhausted)
+
+
+def test_budget_exceeded_status(monkeypatch):
+    # no verdict enumerates circuits, so none can run out of a budget: the status is gone, and
+    # wreath PASSes with every enumeration exhausted at once
+    _exhaust_every_enumeration(monkeypatch)
     assert not hasattr(verify, "BUDGET_EXCEEDED")
-    assert verify_wreath("A3+A3").status == oracle_crosscheck("A4").status == PASS
+    assert verify_wreath("A3+A3").status == PASS
+
+
+def test_crosscheck_passes_with_every_enumeration_exhausted(monkeypatch):
+    _exhaust_every_enumeration(monkeypatch)
+    r = oracle_crosscheck("A4")
+    assert (r.status, r.aut_order, r.detail) == (PASS, 120, "")
 
 
 def test_cli_verify_exit_codes(monkeypatch):
