@@ -16,11 +16,7 @@ The circuit enumeration asks the rank oracle only for the matroid's rank:
 each search node carries its candidates' rows cleared the same way against
 the current independent set, with coefficient slots that record which
 members' vectors they combine, so a dependent candidate is a circuit
-exactly when no member's coefficient is zero.  The last two levels are
-fused and keyed as C3 is: below a node S, each pair of candidates is keyed
-by the plane it spans modulo span(S), the line_key of one's image modulo
-the other, and coefficients are formed only for parallel pairs and for
-triples in one plane.
+exactly when no member's coefficient is zero.
 
 Circuits are emitted as sorted index tuples in lexicographic order, so all
 dumps are byte-reproducible.
@@ -170,72 +166,14 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
     slots hold the dependency of S plus it, unique up to a scalar, so it
     closes a circuit exactly when every member's coefficient is nonzero,
     and none below a further member.
-
-    A node S of kmax - 3 members enters no node below it (`last_two`): the
-    circuits S + t + u and S + t + u + v come from its candidates' rows, by
-    the same code path over Q and Q(sqrt 5).  It still counts each S + t,
-    and S + t + u for u not parallel to t modulo S, so the budget is spent as
-    if they were entered.
     """
     if kmax < 1 or not m.ground_size:
         return []
-    out, nodes, last = [], 0, m.ground_size - 1
+    out, nodes = [], 0
     h, full = len(m.vectors[0]) // 2, rank(m, range(m.ground_size))
-    # slots of kmax - 3 members (kmax - 1 below order 3), at most full; then the candidate's
-    own = h + min(kmax - 3 if kmax > 2 else kmax - 1, full)
+    # a slot per member of S, which has at most kmax - 1 and at most full; then the candidate's
+    own = h + min(kmax - 1, full)
     n, pad = own + 1, (0,) * (own - h)  # n: a row's half
-
-    def last_two(members, ks, live):
-        """The circuits S + t + u and S + t + u + v below S, from the live rows.
-
-        The rows stand for the quotient by span(S): vectors (a | b) and member
-        coefficients (alpha | beta) over Z[sqrt 5].  u's image x[p] u - u[p] x (x t's
-        vector, p its first nonzero coordinate) is 0 when u is parallel to t, and
-        S + t + u is then a circuit when the coefficients b_u' = x[p] b_u - u[p] b_t are
-        nonzero; else its line_key keys the plane of t and u.  Images u', v' in a plane,
-        with entries r_u, r_v on its first nonzero coordinate, give r_u v' - r_v u' = 0:
-        S + t + u + v is a circuit when u, v are not parallel (t's coefficient
-        r_u v[p] - r_v u[p] is then nonzero) and the coefficients r_u b_v' - r_v b_u' are
-        nonzero.
-        """
-        nonlocal nodes
-        d = len(members)
-        # coordinates zero in every row (S's pivots among them) are left out
-        used = list(map(any, zip(*[x[:h] + x[n:n + h] for x in live])))
-        cols = list(itertools.compress(range(h), map(or_, used, used[h:])))
-        k = len(cols)
-        vecs = [[x[c] for c in cols] + [x[n + c] for c in cols] for x in live]
-        blocks = [x[h:h + d] + x[n + h:n + h + d] for x in live]
-
-        def nonzero(b):  # every member coefficient (alpha | beta) nonzero
-            return all(map(or_, b[:d], b[d:]))
-
-        # spans: one plane, all of the quotient; par[u]: u's class of parallels
-        spans, after, par = d + 2 == full, 0, list(range(len(ks)))
-        for t in reversed(range(len(ks))):
-            x, bt, planes = vecs[t], blocks[t], {}
-            _, p, xp = _pivot(x, k)
-            nodes += last - ks[t] + after  # S + t and each S + t + u; a parallel u is taken back
-            after += last - ks[t]
-            for u, y in enumerate(vecs[t + 1:], t + 1):
-                up = y[p], y[k + p]
-                w = combine(xp, y, up, x)
-                if any(w):
-                    planes.setdefault(spans or line_key(w), []).append((u, w, up))
-                else:
-                    nodes -= last - ks[u]
-                    par[t] = par[u]
-                    if nonzero(combine(xp, blocks[u], up, bt)):
-                        out.append(tuple(members + [ks[t], ks[u]]))
-            if nodes > node_budget:
-                raise BudgetExceededError("all_circuits_upto", node_budget)
-            for plane in planes.values():
-                if len(plane) > 1:
-                    _, q, _ = _pivot(plane[0][1], k)  # the plane's images are parallel: one q
-                    plane = [(u, (w[q], w[k + q]), combine(xp, blocks[u], up, bt)) for u, w, up in plane]
-                    for (u, ru, bu), (v, rv, bv) in itertools.combinations(plane, 2):
-                        if par[u] != par[v] and nonzero(combine(ru, bv, rv, bu)):
-                            out.append(tuple(members + [ks[t], ks[u], ks[v]]))
 
     def extend(members, ks, carried):
         nonlocal nodes
@@ -250,9 +188,7 @@ def all_circuits_upto(m: LinearMatroid, kmax, node_budget=DEFAULT_NODE_BUDGET):
         nodes += m.ground_size - (members[-1] + 1 if members else 0)
         if nodes > node_budget:
             raise BudgetExceededError("all_circuits_upto", node_budget)
-        if d + 3 == kmax:
-            last_two(members, live_ks, live)
-        elif d + 1 < kmax:
+        if d + 1 < kmax:
             for t, x in enumerate(live):
                 later = live[t + 1:]
                 if later:  # else the node below only counts its nodes

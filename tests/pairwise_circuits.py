@@ -1,16 +1,12 @@
-"""Reference circuit enumeration that reduces every pair at the last level.
+"""Reference circuit enumeration, an independent check of `linmatroid.all_circuits_upto`.
 
-A test-side copy of `linmatroid.all_circuits_upto` as it was before its
-last level bucketed the candidates by span, and before its last two levels
-were fused into planes keyed per pair of candidates: every child node S + t
-of the last level is entered, counted and closed by reducing each later
-candidate against t.  It counts nodes as the enumeration does, so it must
-return the same circuits and exceed the same budgets.
-
-It also keeps the rank kernel the enumeration had before its one Z[sqrt 5]
-elimination, so the two share no arithmetic: a line over Q(sqrt 5) is
-restricted to Q as the two integer rows [a | b] and [5b | a], and rows are
-reduced by fraction-free (Bareiss) steps, `_reduce`.
+It enters the same search nodes as the enumeration in `src/`, in the same
+order, and counts them the same way, so it must return the same circuits
+and exceed the same budgets.  It differs only in its arithmetic, so the two
+share no elimination code: a line over Q(sqrt 5) is restricted to Q as the
+two integer rows [a | b] and [5b | a], and rows are reduced by
+fraction-free (Bareiss) steps, `_reduce`, where the enumeration combines
+Z[sqrt 5] rows (a | b) and makes each primitive (`linmatroid._clear`).
 """
 
 from math import gcd

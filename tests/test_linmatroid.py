@@ -365,9 +365,9 @@ def _outcome(enumerate_circuits, m, kmax, node_budget):
         return "BUDGET_EXCEEDED"
 
 
-# the last two levels key each pair of candidates by the plane it spans modulo S; at
-# order rank + 1 there is one plane.  H3+A2's whole sum carries Q(sqrt 5) and rational
-# rows together above the last two levels
+# the reference enters the same nodes by other arithmetic (Bareiss steps on rows
+# restricted to Q), at every order up to rank + 1.  H3+A2's whole sum carries
+# Q(sqrt 5) and rational rows together
 @pytest.mark.parametrize("sid", default_table_ids() + ["Dprime4", "H3+A2"])
 def test_span_buckets_match_pairwise_on_the_table(sid):
     s = parse_system_id(sid)
@@ -379,7 +379,7 @@ def test_span_buckets_match_pairwise_on_the_table(sid):
             break
 
 
-def test_span_buckets_match_pairwise_on_h4_up_to_order_4():
+def test_enumeration_matches_pairwise_on_h4_up_to_order_4():
     # past the table test's budget; H3, the other Q(sqrt 5) system, is covered there
     m = matroid_of(build("H4"))
     for kmax in range(1, 5):
@@ -394,8 +394,8 @@ _BUDGETS = [("B4", 5, 4_904), ("B4", 4, 2_358), ("D4", 4, 761), ("A4", 3, 175), 
 
 @pytest.mark.parametrize("sid,kmax,budget", _BUDGETS, ids=[f"{s}-{k}" for s, k, _ in _BUDGETS])
 def test_span_buckets_exceed_the_same_budgets(sid, kmax, budget):
-    # the last two levels still count every node they no longer enter, so the
-    # smallest budget that passes is the pairwise enumeration's
+    # the reference counts the nodes it enters as the enumeration does, so the
+    # smallest budget that passes is the same for both
     m = matroid_of(parse_system_id(sid))
     low, high = 0, 1
     while _outcome(pairwise_circuits, m, kmax, high) == "BUDGET_EXCEEDED":
