@@ -1,4 +1,4 @@
-"""The linear matroid of a root system: C3, rank oracle and circuit enumeration.
+"""The linear matroid of a root system: C3, rank oracle, circuits and coordinates in a basis.
 
 A line is an integer vector (a | b), coordinate k being a_k + b_k*sqrt(5),
 with every b zero over Q.  C3, the rank oracle and the circuit enumeration
@@ -85,6 +85,40 @@ def rank(m: LinearMatroid, subset) -> int:
         if any(x):
             pivots.append(_pivot(x, len(x) // 2))
     return len(pivots)
+
+
+def coordinates(basis, vectors):
+    """Each vector's coordinates (a | b) in the basis, up to a Z[sqrt 5] scalar; None if the
+    basis is dependent, ValueError if a vector is outside its span.
+
+    Rows are laid out as `all_circuits_upto`'s: a vector half, a coefficient
+    slot per basis vector, then the vector's own slot.  `_clear` keeps a
+    row's vector the combination its slots record, so x's row cleared to a
+    zero vector holds sum_j s_j b_j + s x = 0: its slots s_j are x's
+    coordinates times -s.
+    """
+    h, r = len(vectors[0]) // 2, len(basis)
+    n, pivots, out = h + r + 1, [], []
+
+    def cleared(v, slot):
+        slots = [0] * (r + 1)
+        slots[slot] = 1
+        x = (*v[:h], *slots, *v[h:], *[0] * (r + 1))
+        for pivot in pivots:
+            x = _clear(x, pivot)
+        return x, any(x[:h]) or any(x[n:n + h])
+
+    for j, b in enumerate(basis):
+        x, independent = cleared(b, j)
+        if not independent:
+            return None
+        pivots.append(_pivot(x, h))
+    for v in vectors:
+        x, outside = cleared(v, r)
+        if outside:
+            raise ValueError("a vector outside the span of the basis")
+        out.append(x[h:h + r] + x[n + h:n + h + r])
+    return out
 
 
 # -- order-3 circuits -----------------------------------------------------

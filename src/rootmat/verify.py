@@ -254,7 +254,7 @@ class _Frame:
         self.start, self.lines, self.matroid, self.rank = start, c.lines, c.matroid, c.rank
         if c.rank >= 3:
             self.basis = [i for i, _ in rootsystems.simple_reflections(c)]
-            self.coords = _coordinates([c.lines[i] for i in self.basis], c.lines)
+            self.coords = linmatroid.coordinates([c.lines[i] for i in self.basis], c.lines)
             self.f = next((i for i, x in enumerate(self.coords or ()) if _no_zero(x)), None)
             if self.f is None:
                 raise ValueError(f"{c.system_id}: no frame of simple lines and a line off "
@@ -277,40 +277,6 @@ def _no_zero(x):
     return all(map(or_, x[:h], x[h:]))
 
 
-def _coordinates(basis, vectors):
-    """Each vector's coordinates (a | b) in the basis, up to a Z[sqrt 5] scalar; None if the
-    basis is dependent, ValueError if a vector is outside its span.
-
-    Rows are laid out as `linmatroid.all_circuits_upto`'s: a vector half, a
-    coefficient slot per basis vector, then the vector's own slot.  Clearing
-    (`linmatroid._clear`) keeps a row's vector the combination its slots
-    record, so x's row cleared to a zero vector holds sum_j s_j b_j + s x = 0:
-    its slots s_j are x's coordinates times -s.
-    """
-    h, r = len(vectors[0]) // 2, len(basis)
-    n, pivots, out = h + r + 1, [], []
-
-    def cleared(v, slot):
-        slots = [0] * (r + 1)
-        slots[slot] = 1
-        x = (*v[:h], *slots, *v[h:], *[0] * (r + 1))
-        for pivot in pivots:
-            x = linmatroid._clear(x, pivot)
-        return x, any(x[:h]) or any(x[n:n + h])
-
-    for j, b in enumerate(basis):
-        x, independent = cleared(b, j)
-        if not independent:
-            return None
-        pivots.append(linmatroid._pivot(x, h))
-    for v in vectors:
-        x, outside = cleared(v, r)
-        if outside:
-            raise ValueError("a vector outside the span of the basis")
-        out.append(x[h:h + r] + x[n + h:n + h + r])
-    return out
-
-
 def _scale(s, v):
     """s v for a scalar s = (a, b) of Z[sqrt 5] and a vector v = (a | b), or a scalar."""
     return rootsystems.combine(s, v, (0, 0), v)
@@ -318,45 +284,41 @@ def _scale(s, v):
 
 def _realizes(frames, gen):
     """Whether the line permutation gen maps each component onto one of its matroid class,
-    at rank >= 3 by the map a (semi)linear bijection of their spans induces."""
-    frame_of = [fr for fr in frames for _ in fr.lines]
+    at rank >= 3 by the map a tau-semilinear bijection L of their spans induces.
+
+    The component's frame B + f forces L: with sigma(f) = sum_j mu_j
+    sigma(b_j) and lambda_j = mu_j / tau(c_j(f)), L(x) = sum_j tau(c_j(x))
+    lambda_j sigma(b_j).  sigma(B) must be a basis and no mu_j zero.  Each
+    lambda_j is taken times prod_k tau(c_k(f)), which scales L and so moves
+    no line.
+    """
     for fr in frames:
-        n = len(fr.lines)
-        to = frame_of[gen[fr.start]]
+        n, r = len(fr.lines), fr.rank
+        to = next(t for t in frames if 0 <= gen[fr.start] - t.start < len(t.lines))
         sigma = [i - to.start for i in gen[fr.start:fr.start + n]]
         if (to.matroid, len(to.lines)) != (fr.matroid, n) or not all(0 <= i < n for i in sigma):
             return False
-        if fr.rank >= 3 and not _induced(fr, to, sigma):
+        if r < 3:
+            continue
+        rows = [to.lines[sigma[i]] for i in fr.basis]
+        mu = linmatroid.coordinates(rows, [to.lines[sigma[fr.f]]])
+        if mu is None or not _no_zero(mu[0]):
+            return False
+        for tau in fr.taus:
+            cf = tau(fr.coords[fr.f])
+            images = []
+            for j in range(r):
+                lam = (mu[0][j], mu[0][r + j])
+                for k in range(r):
+                    if k != j:
+                        lam = _scale((cf[k], cf[r + k]), lam)
+                images.append(_scale(lam, rows[j]))
+            if all(rootsystems.line_key(_combination(tau(x), images)) == to.lines[i]
+                   for x, i in zip(fr.coords, sigma)):
+                break
+        else:
             return False
     return True
-
-
-def _induced(fr, to, sigma):
-    """Whether a tau-semilinear bijection L of fr's span onto to's maps line i to sigma[i].
-
-    The frame B + f forces L: with sigma(f) = sum_j mu_j sigma(b_j) and
-    lambda_j = mu_j / tau(c_j(f)), L(x) = sum_j tau(c_j(x)) lambda_j sigma(b_j).
-    sigma(B) must be a basis and no mu_j zero.  Each lambda_j is taken times
-    prod_k tau(c_k(f)), which scales L and so moves no line.
-    """
-    r = fr.rank
-    rows = [to.lines[sigma[i]] for i in fr.basis]
-    mu = _coordinates(rows, [to.lines[sigma[fr.f]]])
-    if mu is None or not _no_zero(mu[0]):
-        return False
-    for tau in fr.taus:
-        cf = tau(fr.coords[fr.f])
-        images = []
-        for j in range(r):
-            lam = (mu[0][j], mu[0][r + j])
-            for k in range(r):
-                if k != j:
-                    lam = _scale((cf[k], cf[r + k]), lam)
-            images.append(_scale(lam, rows[j]))
-        if all(rootsystems.line_key(_combination(tau(x), images)) == to.lines[i]
-               for x, i in zip(fr.coords, sigma)):
-            return True
-    return False
 
 
 def _combination(coeffs, vectors):

@@ -13,10 +13,17 @@ from rootmat.linmatroid import (
     LinearMatroid,
     all_circuits_upto,
     circuits3,
+    coordinates,
     matroid_of,
     rank,
 )
-from rootmat.rootsystems import build, known_group_generators, line_key, parse_system_id
+from rootmat.rootsystems import (
+    build,
+    known_group_generators,
+    line_key,
+    parse_system_id,
+    simple_reflections,
+)
 from rootmat.verify import default_table_ids
 
 
@@ -369,7 +376,7 @@ def _outcome(enumerate_circuits, m, kmax, node_budget):
 # restricted to Q), at every order up to rank + 1.  H3+A2's whole sum carries
 # Q(sqrt 5) and rational rows together
 @pytest.mark.parametrize("sid", default_table_ids() + ["Dprime4", "H3+A2"])
-def test_span_buckets_match_pairwise_on_the_table(sid):
+def test_enumeration_matches_pairwise_on_the_table(sid):
     s = parse_system_id(sid)
     m = matroid_of(s)
     for kmax in range(1, s.rank + 2):
@@ -393,7 +400,7 @@ _BUDGETS = [("B4", 5, 4_904), ("B4", 4, 2_358), ("D4", 4, 761), ("A4", 3, 175), 
 
 
 @pytest.mark.parametrize("sid,kmax,budget", _BUDGETS, ids=[f"{s}-{k}" for s, k, _ in _BUDGETS])
-def test_span_buckets_exceed_the_same_budgets(sid, kmax, budget):
+def test_enumeration_exceeds_the_pairwise_budgets(sid, kmax, budget):
     # the reference counts the nodes it enters as the enumeration does, so the
     # smallest budget that passes is the same for both
     m = matroid_of(parse_system_id(sid))
@@ -545,3 +552,47 @@ def test_quadext_rank_path():
     m = matroid_of(s)
     assert rank(m, range(s.num_lines)) == 3
     assert len(circuits3(s.lines)) == len(circuits3_bruteforce(m))
+
+
+def _recombined(coords, basis):
+    """sum_j c_j basis[j] for coords (a | b) and basis vectors (a | b), over Z[sqrt 5]."""
+    r, h = len(basis), len(basis[0]) // 2
+    a, b = [0] * h, [0] * h
+    for p, q, v in zip(coords[:r], coords[r:], basis):
+        for k in range(h):  # (p + q sqrt 5)(s + t sqrt 5) = ps + 5qt + (pt + qs) sqrt 5
+            a[k] += p * v[k] + 5 * q * v[h + k]
+            b[k] += p * v[h + k] + q * v[k]
+    return (*a, *b)
+
+
+@pytest.mark.parametrize("sid,basis", [
+    ("B3", [(1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0), (1, 0, 2, 0, 0, 0)]),
+    ("H3", None),
+    ("H3", [(1, 0, 0, 1, 0, 0), (0, 2, 1, 0, 0, 1), (0, 0, 1, 0, 1, 0)]),
+], ids=["B3-rational", "H3-simple", "H3-irrational"])
+def test_coordinates_recombine_to_each_line(sid, basis):
+    # None: the system's simple lines; either way, every line of the system is recombined
+    s = parse_system_id(sid)
+    basis = basis or [s.lines[i] for i, _ in simple_reflections(s)]
+    coords = coordinates(basis, s.lines)
+    assert len(coords) == s.num_lines
+    for x, c in zip(s.lines, coords):
+        assert line_key(_recombined(c, basis)) == line_key(x)
+    if sid != "H3":  # rational lines in a rational basis get rational coordinates
+        assert not any(any(c[len(basis):]) for c in coords)
+
+
+@pytest.mark.parametrize("basis", [
+    [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0)],
+    # the second is (1 + sqrt 5) times the first: independent over Q, not over Q(sqrt 5)
+    [(1, 0, 0, 0, 0, 0), (1, 0, 0, 1, 0, 0)],
+], ids=["Q", "Q(sqrt5)"])
+def test_coordinates_of_a_dependent_basis_is_none(basis):
+    assert coordinates(basis, [(0, 0, 1, 0, 0, 0)]) is None
+
+
+def test_coordinates_outside_the_span_raise():
+    basis = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)]
+    assert coordinates(basis, [(1, 1, 0, 0, 0, 0)]) is not None
+    with pytest.raises(ValueError, match="outside the span"):
+        coordinates(basis, [(1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)])

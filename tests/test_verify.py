@@ -683,6 +683,30 @@ def test_wreath_report_is_the_crosscheck_report(spec):
     assert _untimed(verify_wreath(spec)) == _untimed(oracle_crosscheck(spec))
 
 
+# (lines, |C3|, order) of the crosscheck workload's inputs and of CI's crosscheck and wreath ids;
+# each report is a PASS that reports its order three times, with no detail
+_PINNED_REPORTS = [
+    ("crosscheck", "A4", 10, 10, 120), ("crosscheck", "A5", 15, 20, 720),
+    ("crosscheck", "B3", 9, 16, 24), ("crosscheck", "B4", 16, 40, 192),
+    ("crosscheck", "D4", 12, 16, 576), ("crosscheck", "D5", 20, 40, 1920),
+    ("crosscheck", "H3", 15, 70, 120), ("wreath", "A1+A2+B3", 13, 17, 144),
+    ("wreath", "A3+A3", 12, 8, 1152), ("crosscheck", "E7", 63, 336, 1451520),
+    ("crosscheck", "E8", 120, 1120, 348364800), ("crosscheck", "B7", 49, 224, 322560),
+    ("crosscheck", "E6+A1", 37, 120, 51840), ("wreath", "D4+Dprime4", 24, 32, 663552),
+    ("wreath", "Dprime4+D4+D4", 36, 48, 1146617856), ("wreath", "A2+I2_5", 8, 11, 720),
+]
+
+
+@pytest.mark.parametrize("check,sid,lines,c3,order", _PINNED_REPORTS,
+                         ids=[f"{check}-{sid}" for check, sid, *_ in _PINNED_REPORTS])
+def test_crosscheck_and_wreath_reports_are_pinned(check, sid, lines, c3, order):
+    report = {"crosscheck": oracle_crosscheck, "wreath": verify_wreath}[check](sid)
+    assert _untimed(report) == {
+        "system_id": sid, "num_lines": lines, "c3_count": c3, "aut_order": str(order),
+        "expected_order": str(order), "known_group_order": str(order), "status": PASS,
+        "detail": ""}
+
+
 def test_cli_wreath_prints_the_all_circuits_order(capsys):
     assert main(["wreath", "--spec", "A3+A3"]) == 0
     assert "realized=1152" in capsys.readouterr().out
